@@ -33,8 +33,9 @@ bench-sim:
 	$(GO) test -run '^$$' -bench 'SerializedEvolutionGrid' -benchmem .
 
 # bench-stream prints the streaming-sweep benchmarks: sink encoding,
-# online reducers, the ordered chunk engine, and the zero-alloc arena
-# re-time step.
+# online reducers (ParetoEmit also selects ParetoEmitFrontier, the
+# large-frontier case), the ordered chunk engine, and the zero-alloc
+# arena re-time step.
 bench-stream:
 	$(GO) test -run '^$$' -bench 'NDJSONEmit|ParetoEmit|TopKEmit' -benchmem ./internal/stream
 	$(GO) test -run '^$$' -bench 'StreamCtx' -benchmem ./internal/parallel

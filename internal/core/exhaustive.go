@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"twocs/internal/parallel"
 	"twocs/internal/profile"
@@ -36,9 +35,6 @@ func (a *Analyzer) ExhaustiveCostStudyCtx(ctx context.Context, hs, sls, tps []in
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return nil, err
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty exhaustive sweep")
 	}
 	type priced struct {
 		name string

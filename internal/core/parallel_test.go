@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -163,12 +164,15 @@ func TestSweepErrorPaths(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		a.Workers = w
 		// Empty grid: no H values at all.
-		if _, err := a.SerializedSweep(nil, []int{1024}, []int{4}, 1, hw.Identity()); err == nil {
-			t.Fatalf("workers=%d: empty serialized grid should error", w)
+		if _, err := a.SerializedSweep(nil, []int{1024}, []int{4}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
+			t.Fatalf("workers=%d: empty serialized grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
 		// All points skipped: no TP degree divides a 16-head config.
-		if _, err := a.SerializedSweep([]int{1024}, []int{1024}, []int{7, 11}, 1, hw.Identity()); err == nil {
-			t.Fatalf("workers=%d: all-skipped serialized grid should error", w)
+		if _, err := a.SerializedSweep([]int{1024}, []int{1024}, []int{7, 11}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
+			t.Fatalf("workers=%d: all-skipped serialized grid: err %v, want ErrNoRunnablePoints", w, err)
+		}
+		if _, err := a.SerializedEvolutionGrid([]int{1024}, []int{1024}, []int{7}, 1, []hw.Evolution{hw.Identity()}); !errors.Is(err, ErrNoRunnablePoints) {
+			t.Fatalf("workers=%d: all-skipped evolution grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
 		if _, err := a.OverlappedSweep(nil, nil, 16, hw.Identity()); err == nil {
 			t.Fatalf("workers=%d: empty overlapped grid should error", w)
@@ -179,8 +183,8 @@ func TestSweepErrorPaths(t *testing.T) {
 		if _, err := a.SerializedEvolutionGrid([]int{1024}, []int{1024}, []int{4}, 1, nil); err == nil {
 			t.Fatalf("workers=%d: no scenarios should error", w)
 		}
-		if _, err := a.ExhaustiveCostStudy(nil, nil, nil, 1, nil); err == nil {
-			t.Fatalf("workers=%d: empty exhaustive grid should error", w)
+		if _, err := a.ExhaustiveCostStudy(nil, nil, nil, 1, nil); !errors.Is(err, ErrNoRunnablePoints) {
+			t.Fatalf("workers=%d: empty exhaustive grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
 		// Invalid evolution must surface the same error at any worker count.
 		bad := hw.Evolution{}

@@ -37,9 +37,6 @@ func enumerateStream(hs, sls, tps []int, b int) ([]streamTask, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty serialized sweep")
-	}
 	memModel := model.DefaultMemoryModel()
 	out := make([]streamTask, len(tasks))
 	for i, t := range tasks {
@@ -78,9 +75,6 @@ func GridRowCount(hs, sls, tps []int, b, nEvos int) (int64, error) {
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return 0, err
-	}
-	if len(tasks) == 0 {
-		return 0, fmt.Errorf("core: empty serialized sweep")
 	}
 	return int64(nEvos) * int64(len(tasks)), nil
 }

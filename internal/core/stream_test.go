@@ -206,8 +206,11 @@ func TestStreamGridArgErrors(t *testing.T) {
 	if err := a.StreamEvolutionGridCtx(context.Background(), hs, sls, tps, b, nil, &sink); err == nil {
 		t.Fatal("empty evolution list accepted")
 	}
-	if err := a.StreamEvolutionGridCtx(context.Background(), nil, nil, nil, b, hw.PaperScenarios(), &sink); err == nil {
-		t.Fatal("empty grid accepted")
+	if err := a.StreamEvolutionGridCtx(context.Background(), nil, nil, nil, b, hw.PaperScenarios(), &sink); !errors.Is(err, ErrNoRunnablePoints) {
+		t.Fatalf("empty grid: err %v, want ErrNoRunnablePoints", err)
+	}
+	if _, err := GridRowCount([]int{1024}, []int{1024}, []int{7}, b, 1); !errors.Is(err, ErrNoRunnablePoints) {
+		t.Fatalf("all-skipped row count: err %v, want ErrNoRunnablePoints", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -60,10 +61,17 @@ type serializedTask struct {
 	tp    int
 }
 
+// ErrNoRunnablePoints reports a grid none of whose points can run: no
+// TP degree divides any (H, SL) configuration, or an axis is empty. It
+// describes the request, not a failure of the analysis, so callers that
+// answer clients (twocsd) map it to a client error.
+var ErrNoRunnablePoints = errors.New("core: no runnable grid point")
+
 // enumerateSerialized expands the (H × SL × TP) grid into runnable
 // tasks, hoisting FutureConfig construction and validation out of the
 // inner TP loop. TP degrees that do not divide a configuration are
-// skipped here, as the paper skips its unrealistic configurations.
+// skipped here, as the paper skips its unrealistic configurations; a
+// grid left with no task is ErrNoRunnablePoints.
 func enumerateSerialized(hs, sls, tps []int, b int) ([]serializedTask, error) {
 	tasks := make([]serializedTask, 0, len(hs)*len(sls)*len(tps))
 	for _, h := range hs {
@@ -79,6 +87,9 @@ func enumerateSerialized(hs, sls, tps []int, b int) ([]serializedTask, error) {
 				tasks = append(tasks, serializedTask{cfg: cfg, h: h, sl: sl, tp: tp})
 			}
 		}
+	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("%w: empty serialized sweep", ErrNoRunnablePoints)
 	}
 	return tasks, nil
 }
@@ -120,9 +131,6 @@ func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return nil, err
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty serialized sweep")
 	}
 	out, err := parallel.MapPartial(ctx, a.workers(), len(tasks),
 		func(ctx context.Context, i int) (SerializedPoint, error) {
@@ -175,9 +183,6 @@ func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps 
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return nil, err
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty serialized sweep")
 	}
 	flat, err := parallel.MapCtx(ctx, a.workers(), len(evos)*len(tasks), func(_ context.Context, i int) (SerializedPoint, error) {
 		evo, t := evos[i/len(tasks)], tasks[i%len(tasks)]

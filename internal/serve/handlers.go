@@ -58,10 +58,16 @@ func (s *Server) admit(w http.ResponseWriter) bool {
 	return true
 }
 
-// fail maps a computation error onto an HTTP status: deadline → 504,
-// client-side cancellation → 503 (the waiter left; nothing better to
-// say), anything else → 500.
+// fail maps a computation error onto an HTTP status: a grid with no
+// runnable point → 422 (the spec is at fault, so it counts as a
+// rejection, not a server error), deadline → 504, client-side
+// cancellation → 503 (the waiter left; nothing better to say),
+// anything else → 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
+	if errors.Is(err, core.ErrNoRunnablePoints) {
+		s.reject(w, http.StatusUnprocessableEntity, err)
+		return
+	}
 	s.col.Count("serve.errors", 1)
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -202,20 +208,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweep grid has %d points, limit %d", pts, s.cfg.MaxSweepPoints))
 		return
 	}
-	if req.Ranged() {
-		// Resolve the exact row count before any bytes go out: an
-		// out-of-grid shard must be a 400 the coordinator can act on, not
-		// a 200 that dies mid-stream.
-		total, err := req.RowCount()
-		if err != nil {
-			s.reject(w, http.StatusBadRequest, err)
-			return
-		}
-		if req.Hi > total {
-			s.reject(w, http.StatusBadRequest,
-				fmt.Errorf("shard range [%d,%d) exceeds grid of %d rows", req.Lo, req.Hi, total))
-			return
-		}
+	// Resolve the exact row count before any bytes go out: a grid with
+	// no runnable point must be a 422 and an out-of-grid shard a 400 the
+	// coordinator can act on, not a 200 that dies mid-stream.
+	total, err := req.RowCount()
+	switch {
+	case errors.Is(err, core.ErrNoRunnablePoints):
+		s.fail(w, err)
+		return
+	case err != nil:
+		s.reject(w, http.StatusBadRequest, err)
+		return
+	case req.Ranged() && req.Hi > total:
+		s.reject(w, http.StatusBadRequest,
+			fmt.Errorf("shard range [%d,%d) exceeds grid of %d rows", req.Lo, req.Hi, total))
+		return
 	}
 	an, err := s.analyzerFor(req.Model)
 	if err != nil {

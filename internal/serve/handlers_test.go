@@ -179,6 +179,33 @@ func TestStudyRejections(t *testing.T) {
 	}
 }
 
+// TestNoRunnablePointIs422: a spec whose H no Table-3 TP divides (1088
+// has 17 heads) has nothing to compute. Study and sweep both refuse it
+// as a client error before any response byte goes out — no 500, and no
+// 200 with an empty stream.
+func TestNoRunnablePointIs422(t *testing.T) {
+	_, col, ts := testServer(t, DefaultConfig())
+	const spec = `{"h":[1088],"sl":[1024],"flopbw":[1]}`
+	for _, path := range []string{"/v1/study", "/v1/sweep"} {
+		resp, b := postJSON(t, ts.URL+path, spec)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d (%s), want 422", path, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), core.ErrNoRunnablePoints.Error()) {
+			t.Fatalf("%s: body %q does not name the cause", path, b)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("%s: Content-Type %q, want the plain-text error", path, ct)
+		}
+	}
+	if e := counter(t, col, "serve.errors"); e != 0 {
+		t.Fatalf("serve.errors = %d, want 0", e)
+	}
+	if rej := counter(t, col, "serve.requests.rejected"); rej != 2 {
+		t.Fatalf("rejected counter = %d, want 2", rej)
+	}
+}
+
 func TestAdmissionRateLimit(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rate = 1e-9 // effectively never refills

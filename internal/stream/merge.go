@@ -25,10 +25,12 @@ import "fmt"
 // through p. The other reducer is not modified and must not be p
 // itself — a self-merge would mutate the frontier under iteration.
 func (p *Pareto) Merge(o *Pareto) {
-	for _, r := range o.frontier {
-		// Frontier rows are finite by construction; Emit re-runs the
-		// dominance scan against p's frontier and cannot fail.
-		_ = p.Emit(r)
+	for _, c := range o.classes {
+		for _, r := range c.rows {
+			// Frontier rows are finite by construction; Emit re-runs the
+			// dominance test against p's frontier and cannot fail.
+			_ = p.Emit(r)
+		}
 	}
 	p.canceled += o.canceled
 }

@@ -32,13 +32,35 @@ import (
 // exhaustive design-space search: everything off it is beaten
 // outright by some on-frontier configuration.
 //
-// The frontier is held as a flat slice scanned per insertion — the
-// objectives are strongly correlated on real grids, so frontiers stay
-// small (hundreds at 10⁶ points) and the scan is cheaper than any
-// tree structure's constant factor.
+// Real frontiers are large: the Table-3 axes (B=1) under 1,000
+// flop-vs-bw scenarios keep 9,207 frontier rows of 156k points, and
+// 18,404 of 312k under 2,000, so a flat scan per emitted row makes the
+// search quadratic in the grid. The frontier is instead
+// grouped into memory classes — per-device memory depends only on the
+// shape (H, SL, B, TP), never on the hardware scenario, so the Table-3
+// grid has 156 footprints and 36 of them hold frontier rows. Inside one
+// class the rows form a 2-D staircase (IterTime ascending, CommFrac
+// non-increasing), and each class answers "is r dominated" and "which
+// rows does r dominate" by binary search. A row costs
+// O(C · log F/C) for C classes and F frontier rows, plus a memmove
+// within one class when it joins the frontier; with every MemBytes
+// distinct each class holds one row and the cost is an O(F) scan, as a
+// flat frontier slice would pay on every grid.
 type Pareto struct {
-	frontier []Row
+	// classes holds the frontier by memory class, ascending MemBytes.
+	// No class is empty.
+	classes  []paretoClass
 	canceled int64
+}
+
+// paretoClass is the frontier rows sharing one MemBytes value. Rows of
+// one class never dominate each other, so they form a staircase:
+// IterTime ascending and CommFrac non-increasing, a strictly longer
+// IterTime coming with a strictly smaller CommFrac. Rows with equal
+// IterTime are exact ties, equal on all three objectives.
+type paretoClass struct {
+	mem  units.Bytes
+	rows []Row
 }
 
 // NewPareto returns an empty frontier reducer.
@@ -63,30 +85,164 @@ func (p *Pareto) Emit(r Row) error {
 		p.canceled++
 		return nil
 	}
-	keep := p.frontier[:0]
-	for _, f := range p.frontier {
-		if dominates(f, r) {
-			// r is beaten; the frontier is unchanged (nothing already on
-			// it can be dominated by a point that keeps r off it).
+	at := p.classAt(r.MemBytes)
+	// Classes below r's footprint dominate r with any staircase point no
+	// worse on both other objectives; the last point with IterTime <=
+	// r's has the smallest CommFrac of those, so it alone decides.
+	for i := 0; i < at; i++ {
+		rows := p.classes[i].rows
+		if rows[0].IterTime > r.IterTime || rows[len(rows)-1].CommFrac > r.CommFrac {
+			continue // every row is worse than r on one of the two
+		}
+		if j := itersAtMost(rows, r.IterTime); j > 0 && rows[j-1].CommFrac <= r.CommFrac {
 			return nil
 		}
-		if !dominates(r, f) {
-			keep = append(keep, f)
-		}
 	}
-	// The append reuses the frontier's backing array (keep re-slices it)
-	// and grows only when a new non-dominated row exceeds its capacity —
-	// amortized over the frontier size, not paid per emitted row.
-	//lint:ignore hotalloc frontier growth is amortized over the (small) frontier, not per row
-	p.frontier = append(keep, r)
+	if at < len(p.classes) && p.classes[at].mem <= r.MemBytes {
+		c := &p.classes[at]
+		j := itersAtMost(c.rows, r.IterTime)
+		if j > 0 && c.rows[j-1].CommFrac <= r.CommFrac {
+			if c.rows[j-1].CommFrac < r.CommFrac || c.rows[j-1].IterTime < r.IterTime {
+				return nil
+			}
+			// An exact tie: r dominates just what its twin dominates —
+			// nothing on the frontier. Keep both, the twin first.
+			c.rows = insertRow(c.rows, j, j, r)
+			return nil
+		}
+		a, b := dominatedRange(c.rows, r)
+		c.rows = insertRow(c.rows, a, b, r)
+	} else {
+		p.classes = append(p.classes, paretoClass{})
+		copy(p.classes[at+1:], p.classes[at:])
+		//lint:ignore hotalloc one allocation per memory footprint entering the frontier, not per row
+		p.classes[at] = paretoClass{mem: r.MemBytes, rows: []Row{r}}
+	}
+	// Every row r dominates in a class above its footprint is no worse
+	// than r on both other objectives: one contiguous staircase range.
+	// Classes the cut empties are dropped.
+	keep := at + 1
+	for i := at + 1; i < len(p.classes); i++ {
+		c := p.classes[i]
+		if a, b := dominatedRange(c.rows, r); a < b {
+			if a == 0 && b == len(c.rows) {
+				continue
+			}
+			c.rows = append(c.rows[:a], c.rows[b:]...)
+		}
+		p.classes[keep] = c
+		keep++
+	}
+	for i := keep; i < len(p.classes); i++ {
+		p.classes[i] = paretoClass{}
+	}
+	p.classes = p.classes[:keep]
 	return nil
 }
 
-// Close implements Sink.
-func (p *Pareto) Close(Trailer) error { return nil }
+// classAt returns the index of the first class whose footprint is not
+// below m.
+func (p *Pareto) classAt(m units.Bytes) int {
+	lo, hi := 0, len(p.classes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if p.classes[mid].mem < m {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// itersAtMost returns how many staircase rows have IterTime <= t.
+func itersAtMost(rows []Row, t units.Seconds) int {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid].IterTime <= t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// dominatedRange returns the staircase range [a, b) of rows no better
+// than r on IterTime and CommFrac: IterTime >= r's from a on, CommFrac
+// >= r's up to b. The caller knows r is no tie of any of them. When r
+// is not dominated by the class, a is also where r belongs in it.
+func dominatedRange(rows []Row, r Row) (a, b int) {
+	// Two O(1) answers for a range that is empty: every row is faster
+	// than r, or every row communicates less.
+	if n := len(rows); n == 0 || rows[n-1].IterTime < r.IterTime {
+		return n, n
+	}
+	if rows[0].CommFrac < r.CommFrac {
+		return 0, 0
+	}
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid].IterTime < r.IterTime {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	a = lo
+	hi = len(rows)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rows[mid].CommFrac >= r.CommFrac {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return a, lo
+}
+
+// insertRow replaces rows[a:b] with r, shifting the tail in place.
+func insertRow(rows []Row, a, b int, r Row) []Row {
+	if a == b {
+		// The append grows the class's backing array only when it is
+		// full — amortized over the class's size, not paid per row.
+		rows = append(rows, Row{})
+		copy(rows[a+1:], rows[a:])
+		rows[a] = r
+		return rows
+	}
+	rows[a] = r
+	return append(rows[:a+1], rows[b:]...)
+}
+
+// Close implements Sink. It packs the classes into one array, each
+// class clipped to its length, so the frontier the reducer keeps holds
+// no spare capacity from the stream's growth and no per-class
+// allocation rounding. An Emit after Close still works: a class that
+// grows reallocates on its own, and one that shrinks stays inside its
+// own part of the array.
+func (p *Pareto) Close(Trailer) error {
+	all := make([]Row, 0, p.Size())
+	for i := range p.classes {
+		c := &p.classes[i]
+		start := len(all)
+		all = append(all, c.rows...)
+		c.rows = all[start:len(all):len(all)]
+	}
+	return nil
+}
 
 // Size returns the current frontier cardinality.
-func (p *Pareto) Size() int { return len(p.frontier) }
+func (p *Pareto) Size() int {
+	n := 0
+	for _, c := range p.classes {
+		n += len(c.rows)
+	}
+	return n
+}
 
 // Canceled returns the number of canceled (non-finite) rows skipped.
 func (p *Pareto) Canceled() int64 { return p.canceled }
@@ -95,8 +251,10 @@ func (p *Pareto) Canceled() int64 { return p.canceled }
 // a deterministic order independent of arrival interleaving. The slice
 // is a copy; the reducer keeps streaming.
 func (p *Pareto) Frontier() []Row {
-	out := make([]Row, len(p.frontier))
-	copy(out, p.frontier)
+	out := make([]Row, 0, p.Size())
+	for _, c := range p.classes {
+		out = append(out, c.rows...)
+	}
 	sort.Slice(out, func(i, j int) bool { return betterRow(out[i], out[j]) })
 	return out
 }

@@ -120,6 +120,203 @@ func TestParetoFrontierInternalConsistency(t *testing.T) {
 	}
 }
 
+// frontierGrid builds a grid shaped like the real design space: every
+// shape has its own per-device memory (one memory class per shape) and
+// compute and communication times that grow together as the footprint
+// shrinks; every scenario speeds compute up by its own factor. Faster
+// compute shortens the iteration and raises the comm fraction, so each
+// class is a long staircase and most rows land on the frontier — the
+// regime where a per-row frontier scan goes quadratic. Rows are
+// scenario-major, as the grid streams them.
+func frontierGrid(rng *rand.Rand, shapes, scenarios int) []Row {
+	type shape struct {
+		comp, comm float64
+		mem        units.Bytes
+	}
+	ss := make([]shape, shapes)
+	for i := range ss {
+		k := 1 + rng.Float64()
+		ss[i] = shape{
+			comp: 5 * k * (1 + 0.2*rng.Float64()),
+			comm: 0.5 * k * (1 + 0.03*rng.Float64()),
+			mem:  units.Bytes((3 - k) * 1e9),
+		}
+	}
+	rows := make([]Row, 0, shapes*scenarios)
+	for e := 0; e < scenarios; e++ {
+		speed := 1 + 15*rng.Float64()
+		for _, sh := range ss {
+			iter := sh.comp/speed + sh.comm
+			rows = append(rows, Row{
+				Index:    int64(len(rows)),
+				FlopVsBW: speed,
+				IterTime: units.Seconds(iter),
+				CommFrac: sh.comm / iter,
+				MemBytes: sh.mem,
+			})
+		}
+	}
+	return rows
+}
+
+// checkFrontier holds a reducer fed rows to the brute-force oracle over
+// their finite subset: the same frontier row for row, the same Size, no
+// member dominating another, and every non-finite row counted.
+func checkFrontier(t *testing.T, label string, p *Pareto, rows []Row) {
+	t.Helper()
+	finite := finiteOnly(rows)
+	got, want := p.Frontier(), bruteFrontier(finite)
+	diffRows(t, label, got, want)
+	if p.Size() != len(want) {
+		t.Fatalf("%s: Size() = %d, oracle %d", label, p.Size(), len(want))
+	}
+	for i := range got {
+		for j := range got {
+			if i != j && dominates(got[i], got[j]) {
+				t.Fatalf("%s: frontier member %d dominates member %d", label, i, j)
+			}
+		}
+	}
+	if n := int64(len(rows) - len(finite)); p.Canceled() != n {
+		t.Fatalf("%s: Canceled() = %d, want %d", label, p.Canceled(), n)
+	}
+}
+
+// TestParetoOracleLargeFrontier: a correlated ~150-class stream whose
+// frontier holds thousands of rows, as real grids do.
+func TestParetoOracleLargeFrontier(t *testing.T) {
+	rows := frontierGrid(rand.New(rand.NewSource(5)), 150, 55)
+	p := NewPareto()
+	emitAll(t, p, rows)
+	if p.Size() < 5000 {
+		t.Fatalf("frontier holds %d rows, want a large one (>= 5000)", p.Size())
+	}
+	if n := len(p.classes); n < 100 {
+		t.Fatalf("frontier spans %d memory classes, want ~150", n)
+	}
+	checkFrontier(t, "large frontier", p, rows)
+}
+
+// TestParetoOracleDistinctMem: with every MemBytes distinct each class
+// holds one row, so the cross-class walks carry all the work.
+func TestParetoOracleDistinctMem(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 20; trial++ {
+		rows := randomGrid(rng, rng.Intn(400)+1)
+		for i, m := range rng.Perm(len(rows)) {
+			rows[i].MemBytes = units.Bytes(float64(m+1) * 1e6)
+		}
+		p := NewPareto()
+		emitAll(t, p, rows)
+		checkFrontier(t, fmt.Sprintf("trial %d", trial), p, rows)
+	}
+}
+
+// TestParetoOracleTiesAndSpecials: exact-tie duplicates, signed zeros
+// (-0 equals +0 on every objective) and non-finite rows mixed into one
+// stream.
+func TestParetoOracleTiesAndSpecials(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	iters := []float64{negZero, 0, 1, 2, 2, math.Inf(1), math.NaN()}
+	comms := []float64{negZero, 0, 0.5, 0.5, 1, math.Inf(-1)}
+	mems := []float64{negZero, 0, 1e9, 1e9, 2e9, math.Inf(1)}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		rows := make([]Row, rng.Intn(200)+1)
+		for i := range rows {
+			rows[i] = Row{
+				Index:    int64(i),
+				IterTime: units.Seconds(iters[rng.Intn(len(iters))]),
+				CommFrac: comms[rng.Intn(len(comms))],
+				MemBytes: units.Bytes(mems[rng.Intn(len(mems))]),
+			}
+		}
+		p := NewPareto()
+		emitAll(t, p, rows)
+		checkFrontier(t, fmt.Sprintf("trial %d", trial), p, rows)
+	}
+}
+
+// TestParetoMergeAndEmitAfterClose: merging per-shard frontiers of the
+// large stream equals the single stream, and a reducer that is closed
+// (its classes clipped) mid-stream keeps reducing correctly.
+func TestParetoMergeAndEmitAfterClose(t *testing.T) {
+	rows := frontierGrid(rand.New(rand.NewSource(19)), 150, 30)
+	merged := NewPareto()
+	for _, sh := range randomSplit(rand.New(rand.NewSource(3)), len(rows), 5) {
+		p := NewPareto()
+		emitAll(t, p, rows[sh[0]:sh[1]])
+		if err := p.Close(Trailer{}); err != nil {
+			t.Fatal(err)
+		}
+		merged.Merge(p)
+	}
+	checkFrontier(t, "merged", merged, rows)
+
+	p := NewPareto()
+	half := len(rows) / 2
+	emitAll(t, p, rows[:half])
+	if err := p.Close(Trailer{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range p.classes {
+		if cap(c.rows) != len(c.rows) {
+			t.Fatalf("class %g kept capacity %d for %d rows after Close", float64(c.mem), cap(c.rows), len(c.rows))
+		}
+	}
+	emitAll(t, p, rows[half:])
+	checkFrontier(t, "emit after close", p, rows)
+}
+
+// FuzzParetoOracle decodes bytes into rows with coarse objectives (so
+// ties and dominance are frequent) and a few signed-zero and non-finite
+// values, then holds the reducer to the brute-force oracle. A second
+// reducer sees the same rows with memory classes arriving in the
+// reverse order and must keep the same frontier.
+func FuzzParetoOracle(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2})
+	f.Add([]byte{5, 1, 3, 5, 1, 3, 0, 4, 4, 4, 0, 0})
+	f.Add([]byte{250, 3, 1, 2, 251, 4, 3, 2, 252, 253, 254, 255})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		negZero := math.Copysign(0, -1)
+		decode := func(b byte, scale float64) float64 {
+			switch b {
+			case 250:
+				return negZero
+			case 251:
+				return math.Inf(1)
+			case 252:
+				return math.Inf(-1)
+			case 253:
+				return math.NaN()
+			}
+			return float64(b%6) * scale
+		}
+		// The oracle is quadratic: keep inputs to a few hundred rows.
+		if len(data) > 3*300 {
+			data = data[:3*300]
+		}
+		var rows []Row
+		for i := 0; i+2 < len(data); i += 3 {
+			rows = append(rows, Row{
+				Index:    int64(len(rows)),
+				IterTime: units.Seconds(decode(data[i], 0.25)),
+				CommFrac: decode(data[i+1], 0.2),
+				MemBytes: units.Bytes(decode(data[i+2], 1e9)),
+			})
+		}
+		p := NewPareto()
+		emitAll(t, p, rows)
+		checkFrontier(t, "fuzz", p, rows)
+
+		reversed := append([]Row(nil), rows...)
+		sort.SliceStable(reversed, func(i, j int) bool { return reversed[i].MemBytes > reversed[j].MemBytes })
+		q := NewPareto()
+		emitAll(t, q, reversed)
+		diffRows(t, "classes in reverse order", q.Frontier(), p.Frontier())
+	})
+}
+
 // TestTopKOracle checks the bounded heap against sorting the full
 // materialized grid.
 func TestTopKOracle(t *testing.T) {
@@ -319,6 +516,28 @@ func BenchmarkParetoEmit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if err := p.Emit(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParetoEmitFrontier measures Emit where real grids put it: a
+// correlated ~150-class stream whose frontier grows to thousands of
+// rows. Each pass over the stream starts from an empty reducer, so the
+// frontier stays the stream's own rather than accreting exact-tie
+// copies of itself across passes.
+func BenchmarkParetoEmitFrontier(b *testing.B) {
+	rows := frontierGrid(rand.New(rand.NewSource(1)), 150, 55)
+	p := NewPareto()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(rows) == 0 && i > 0 {
+			b.StopTimer()
+			p = NewPareto()
+			b.StartTimer()
+		}
 		if err := p.Emit(rows[i%len(rows)]); err != nil {
 			b.Fatal(err)
 		}

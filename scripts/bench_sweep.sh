@@ -15,9 +15,10 @@
 #     end-to-end effect. Regressions show up as a diff in this file.
 #
 #   BENCH_stream.json — the streaming-sweep set: per-row sink encoding
-#     (NDJSON), the online reducers (Pareto, top-K), the ordered chunk
-#     engine, and the arena re-time step that prices one grid point in
-#     zero allocations. These are the per-point costs that decide
+#     (NDJSON), the online reducers (Pareto on a coarse stream and on a
+#     thousands-row frontier, top-K), the ordered chunk engine, and the
+#     arena re-time step that prices one grid point in zero
+#     allocations. These are the per-point costs that decide
 #     whether a 10⁶-10⁷ point search is practical.
 #
 # scripts/bench_gate.sh holds a fresh run to the committed sim and
