@@ -203,9 +203,10 @@ func runCtx(ctx context.Context, args []string, w io.Writer) (err error) {
 
 	// Collect for the whole dispatch: the subcommand's own flag parse
 	// may still enable -trace/-metrics, so whether to *export* is only
-	// decided afterwards. An idle collector costs a few hundred spans
-	// of memory at most; the zero-cost no-op path is for library and
-	// benchmark use, where no collector is ever enabled.
+	// decided afterwards. The collector stores at most
+	// telemetry.MaxSpans spans (a few MB), and a streamed sweep records
+	// one per chunk, not per row; the zero-cost no-op path is for
+	// library and benchmark use, where no collector is ever enabled.
 	//
 	// Export and the heap profile run from a defer against the named
 	// return, so a failing, timed-out, or interrupted subcommand still

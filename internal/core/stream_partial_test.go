@@ -125,7 +125,12 @@ func TestStreamGridPartialNDJSONAllValid(t *testing.T) {
 	a := newAnalyzer(t)
 	a.Workers = 4
 	hs, sls, tps := smallGrid()
-	evos := manyEvos(200)
+	// 3,000 rows are 6 chunks for 4 workers. When the sink cancels, each
+	// worker holds at most one claimed chunk, so some chunk is never
+	// claimed and the stream must end canceled. With no more chunks than
+	// workers, all of them can be claimed before the cancel, and the
+	// stream then completes, as StreamCtx's contract says it should.
+	evos := manyEvos(300)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

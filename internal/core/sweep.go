@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"twocs/internal/hw"
 	"twocs/internal/model"
@@ -37,7 +38,7 @@ func Table3TPs() []int { return []int{4, 8, 16, 32, 64, 128, 256} }
 // so per-layer analysis suffices for the sweep metrics.
 func FutureConfig(h, sl, b int) (model.Config, error) {
 	c := model.Config{
-		Name:   fmt.Sprintf("future-H%d-SL%d-B%d", h, sl, b),
+		Name:   futureName(h, sl, b),
 		Kind:   model.Decoder,
 		Layers: 1,
 		Hidden: h, FCDim: 4 * h, Heads: h / 64,
@@ -49,6 +50,20 @@ func FutureConfig(h, sl, b int) (model.Config, error) {
 		return model.Config{}, err
 	}
 	return c, nil
+}
+
+// futureName returns FutureConfig's "future-H<h>-SL<sl>-B<b>" name in
+// one allocation, the string itself: fmt.Sprintf would also box h and
+// sl, and a grid builds one name per (H, SL) pair.
+func futureName(h, sl, b int) string {
+	var buf [80]byte
+	n := append(buf[:0], "future-H"...)
+	n = strconv.AppendInt(n, int64(h), 10)
+	n = append(n, "-SL"...)
+	n = strconv.AppendInt(n, int64(sl), 10)
+	n = append(n, "-B"...)
+	n = strconv.AppendInt(n, int64(b), 10)
+	return string(n)
 }
 
 // serializedTask is one runnable (configuration, TP) grid point. The

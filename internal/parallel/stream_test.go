@@ -1,11 +1,16 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
+
+	"twocs/internal/telemetry"
 )
 
 // collectStream runs StreamCtx and concatenates everything emitted,
@@ -191,6 +196,76 @@ func TestStreamCtxArgErrors(t *testing.T) {
 	if err := StreamCtx(context.Background(), 1, 1, 0,
 		func(_ context.Context, i int) (int, error) { return 0, nil }, nil); err == nil {
 		t.Fatal("nil emit accepted")
+	}
+}
+
+// TestStreamCtxChunkSpans pins the stream's telemetry granularity: with
+// a collector on, every claimed chunk records one "chunk <c>" span on a
+// stream-worker lane and one parallel.stream.chunk.wall_ns observation,
+// and no row records a span of its own.
+func TestStreamCtxChunkSpans(t *testing.T) {
+	id := func(_ context.Context, i int) (int, error) { return i, nil }
+	for _, workers := range []int{1, 4} {
+		for _, tc := range []struct{ n, chunk int }{{1000, 64}, {1024, 256}, {5, 0}} {
+			col := telemetry.NewCollector()
+			telemetry.Enable(col)
+			_, err := collectStream(t, context.Background(), workers, tc.n, tc.chunk, id)
+			telemetry.Enable(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chunk := tc.chunk
+			if chunk <= 0 {
+				chunk = DefaultStreamChunk
+			}
+			want := (tc.n + chunk - 1) / chunk
+
+			var buf bytes.Buffer
+			if err := col.WriteChromeTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var events []struct {
+				Name string            `json:"name"`
+				Ph   string            `json:"ph"`
+				TID  int               `json:"tid"`
+				Args map[string]string `json:"args"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+				t.Fatalf("trace is not valid JSON: %v", err)
+			}
+			lanes := make(map[int]string)
+			for _, e := range events {
+				if e.Ph == "M" && e.Name == "thread_name" {
+					lanes[e.TID] = e.Args["name"]
+				}
+			}
+			chunks, tasks := 0, 0
+			for _, e := range events {
+				if e.Ph != "X" || !strings.HasPrefix(lanes[e.TID], "stream-worker ") {
+					continue
+				}
+				switch {
+				case strings.HasPrefix(e.Name, "chunk "):
+					chunks++
+				case strings.HasPrefix(e.Name, "task "):
+					tasks++
+				}
+			}
+			if chunks != want || tasks != 0 {
+				t.Errorf("w=%d n=%d c=%d: %d chunk spans and %d task spans on stream-worker lanes, want %d and 0",
+					workers, tc.n, tc.chunk, chunks, tasks, want)
+			}
+			var observed int64
+			for _, h := range col.Snapshot().Histograms {
+				if h.Name == "parallel.stream.chunk.wall_ns" {
+					observed = h.Count
+				}
+			}
+			if observed != int64(want) {
+				t.Errorf("w=%d n=%d c=%d: parallel.stream.chunk.wall_ns count %d, want %d",
+					workers, tc.n, tc.chunk, observed, want)
+			}
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"twocs/internal/core"
 	"twocs/internal/hw"
 	"twocs/internal/model"
+	"twocs/internal/parallel"
 	"twocs/internal/telemetry"
 )
 
@@ -293,6 +295,56 @@ func TestSweepStreams(t *testing.T) {
 	}
 	if canceled != 0 || tr.Canceled != 0 {
 		t.Fatalf("complete sweep reports canceled rows: %d/%d", canceled, tr.Canceled)
+	}
+}
+
+// TestSweepSpansBounded pins the daemon's span memory: with the
+// collector enabled process-wide, as twocsd runs, serving Table-3
+// sweeps stores a few spans per 512-row chunk and never more than
+// telemetry.MaxSpans, however many rows were served.
+func TestSweepSpansBounded(t *testing.T) {
+	_, col, ts := testServer(t, DefaultConfig())
+	telemetry.Enable(col)
+	defer telemetry.Enable(nil)
+
+	ratios := make([]string, 100)
+	for i := range ratios {
+		ratios[i] = strconv.Itoa(1 + i)
+	}
+	body := `{"flopbw":[` + strings.Join(ratios, ",") + `]}`
+	var rows int64
+	for req := 0; req < 2; req++ {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, tr := scanSweep(t, resp.Body)
+		resp.Body.Close()
+		if !tr.Complete {
+			t.Fatalf("request %d: incomplete sweep %+v", req, tr)
+		}
+		rows += tr.Rows
+	}
+
+	var buf bytes.Buffer
+	if err := col.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Ph string }
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	spans := 0
+	for _, e := range events {
+		if e.Ph == "X" {
+			spans++
+		}
+	}
+	// One span per chunk plus a handful per request.
+	limit := int(rows/parallel.DefaultStreamChunk) + 2*16
+	if spans > telemetry.MaxSpans || spans > limit {
+		t.Fatalf("%d rows served stored %d spans, want <= %d (and <= MaxSpans %d)",
+			rows, spans, limit, telemetry.MaxSpans)
 	}
 }
 

@@ -3,6 +3,7 @@ package stream
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -18,10 +19,44 @@ import (
 // canceled grid point (coordinates with NaN objectives) serializes its
 // non-finite iter_s/comm_frac/mem_bytes as null and carries an explicit
 // "canceled":true field — every emitted line is valid JSON for every
-// downstream parser, complete run or not.
+// downstream parser, complete run or not. A non-finite flopbw, which
+// no producer emits, is written as null too.
+//
+// Two row segments repeat, and Emit encodes each distinct value once:
+// the `,"evo":…,"flopbw":…` segment is constant over a scenario's rows
+// (a sweep emits them evolution-major), and mem_bytes is a function of
+// the model shape alone, so a sweep re-encodes the same few hundred
+// values. Both memos key on exact float bit patterns, so the bytes do
+// not depend on hits or misses — only the speed depends on row order.
 type NDJSON struct {
 	w   *bufio.Writer
 	buf []byte
+
+	// evoSeg is the last row's encoded `,"evo":…,"flopbw":…` segment,
+	// valid for (evo, evoBits) whenever it is non-empty.
+	evo     string
+	evoBits uint64
+	evoSeg  []byte
+
+	mem [memSlots]memSlot
+}
+
+// memSlots sizes the direct-mapped mem_bytes memo: 64 KB, as large as
+// the write buffer, which keeps slot collisions among a Table-3
+// sweep's 156 distinct footprints to a few percent of rows.
+const (
+	memSlotBits = 11
+	memSlots    = 1 << memSlotBits
+)
+
+// memSlot memoizes the encoding of one mem_bytes value. At 32 bytes a
+// slot holds every shortest-form float up to 23 characters; a longer
+// one (only a negative value with 17 significant digits and a
+// three-digit exponent) is encoded directly on every row.
+type memSlot struct {
+	bits uint64
+	n    uint8 // length of text; 0 marks an empty slot
+	text [23]byte
 }
 
 // NewNDJSON returns an NDJSON sink over w. The caller keeps ownership
@@ -37,10 +72,14 @@ func (n *NDJSON) Emit(r Row) error {
 	b := n.buf[:0]
 	b = append(b, `{"i":`...)
 	b = strconv.AppendInt(b, r.Index, 10)
-	b = append(b, `,"evo":`...)
-	b = appendJSONString(b, r.Evo)
-	b = append(b, `,"flopbw":`...)
-	b = strconv.AppendFloat(b, r.FlopVsBW, 'g', -1, 64)
+	if bits := math.Float64bits(r.FlopVsBW); len(n.evoSeg) == 0 || bits != n.evoBits || r.Evo != n.evo {
+		n.evoSeg = append(n.evoSeg[:0], `,"evo":`...)
+		n.evoSeg = appendJSONString(n.evoSeg, r.Evo)
+		n.evoSeg = append(n.evoSeg, `,"flopbw":`...)
+		n.evoSeg = appendJSONFloat(n.evoSeg, r.FlopVsBW)
+		n.evo, n.evoBits = r.Evo, bits
+	}
+	b = append(b, n.evoSeg...)
 	b = append(b, `,"h":`...)
 	b = strconv.AppendInt(b, int64(r.H), 10)
 	b = append(b, `,"sl":`...)
@@ -54,7 +93,7 @@ func (n *NDJSON) Emit(r Row) error {
 	b = append(b, `,"comm_frac":`...)
 	b = appendJSONFloat(b, r.CommFrac)
 	b = append(b, `,"mem_bytes":`...)
-	b = appendJSONFloat(b, float64(r.MemBytes))
+	b = n.appendMem(b, float64(r.MemBytes))
 	if !r.Finite() {
 		b = append(b, `,"canceled":true`...)
 	}
@@ -62,6 +101,23 @@ func (n *NDJSON) Emit(r Row) error {
 	n.buf = b
 	_, err := n.w.Write(b)
 	return err
+}
+
+// appendMem appends v as appendJSONFloat would, from the memo slot its
+// bit pattern hashes to (Fibonacci hashing) when that slot holds it.
+// On a miss it encodes v directly and caches the text if it fits.
+func (n *NDJSON) appendMem(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	s := &n.mem[(bits*0x9e3779b97f4a7c15)>>(64-memSlotBits)]
+	if s.n > 0 && s.bits == bits {
+		return append(b, s.text[:s.n]...)
+	}
+	start := len(b)
+	b = appendJSONFloat(b, v)
+	if enc := b[start:]; len(enc) <= len(s.text) {
+		s.bits, s.n = bits, uint8(copy(s.text[:], enc))
+	}
+	return b
 }
 
 // Flush forces the buffered rows out to the underlying writer without

@@ -80,8 +80,21 @@ func (l Lane) StartIndexed(name string, i int) Span {
 	return l.Start(name + " " + strconv.Itoa(i))
 }
 
+// MaxSpans bounds the finished spans a collector stores. A long-lived
+// daemon keeps one collector for its whole life, so an unbounded span
+// log would grow with every request it serves; at this bound the log
+// holds a few MB at most. A 10⁶-row streamed sweep records one span per
+// 512-row chunk and stays well under it.
+const MaxSpans = 1 << 16
+
+// droppedSpans counts the spans End measured but did not store because
+// the collector already held MaxSpans.
+const droppedSpans = "telemetry.spans.dropped"
+
 // End finishes the span, records it, and returns its wall duration
-// (zero for a span of a disabled collector).
+// (zero for a span of a disabled collector). Once the collector holds
+// MaxSpans spans, End still measures but counts the span in
+// telemetry.spans.dropped instead of storing it.
 func (s Span) End() time.Duration {
 	c := s.lane.c
 	if c == nil {
@@ -89,7 +102,11 @@ func (s Span) End() time.Duration {
 	}
 	d := c.since() - s.start
 	c.mu.Lock()
-	c.spans = append(c.spans, finishedSpan{name: s.name, tid: s.lane.tid, start: s.start, dur: d})
+	if len(c.spans) < MaxSpans {
+		c.spans = append(c.spans, finishedSpan{name: s.name, tid: s.lane.tid, start: s.start, dur: d})
+	} else {
+		c.counters[droppedSpans]++
+	}
 	c.mu.Unlock()
 	return d
 }

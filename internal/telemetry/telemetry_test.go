@@ -138,6 +138,38 @@ func TestSpansExportToChromeTrace(t *testing.T) {
 	}
 }
 
+// TestSpanLogBounded pins the span bound a long-lived daemon relies
+// on: past MaxSpans, End still measures but only counts the span, and
+// the stored log still exports as a valid Chrome trace.
+func TestSpanLogBounded(t *testing.T) {
+	const k = 5
+	c := NewCollector()
+	lane := c.Lane("w")
+	for i := 0; i < MaxSpans+k; i++ {
+		if d := lane.Start("s").End(); d < 0 {
+			t.Fatalf("span %d: negative duration %v", i, d)
+		}
+	}
+	if len(c.spans) != MaxSpans {
+		t.Fatalf("stored %d spans, want MaxSpans = %d", len(c.spans), MaxSpans)
+	}
+	if got, _ := c.Snapshot().Counter(droppedSpans); got != k {
+		t.Fatalf("%s = %d, want %d", droppedSpans, got, k)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatalf("bounded trace is not valid JSON: %v", err)
+	}
+	// process_name plus the "main" and "w" thread names.
+	if want := MaxSpans + 3; len(events) != want {
+		t.Fatalf("trace has %d events, want %d", len(events), want)
+	}
+}
+
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Count("x", 1)
