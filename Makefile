@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-sim bench-stream bench-json bench-gate bench-report obs-smoke serve-smoke serve-loadtest shard-smoke shard-bench clean
+.PHONY: build test race lint bench bench-sim bench-stream bench-json bench-gate bench-report obs-smoke serve-smoke serve-loadtest clean
 
 build:
 	$(GO) build ./...
@@ -77,19 +77,6 @@ serve-smoke:
 # counts; every warm request must be a cache hit (see EXPERIMENTS.md).
 serve-loadtest:
 	scripts/serve_loadtest.sh
-
-# shard-smoke distributes a sweep over three local twocsd replicas
-# with `twocs sweep-fan` and proves the artifact and digests are
-# byte-identical to single-node — including after SIGTERMing a replica
-# mid-run — the same check CI runs.
-shard-smoke:
-	scripts/shard_smoke.sh
-
-# shard-bench refreshes BENCH_shard.json: fan-out rows/sec over 1, 2
-# and 3 local replicas on a ~1M-row grid. Numbers are per-machine;
-# the recorded "cpus" field says whether the fleet had real cores.
-shard-bench:
-	scripts/shard_bench.sh
 
 clean:
 	rm -f twocs twocslint

@@ -16,7 +16,6 @@
 //	tp           Figure 9b: required tensor-parallel scaling
 //	serialized   Figures 10/12: serialized communication fraction grid
 //	sweep-stream streaming design-space grid with online digests
-//	sweep-fan    sweep-stream fanned out over twocsd replicas
 //	overlapped   Figures 11/13: overlapped communication percentage grid
 //	casestudy    Figure 14: end-to-end serialized + overlapped case study
 //	validate     Figure 15: operator-level model accuracy
@@ -358,8 +357,6 @@ func dispatch(ctx context.Context, cmd string, rest []string, w io.Writer) error
 		return cmdSerialized(ctx, rest, w)
 	case "sweep-stream":
 		return cmdSweepStream(ctx, rest, w)
-	case "sweep-fan":
-		return cmdSweepFan(ctx, rest, w)
 	case "overlapped":
 		return cmdOverlapped(ctx, rest, w)
 	case "casestudy":
@@ -442,11 +439,6 @@ subcommands:
                NDJSON/CSV rows with online digests (-out, -format,
                -scenarios, -topk, -pareto, -marginals); bounded memory
                at any grid size
-  sweep-fan    sweep-stream distributed over twocsd replicas
-               (-replicas URL,URL,... plus sweep-stream's flags and
-               -model, -shard-rows, -retries); output byte-identical
-               to a single node at any replica count, with per-shard
-               retry/resume when replicas fail
   overlapped   Figures 11/13: overlapped comm percentage (-flopbw, -tp)
   casestudy    Figure 14: end-to-end case study
   validate     Figure 15: operator-level model accuracy

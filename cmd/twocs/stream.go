@@ -119,38 +119,26 @@ func cmdSweepStream(ctx context.Context, args []string, w io.Writer) error {
 	return streamErr
 }
 
-// ratioList expands the -scenarios/-flopbw-max flags into flop-vs-bw
-// ratios: 0 keeps the paper's three points; N >= 1 spans [1, max] with
-// N evenly spaced ratios (N=1 is just max). sweep-fan ships this list
-// to the replicas' grid spec, so the local and remote sweeps enumerate
-// scenarios from the same numbers.
-func ratioList(n int, max float64) ([]float64, error) {
+// scenarioList expands the -scenarios/-flopbw-max flags into hardware
+// scenarios via hw.RatioScenario: 0 keeps the paper's three points
+// (1x/2x/4x); N >= 1 spans [1, max] with N evenly spaced flop-vs-bw
+// ratios (N=1 is just max).
+func scenarioList(n int, max float64) ([]hw.Evolution, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("negative -scenarios %d", n)
 	}
-	if n == 0 {
-		return []float64{1, 2, 4}, nil
+	ratios := []float64{1, 2, 4}
+	if n > 0 {
+		if max < 1 {
+			return nil, fmt.Errorf("-flopbw-max %g below 1", max)
+		}
+		ratios = []float64{max}
 	}
-	if max < 1 {
-		return nil, fmt.Errorf("-flopbw-max %g below 1", max)
-	}
-	if n == 1 {
-		return []float64{max}, nil
-	}
-	ratios := make([]float64, n)
-	for i := range ratios {
-		ratios[i] = 1 + (max-1)*float64(i)/float64(n-1)
-	}
-	return ratios, nil
-}
-
-// scenarioList maps the expanded ratios onto hardware scenarios via
-// hw.RatioScenario, so a ratio-1 point is the identity evolution here
-// and on twocsd replicas alike.
-func scenarioList(n int, max float64) ([]hw.Evolution, error) {
-	ratios, err := ratioList(n, max)
-	if err != nil {
-		return nil, err
+	if n > 1 {
+		ratios = make([]float64, n)
+		for i := range ratios {
+			ratios[i] = 1 + (max-1)*float64(i)/float64(n-1)
+		}
 	}
 	evos := make([]hw.Evolution, len(ratios))
 	for i, r := range ratios {

@@ -15,13 +15,8 @@
 //	                 says hit or miss); a "model" field selects any zoo
 //	                 model (analyzers build lazily and are memoized)
 //	POST /v1/sweep   the full grid streamed as NDJSON rows ending in a
-//	                 #trailer; one sweep at a time, live on /progress.
-//	                 With "lo"/"hi" the response is one [lo,hi) row-range
-//	                 shard of the grid (global indices preserved), the
-//	                 unit `twocs sweep-fan` distributes over replicas
-//	POST /v1/plan    the normalized spec and exact row count of a sweep
-//	                 without running it — how a fan-out coordinator
-//	                 plans its shards
+//	                 trailer row; one sweep at a time, live on /progress;
+//	                 the same "model" field selects the zoo baseline
 //	/healthz /metrics /metrics.json /progress /debug/pprof/
 //	                 the same observability plane as `twocs -http`
 //

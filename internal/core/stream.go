@@ -66,8 +66,9 @@ func trailerReason(err error) string {
 // GridRowCount returns the exact number of rows the streaming evolution
 // grid over (hs × sls × tps) at batch b with nEvos scenarios produces.
 // This is Points() minus the TP degrees that do not divide their
-// configuration — the number a shard planner must partition, since row
-// indices are dense over the *enumerated* tasks, not the axis product.
+// configuration: row indices are dense over the *enumerated* tasks,
+// not the axis product. It fails with ErrNoRunnablePoints exactly when
+// the stream would, without running anything.
 func GridRowCount(hs, sls, tps []int, b, nEvos int) (int64, error) {
 	if nEvos <= 0 {
 		return 0, fmt.Errorf("core: no evolution scenarios")
@@ -100,22 +101,7 @@ func (a *Analyzer) StreamSweepCtx(ctx context.Context, hs, sls, tps []int, b int
 // sink.Close ran with a trailer recording the row count and the reason,
 // so a truncated artifact is well-formed and says it is truncated.
 func (a *Analyzer) StreamEvolutionGridCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, sink stream.Sink) error {
-	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, 0, -1, sink, false)
-}
-
-// StreamEvolutionGridRangeCtx streams only the rows with global grid
-// index in [lo, hi) — one shard of the same grid StreamEvolutionGridCtx
-// streams whole. Rows keep their *global* Index, so the concatenation
-// of a partition's shards is byte-identical to the full stream; the
-// trailer counts shard rows (Total = hi-lo), which is what lets a
-// coordinator resume an interrupted shard at lo+Rows. The stream is
-// strict (no canceled-row back-fill): an interrupted shard ends after
-// its contiguous prefix with a trailer naming the reason.
-func (a *Analyzer) StreamEvolutionGridRangeCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, lo, hi int64, sink stream.Sink) error {
-	if lo < 0 || lo >= hi {
-		return fmt.Errorf("core: bad shard range [%d,%d)", lo, hi)
-	}
-	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, lo, hi, sink, false)
+	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, sink, false)
 }
 
 // StreamEvolutionGridPartialCtx is StreamEvolutionGridCtx with the PR-4
@@ -129,13 +115,12 @@ func (a *Analyzer) StreamEvolutionGridRangeCtx(ctx context.Context, hs, sls, tps
 // count them; the trailer's Canceled field totals them. The stream's
 // original error is still returned.
 func (a *Analyzer) StreamEvolutionGridPartialCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, sink stream.Sink) error {
-	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, 0, -1, sink, true)
+	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, sink, true)
 }
 
-// streamEvolutionGrid is the shared engine: hi < 0 selects the full
-// grid, otherwise rows [lo, hi) stream with their global indices and
-// the trailer accounts for the range (Total = hi-lo).
-func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, lo, hi int64, sink stream.Sink, partial bool) error {
+// streamEvolutionGrid is the shared engine of the strict and partial
+// streams.
+func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, sink stream.Sink, partial bool) error {
 	defer telemetry.Active().Start("core.StreamEvolutionGrid").End()
 	if sink == nil {
 		return fmt.Errorf("core: nil sink")
@@ -147,27 +132,17 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	if err != nil {
 		return err
 	}
-	gridTotal := int64(len(evos)) * int64(len(tasks))
-	label := "sweep-stream"
-	if hi < 0 {
-		lo, hi = 0, gridTotal
-	} else {
-		if hi > gridTotal {
-			return fmt.Errorf("core: shard range [%d,%d) exceeds grid of %d rows", lo, hi, gridTotal)
-		}
-		label = "sweep-shard"
-	}
-	total := hi - lo
+	total := int64(len(evos)) * int64(len(tasks))
 	// Live progress bracket: the active tracker (if any) learns the grid
 	// size up front and, after the sink's trailer is written, the same
 	// completion verdict the artifact carries — so /progress and the
 	// trailer tell one story, also for canceled or failed streams.
 	pr := telemetry.ActiveProgress()
-	pr.Begin(label, total)
+	pr.Begin("sweep-stream", total)
 	var rows int64
 	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total), 0,
 		func(_ context.Context, i int) (stream.Row, error) {
-			g := lo + int64(i)
+			g := int64(i)
 			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]
 			proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
 			if err != nil {
@@ -191,7 +166,7 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 			rows += int64(len(vals))
 			return nil
 		})
-	// Best-effort back-fill: the computed prefix [lo, lo+rows) was
+	// Best-effort back-fill: the computed prefix [0, rows) was
 	// already delivered in order; emit the never-computed suffix as
 	// coordinate rows with NaN objectives, so the artifact keeps the
 	// grid shape. A sink error here stops the back-fill but not the
@@ -199,7 +174,7 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	var canceled int64
 	if partial && streamErr != nil {
 		nan := math.NaN()
-		for g := lo + rows; g < hi; g++ {
+		for g := rows; g < total; g++ {
 			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]
 			err := sink.Emit(stream.Row{
 				Index: g,

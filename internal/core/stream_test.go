@@ -194,6 +194,34 @@ func TestStreamGridSinkError(t *testing.T) {
 	}
 }
 
+// TestGridRowCount: the exact row count equals what the full stream
+// actually emits — the TP-divisibility skips make it smaller than the
+// axis product.
+func TestGridRowCount(t *testing.T) {
+	a := newAnalyzer(t)
+	hs, sls, tps := smallGrid()
+	evos := hw.PaperScenarios()
+
+	total, err := GridRowCount(hs, sls, tps, 1, len(evos))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sink collectSink
+	if err := a.StreamEvolutionGridCtx(context.Background(), hs, sls, tps, 1, evos, &sink); err != nil {
+		t.Fatal(err)
+	}
+	if total != int64(len(sink.rows)) {
+		t.Fatalf("GridRowCount = %d, stream emitted %d rows", total, len(sink.rows))
+	}
+	product := int64(len(hs)) * int64(len(sls)) * int64(len(tps)) * int64(len(evos))
+	if total >= product {
+		t.Fatalf("count %d should be below the axis product %d (TP skips)", total, product)
+	}
+	if _, err := GridRowCount(hs, sls, tps, 1, 0); err == nil {
+		t.Fatal("zero scenarios must error")
+	}
+}
+
 // TestStreamGridArgErrors covers the argument failures.
 func TestStreamGridArgErrors(t *testing.T) {
 	a := newAnalyzer(t)

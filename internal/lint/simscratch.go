@@ -11,11 +11,11 @@ import (
 // inside a closure handed to the parallel sweep engine — every worker
 // would replay its event loop over the same buffers. The analyzer flags
 // any use of a captured RunState variable inside a closure passed to
-// parallel.Map, MapCtx, MapPartial, or FilterMap (nested literals
-// included). The safe patterns are untouched: calling Program.Run
-// (which draws from the program's internal pool) or allocating with
-// Program.NewState inside the closure, and capturing the *sim.Program
-// itself, which is immutable and meant to be shared.
+// parallel.Map, MapCtx, or MapPartial (nested literals included). The
+// safe patterns are untouched: calling Program.Run (which draws from
+// the program's internal pool) or allocating with Program.NewState
+// inside the closure, and capturing the *sim.Program itself, which is
+// immutable and meant to be shared.
 var SimScratch = &Analyzer{
 	Name: "simscratch",
 	Doc:  "flags sim.RunState scratch captured into parallel sweep closures",
@@ -53,7 +53,7 @@ func runSimScratch(p *Pass) {
 				return true
 			}
 			switch fn.Name() {
-			case "Map", "MapCtx", "MapPartial", "FilterMap":
+			case "Map", "MapCtx", "MapPartial":
 			default:
 				return true
 			}

@@ -6,9 +6,9 @@ import (
 )
 
 // SweepPure enforces the purity contract of the parallel sweep engine:
-// a closure handed to parallel.Map, MapCtx, MapPartial, or FilterMap
-// runs on many goroutines at once, so it must communicate only through
-// its return value. The analyzer flags, anywhere inside such a closure
+// a closure handed to parallel.Map, MapCtx, or MapPartial runs on many
+// goroutines at once, so it must communicate only through its return
+// value. The analyzer flags, anywhere inside such a closure
 // (nested literals included):
 //
 //   - assignments, ++/--, and op= on variables captured from the
@@ -26,7 +26,7 @@ import (
 // //lint:ignore sweeppure and name the lock.
 var SweepPure = &Analyzer{
 	Name: "sweeppure",
-	Doc:  "flags closures passed to parallel.Map/MapCtx/MapPartial/FilterMap that mutate captured variables",
+	Doc:  "flags closures passed to parallel.Map/MapCtx/MapPartial that mutate captured variables",
 	Run:  runSweepPure,
 }
 
@@ -44,7 +44,7 @@ func runSweepPure(p *Pass) {
 				return true
 			}
 			switch fn.Name() {
-			case "Map", "MapCtx", "MapPartial", "FilterMap":
+			case "Map", "MapCtx", "MapPartial":
 			default:
 				return true
 			}

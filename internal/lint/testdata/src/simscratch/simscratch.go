@@ -38,10 +38,10 @@ func sharedScratchNested(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Tr
 }
 
 func sharedScratchValue(p *sim.Program, st *sim.RunState, durs []units.Seconds, n int) ([]int, error) {
-	return parallel.FilterMap(0, n, func(i int) (int, bool, error) {
+	return parallel.Map(0, n, func(i int) (int, error) {
 		use := st // want "captured sim.RunState"
 		_ = use
-		return i, true, nil
+		return i, nil
 	})
 }
 

@@ -1,6 +1,6 @@
 // Package sweeppure exercises the sweeppure analyzer against the real
-// twocs/internal/parallel engine: closures handed to Map, MapCtx,
-// MapPartial, or FilterMap must not mutate captured state.
+// twocs/internal/parallel engine: closures handed to Map, MapCtx, or
+// MapPartial must not mutate captured state.
 package sweeppure
 
 import (
@@ -29,11 +29,11 @@ func mapWriteRace(n int) (map[int]bool, error) {
 	return seen, err
 }
 
-func filterCounterRace(n int) ([]int, error) {
+func counterRace(n int) ([]int, error) {
 	count := 0
-	return parallel.FilterMap(0, n, func(i int) (int, bool, error) {
+	return parallel.Map(0, n, func(i int) (int, error) {
 		count++ // want "mutates captured variable"
-		return count, i%2 == 0, nil
+		return count, nil
 	})
 }
 

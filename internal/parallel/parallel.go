@@ -77,31 +77,6 @@ func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// FilterMap is Map for sparse grids: fn reports keep=false to skip a
-// grid point (the sweeps skip TP degrees that do not divide a
-// configuration), and the kept results are returned densely in index
-// order. Error semantics are those of Map.
-func FilterMap[T any](workers, n int, fn func(int) (v T, keep bool, err error)) ([]T, error) {
-	type slot struct {
-		v    T
-		keep bool
-	}
-	slots, err := Map(workers, n, func(i int) (slot, error) {
-		v, keep, err := fn(i)
-		return slot{v: v, keep: keep}, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]T, 0, len(slots))
-	for _, s := range slots {
-		if s.keep {
-			out = append(out, s.v)
-		}
-	}
-	return out, nil
-}
-
 // outcome is what one engine run observed beyond the result slice.
 type outcome struct {
 	// completed[i] reports task i finished successfully; nDone counts

@@ -118,35 +118,6 @@ func TestMapConcurrentExecution(t *testing.T) {
 	}
 }
 
-func TestFilterMap(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		// Keep even indices only.
-		out, err := FilterMap(workers, 10, func(i int) (int, bool, error) {
-			return i, i%2 == 0, nil
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		want := []int{0, 2, 4, 6, 8}
-		if len(out) != len(want) {
-			t.Fatalf("workers=%d: got %v", workers, out)
-		}
-		for i := range want {
-			if out[i] != want[i] {
-				t.Fatalf("workers=%d: got %v, want %v", workers, out, want)
-			}
-		}
-	}
-	if _, err := FilterMap(4, 5, func(i int) (int, bool, error) {
-		if i == 2 {
-			return 0, true, errors.New("bad point")
-		}
-		return i, true, nil
-	}); err == nil || err.Error() != "bad point" {
-		t.Fatalf("err = %v, want bad point", err)
-	}
-}
-
 // TestQuickParallelEqualsSequential is the engine's core property: for a
 // random task count, random worker count, and a deterministic per-index
 // function, the parallel result equals the sequential result exactly.

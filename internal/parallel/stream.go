@@ -115,7 +115,7 @@ func StreamCtx[T any](ctx context.Context, workers, n, chunk int, fn func(contex
 		failed    atomic.Bool
 		wg        sync.WaitGroup
 	)
-	turns := NewTurns()
+	turns := newSequencer()
 
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -225,4 +225,76 @@ func flushPrefix[T any](tel *telemetry.Collector, emit func(int, []T) error, lo 
 		telemetry.ActiveProgress().AddRows(int64(len(buf)))
 	}
 	return cause
+}
+
+// sequencer serializes concurrent producers into a strict turn order:
+// the goroutine holding turn i runs its critical section before any
+// holder of turn i+1 may start, regardless of which finished producing
+// first. It is how StreamCtx turns unordered chunk completion into
+// in-order delivery.
+//
+// Turn indices must be claimed contiguously from 0: every index below
+// the highest one passed to Do must eventually be passed to Do by some
+// goroutine, or later turns wait forever. StreamCtx guarantees this by
+// claiming chunks from a monotone counter and always taking the claimed
+// turn, error or not.
+type sequencer struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	// turn is the next index allowed to run; guarded by mu.
+	turn int
+	// err is the first error in turn (= index) order; once set, later
+	// turns are refused. Guarded by mu.
+	err error
+}
+
+// newSequencer returns a sequencer whose first turn is index 0.
+func newSequencer() *sequencer {
+	t := &sequencer{}
+	t.cond = sync.NewCond(&t.mu)
+	return t
+}
+
+// Do blocks until index turn's turn arrives, runs f, and advances to
+// turn+1 when f returns nil. It returns the time spent waiting for the
+// turn and whether the sequence may continue: false means either the
+// sequence was aborted before f could run (f did not run), or f itself
+// returned the error that aborted it. Because turns run in index order,
+// the first recorded error is the lowest-index error: the
+// sequential-equivalent error semantics of the sweep engine.
+func (t *sequencer) Do(turn int, f func() error) (wait time.Duration, ok bool) {
+	start := time.Now()
+	t.mu.Lock()
+	for t.turn != turn && t.err == nil {
+		t.cond.Wait()
+	}
+	wait = time.Since(start)
+	if t.err != nil {
+		t.mu.Unlock()
+		return wait, false
+	}
+	if err := f(); err != nil {
+		t.err = err
+		t.cond.Broadcast()
+		t.mu.Unlock()
+		return wait, false
+	}
+	t.turn++
+	t.cond.Broadcast()
+	t.mu.Unlock()
+	return wait, true
+}
+
+// Done returns how many turns completed successfully so far.
+func (t *sequencer) Done() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.turn
+}
+
+// Err returns the error that aborted the sequence, nil if none did.
+func (t *sequencer) Err() error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
 }

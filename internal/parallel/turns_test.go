@@ -11,7 +11,7 @@ import (
 // and checks the critical sections ran strictly by index.
 func TestTurnsOrder(t *testing.T) {
 	const n = 64
-	turns := NewTurns()
+	turns := newSequencer()
 	var (
 		mu  sync.Mutex
 		got []int
@@ -43,8 +43,8 @@ func TestTurnsOrder(t *testing.T) {
 			t.Fatalf("turn order got[%d] = %d", i, v)
 		}
 	}
-	if turns.Done() != n || turns.Aborted() || turns.Err() != nil {
-		t.Fatalf("final state: done=%d aborted=%v err=%v", turns.Done(), turns.Aborted(), turns.Err())
+	if turns.Done() != n || turns.Err() != nil {
+		t.Fatalf("final state: done=%d err=%v", turns.Done(), turns.Err())
 	}
 }
 
@@ -53,7 +53,7 @@ func TestTurnsOrder(t *testing.T) {
 // lowest-index error even when a later turn would also have failed.
 func TestTurnsAbort(t *testing.T) {
 	const n, failAt = 32, 11
-	turns := NewTurns()
+	turns := newSequencer()
 	var (
 		mu  sync.Mutex
 		ran []int
@@ -84,9 +84,6 @@ func TestTurnsAbort(t *testing.T) {
 	if turns.Done() != failAt {
 		t.Fatalf("Done() = %d, want %d", turns.Done(), failAt)
 	}
-	if !turns.Aborted() {
-		t.Fatal("not aborted")
-	}
 	want := fmt.Sprintf("turn %d failed", failAt)
 	if turns.Err() == nil || turns.Err().Error() != want {
 		t.Fatalf("Err() = %v, want %q", turns.Err(), want)
@@ -96,7 +93,7 @@ func TestTurnsAbort(t *testing.T) {
 // TestTurnsAbortReleasesWaiters checks a turn arriving after the abort
 // is refused immediately instead of waiting forever.
 func TestTurnsAbortReleasesWaiters(t *testing.T) {
-	turns := NewTurns()
+	turns := newSequencer()
 	boom := errors.New("boom")
 	if _, ok := turns.Do(0, func() error { return boom }); ok {
 		t.Fatal("failing turn reported ok")

@@ -118,21 +118,33 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Miss: compute once per key no matter how many identical requests
-	// are in flight. The leader fills the cache and counts the miss;
-	// followers are cache hits in every observable way — same bytes,
-	// near-zero marginal cost.
-	body, leader, err := s.flight.do(r.Context(), key, func() ([]byte, error) {
+	// are in flight. The leader fills the cache before its flight ends,
+	// and re-checks the cache first: a request that missed above while
+	// an earlier leader was finishing becomes a leader only after that
+	// fill, and must serve it rather than compute again. Only the caller
+	// that computed counts the miss; everyone else is a cache hit in
+	// every observable way — same bytes, near-zero marginal cost.
+	computed := false
+	body, _, err := s.flight.do(r.Context(), key, func() ([]byte, error) {
+		if body, ok := s.cache.get(key); ok {
+			return body, nil
+		}
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StudyTimeout)
 		defer cancel()
-		return s.computeStudy(ctx, req)
+		body, err := s.computeStudy(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		s.cache.put(key, body)
+		computed = true
+		return body, nil
 	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if leader {
+	if computed {
 		s.col.Count("serve.cache.miss", 1)
-		s.cache.put(key, body)
 		s.writeStudy(w, key, "miss", body)
 		return
 	}
@@ -208,20 +220,14 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweep grid has %d points, limit %d", pts, s.cfg.MaxSweepPoints))
 		return
 	}
-	// Resolve the exact row count before any bytes go out: a grid with
-	// no runnable point must be a 422 and an out-of-grid shard a 400 the
-	// coordinator can act on, not a 200 that dies mid-stream.
-	total, err := req.RowCount()
-	switch {
-	case errors.Is(err, core.ErrNoRunnablePoints):
-		s.fail(w, err)
-		return
-	case err != nil:
-		s.reject(w, http.StatusBadRequest, err)
-		return
-	case req.Ranged() && req.Hi > total:
-		s.reject(w, http.StatusBadRequest,
-			fmt.Errorf("shard range [%d,%d) exceeds grid of %d rows", req.Lo, req.Hi, total))
+	// Enumerate the grid before any bytes go out: a grid with no
+	// runnable point must be a 422, not a 200 that dies mid-stream.
+	if _, err := core.GridRowCount(req.Hs, req.SLs, req.TPs, req.B, len(req.FlopVsBW)); err != nil {
+		if errors.Is(err, core.ErrNoRunnablePoints) {
+			s.fail(w, err)
+		} else {
+			s.reject(w, http.StatusBadRequest, err)
+		}
 		return
 	}
 	an, err := s.analyzerFor(req.Model)
@@ -246,17 +252,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Twocsd-Request", req.cacheKey())
 	sink := stream.NewHTTPNDJSON(w, s.cfg.FlushEvery)
-	if req.Ranged() {
-		// Shard streams are strict, not partial: an interrupted shard ends
-		// after its contiguous prefix with a trailer whose Rows tells the
-		// coordinator exactly where to resume (lo+Rows). Back-filled
-		// canceled rows would be indistinguishable from computed ones at
-		// the byte level and poison the resumed re-fetch.
-		if err := an.StreamEvolutionGridRangeCtx(ctx, req.Hs, req.SLs, req.TPs, req.B, req.Evolutions(), req.Lo, req.Hi, sink); err != nil {
-			s.col.Count("serve.sweep.partial", 1)
-		}
-		return
-	}
 	// The partial entry point means cancellation mid-stream (client gone,
 	// deadline, SIGTERM draining the server ctx) still yields a
 	// well-formed artifact: full grid shape, canceled rows as nulls, a
@@ -268,56 +263,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// PlanResponse is the POST /v1/plan body: the normalized sweep spec
-// echoed back and the exact row count its grid streams — what a fan-out
-// coordinator needs to partition the index space into shards without
-// re-implementing the enumerator's TP-divisibility skips.
-type PlanResponse struct {
-	Spec   SweepRequest `json:"spec"`
-	Points int64        `json:"points"`
-}
-
-func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	defer s.col.Start("serve.plan").End()
-	s.col.Count("serve.plan.requests", 1)
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a JSON SweepRequest", http.StatusMethodNotAllowed)
-		return
-	}
-	if !s.admit(w) {
-		return
-	}
-	defer s.gate.release()
-
-	var req SweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.normalize(s.cfg.DefaultModel); err != nil {
-		s.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Ranged() || req.Lo != 0 {
-		s.reject(w, http.StatusBadRequest,
-			fmt.Errorf("plan takes a whole grid, not a shard range"))
-		return
-	}
-	total, err := req.RowCount()
-	if err != nil {
-		s.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	body, err := json.Marshal(PlanResponse{Spec: req, Points: total})
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Twocsd-Request", req.cacheKey())
-	_, _ = w.Write(append(body, '\n'))
-}
-
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
@@ -327,9 +272,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, "twocsd analysis daemon\n\n"+
 		"  POST /v1/study  {\"h\":[...],\"sl\":[...],\"tp\":[...],\"b\":1,\"flopbw\":[...],\"model\":\"BERT\",\"target_fraction\":0.5}\n"+
 		"                  comm-fraction points + crossover tables as JSON (cached)\n"+
-		"  POST /v1/sweep  {\"h\":[...],\"sl\":[...],\"tp\":[...],\"b\":1,\"flopbw\":[...],\"model\":\"BERT\",\"lo\":0,\"hi\":0}\n"+
-		"                  grid streamed as NDJSON with a trailer row; lo/hi select\n"+
-		"                  a shard of global row indices [lo,hi) for fan-out clients\n"+
-		"  POST /v1/plan   same spec; echoes the normalized spec + exact row count\n\n"+
+		"  POST /v1/sweep  {\"h\":[...],\"sl\":[...],\"tp\":[...],\"b\":1,\"flopbw\":[...],\"model\":\"BERT\"}\n"+
+		"                  grid streamed as NDJSON with a trailer row\n\n"+
 		"  /healthz /metrics /metrics.json /progress /debug/pprof/  observability plane\n")
 }

@@ -181,6 +181,67 @@ func TestStudyRejections(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsShardFields: sweeps are whole grids. A body carrying
+// "lo"/"hi" is a 400 naming the field (strict decoding), and there is
+// no /v1/plan route.
+func TestSweepRejectsShardFields(t *testing.T) {
+	_, _, ts := testServer(t, DefaultConfig())
+	const spec = `{"h":[1024],"sl":[1024],"tp":[4,8],"flopbw":[1],"lo":0,"hi":1}`
+	for _, path := range []string{"/v1/sweep", "/v1/study"} {
+		resp, body := postJSON(t, ts.URL+path, spec)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"lo"`) {
+			t.Fatalf("%s with lo/hi: %d %s, want 400 naming the field", path, resp.StatusCode, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/plan", `{"h":[1024]}`)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/plan: %d %s, want 404", resp.StatusCode, body)
+	}
+}
+
+// TestModelSelection: an unknown model is a 400 naming the valid zoo;
+// a valid non-default model computes against its own calibrated
+// analyzer and yields a different study than the BERT default.
+func TestModelSelection(t *testing.T) {
+	_, col, ts := testServer(t, DefaultConfig())
+
+	resp, body := postJSON(t, ts.URL+"/v1/study", `{"h":[1024],"sl":[1024],"tp":[4],"flopbw":[1],"model":"BERT-XXL"}`)
+	if resp.StatusCode != 400 {
+		t.Fatalf("unknown model: %d %s", resp.StatusCode, body)
+	}
+	for _, name := range []string{"BERT", "GPT-2", "PaLM"} {
+		if !strings.Contains(string(body), name) {
+			t.Fatalf("unknown-model 400 does not list %q: %s", name, body)
+		}
+	}
+
+	spec := `{"h":[1024],"sl":[1024],"tp":[4,8],"flopbw":[1]`
+	_, bertBody := postJSON(t, ts.URL+"/v1/study", spec+`}`)
+	respGPT, gptBody := postJSON(t, ts.URL+"/v1/study", spec+`,"model":"GPT-2"}`)
+	if respGPT.StatusCode != 200 {
+		t.Fatalf("GPT-2 study: %d %s", respGPT.StatusCode, gptBody)
+	}
+	if bytes.Equal(bertBody, gptBody) {
+		t.Fatal("GPT-2 study is byte-identical to BERT's — model selection had no effect")
+	}
+	if n := counter(t, col, "serve.analyzer.models"); n != 1 {
+		t.Fatalf("analyzer.models counter = %d, want 1 (GPT-2 built lazily)", n)
+	}
+	// Same model again: memoized, no second build.
+	postJSON(t, ts.URL+"/v1/study", spec+`,"model":"GPT-2","target_fraction":0.4}`)
+	if n := counter(t, col, "serve.analyzer.models"); n != 1 {
+		t.Fatalf("analyzer.models counter = %d after reuse, want 1", n)
+	}
+
+	// The explicit default model shares the cache entry with the implicit
+	// one: normalization fills the default before hashing.
+	r1, _ := postJSON(t, ts.URL+"/v1/study", spec+`}`)
+	r2, _ := postJSON(t, ts.URL+"/v1/study", spec+`,"model":"BERT"}`)
+	if r1.Header.Get("X-Twocsd-Request") != r2.Header.Get("X-Twocsd-Request") {
+		t.Fatal("implicit and explicit default model hash differently")
+	}
+}
+
 // TestNoRunnablePointIs422: a spec whose H no Table-3 TP divides (1088
 // has 17 heads) has nothing to compute. Study and sweep both refuse it
 // as a client error before any response byte goes out — no 500, and no

@@ -13,9 +13,8 @@ import (
 // entry. The rendering is versioned; bump the prefix when the response
 // schema changes so stale entries can never be served across a deploy.
 
-// v2: the canonical string gained ";model=" (multi-model zoo) and the
-// sweep form gained ";lo=/;hi=" (shard ranges) — v1 entries hash a
-// request shape that no longer exists.
+// v2: the canonical string gained ";model=" (multi-model zoo), so v1
+// entries hash a request shape that no longer exists.
 const hashVersion = "twocsd/v2"
 
 func appendInts(b []byte, name string, vals []int) []byte {
@@ -61,16 +60,10 @@ func (r StudyRequest) cacheKey() string {
 
 // cacheKey returns the canonical digest of a normalized sweep request.
 // Sweep responses are not cached (they stream), but the digest names
-// the request in spans and logs — and a shard's digest is canonical
-// *per shard*: the range participates, so two shards of one sweep are
-// distinguishable while retries of the same shard collide.
+// the request in spans and logs.
 func (r SweepRequest) cacheKey() string {
 	b := []byte(hashVersion + "/sweep")
 	b = r.GridSpec.appendCanonical(b)
-	b = append(b, ";lo="...)
-	b = strconv.AppendInt(b, r.Lo, 10)
-	b = append(b, ";hi="...)
-	b = strconv.AppendInt(b, r.Hi, 10)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }

@@ -145,7 +145,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/v1/study", s.handleStudy)
 	mux.HandleFunc("/v1/sweep", s.handleSweep)
-	mux.HandleFunc("/v1/plan", s.handlePlan)
 	telemetry.RegisterDebug(mux, s.col, s.sampler)
 	return mux
 }

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -108,6 +110,63 @@ func TestDecodeStrict(t *testing.T) {
 	}
 	if err := decodeStrict(strings.NewReader(`{"h":[1024]} trailing`), &r); err == nil {
 		t.Fatal("trailing data accepted")
+	}
+}
+
+// FuzzRequestSpec drives the spec path every request takes before it
+// runs (strict decode, normalize, canonical hash) with arbitrary bodies,
+// as both a study and a sweep. It must never panic, and normalization
+// must be idempotent: normalizing an accepted spec again changes
+// neither the spec nor its cache key.
+func FuzzRequestSpec(f *testing.F) {
+	table3, err := json.Marshal(GridSpec{Hs: core.Table3Hs(), SLs: core.Table3SLs(),
+		TPs: core.Table3TPs(), B: 1, FlopVsBW: []float64{1, 2, 4}, Model: "BERT"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(table3),
+		`{}`,
+		`{"h":[4096,1024,4096,1024],"sl":[2048,1024,2048],"tp":[8,4,8],"flopbw":[4,1,4,2]}`,
+		`{"h":[0]}`, `{"sl":[-4]}`, `{"tp":[16777217]}`, `{"b":-1}`,
+		`{"flopbw":[0.5]}`, `{"flopbw":[2e6]}`, `{"target_fraction":1.5}`,
+		`{"model":"BERT-XXL"}`,
+		`{"h":[1024],"lo":0,"hi":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkSpecPath[StudyRequest](t, body)
+		checkSpecPath[SweepRequest](t, body)
+	})
+}
+
+// checkSpecPath decodes body as an R, and when the daemon would accept
+// it, checks that a second normalize leaves the spec and key unchanged.
+func checkSpecPath[R any, P interface {
+	*R
+	normalize(defModel string) error
+	cacheKey() string
+}](t *testing.T, body []byte) {
+	defModel := DefaultConfig().DefaultModel
+	req := P(new(R))
+	if decodeStrict(bytes.NewReader(body), req) != nil || req.normalize(defModel) != nil {
+		return
+	}
+	spec, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("normalized spec does not marshal: %v", err)
+	}
+	key := req.cacheKey()
+	if err := req.normalize(defModel); err != nil {
+		t.Fatalf("second normalize of %s failed: %v", spec, err)
+	}
+	again, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(spec, again) || req.cacheKey() != key {
+		t.Fatalf("normalize is not idempotent:\n%s (%s)\n%s (%s)", spec, key, again, req.cacheKey())
 	}
 }
 

@@ -61,22 +61,10 @@ type StudyRequest struct {
 }
 
 // SweepRequest is the POST /v1/sweep body: a grid streamed back as
-// NDJSON rows under the stream.Trailer contract. Lo/Hi optionally
-// select one shard of the grid — rows with global index in [Lo, Hi) —
-// which is how a fan-out coordinator splits a sweep across replicas.
-// Only sweeps understand shards; a StudyRequest carrying "lo" is a 400
-// (strict decoding), not a silently ignored field.
+// NDJSON rows under the stream.Trailer contract.
 type SweepRequest struct {
 	GridSpec
-	// Lo and Hi bound the shard's global row-index range [Lo, Hi).
-	// Hi == 0 (the zero value) means the full grid.
-	Lo int64 `json:"lo,omitempty"`
-	Hi int64 `json:"hi,omitempty"`
 }
-
-// Ranged reports whether the request asks for a shard rather than the
-// full grid.
-func (r SweepRequest) Ranged() bool { return r.Hi > 0 }
 
 // maxAxisValue bounds each axis entry to something the op-graph builder
 // can actually shape; it exists to fail absurd requests fast, not to be
@@ -168,13 +156,6 @@ func (g GridSpec) Evolutions() []hw.Evolution {
 	return evos
 }
 
-// RowCount returns the exact number of rows the normalized grid
-// streams — Points() minus the TP-indivisible skips. This is the
-// denominator a shard planner partitions.
-func (g GridSpec) RowCount() (int64, error) {
-	return core.GridRowCount(g.Hs, g.SLs, g.TPs, g.B, len(g.FlopVsBW))
-}
-
 // normalize applies defaults and canonicalizes the request in place.
 func (r *StudyRequest) normalize(defModel string) error {
 	if err := r.GridSpec.normalize(defModel); err != nil {
@@ -189,34 +170,6 @@ func (r *StudyRequest) normalize(defModel string) error {
 		r.TargetFraction = 0.5
 	}
 	return nil
-}
-
-// normalize canonicalizes the sweep request in place and validates the
-// shard range's self-consistent half (Lo/Hi sanity; whether Hi fits the
-// grid needs the enumerated row count, which the handler checks).
-func (r *SweepRequest) normalize(defModel string) error {
-	if err := r.GridSpec.normalize(defModel); err != nil {
-		return err
-	}
-	if r.Lo < 0 || r.Hi < 0 {
-		return fmt.Errorf("shard range [%d,%d) must be non-negative", r.Lo, r.Hi)
-	}
-	if r.Ranged() && r.Lo >= r.Hi {
-		return fmt.Errorf("shard range [%d,%d) is empty", r.Lo, r.Hi)
-	}
-	if !r.Ranged() && r.Lo != 0 {
-		return fmt.Errorf("shard lo=%d without hi", r.Lo)
-	}
-	return nil
-}
-
-// Normalize canonicalizes the request exactly as the daemon will,
-// defaulting an empty Model to BERT (DefaultConfig's model). Clients —
-// the fan-out coordinator above all — normalize before deriving shard
-// requests so every shard hashes and streams against one canonical
-// spec.
-func (r *SweepRequest) Normalize() error {
-	return r.normalize(DefaultConfig().DefaultModel)
 }
 
 // decodeStrict decodes exactly one JSON value from body into dst,

@@ -237,22 +237,10 @@ func TestParetoOracleTiesAndSpecials(t *testing.T) {
 	}
 }
 
-// TestParetoMergeAndEmitAfterClose: merging per-shard frontiers of the
-// large stream equals the single stream, and a reducer that is closed
-// (its classes clipped) mid-stream keeps reducing correctly.
-func TestParetoMergeAndEmitAfterClose(t *testing.T) {
+// TestParetoEmitAfterClose: a reducer that is closed (its classes
+// clipped) mid-stream keeps reducing correctly.
+func TestParetoEmitAfterClose(t *testing.T) {
 	rows := frontierGrid(rand.New(rand.NewSource(19)), 150, 30)
-	merged := NewPareto()
-	for _, sh := range randomSplit(rand.New(rand.NewSource(3)), len(rows), 5) {
-		p := NewPareto()
-		emitAll(t, p, rows[sh[0]:sh[1]])
-		if err := p.Close(Trailer{}); err != nil {
-			t.Fatal(err)
-		}
-		merged.Merge(p)
-	}
-	checkFrontier(t, "merged", merged, rows)
-
 	p := NewPareto()
 	half := len(rows) / 2
 	emitAll(t, p, rows[:half])
@@ -266,6 +254,16 @@ func TestParetoMergeAndEmitAfterClose(t *testing.T) {
 	}
 	emitAll(t, p, rows[half:])
 	checkFrontier(t, "emit after close", p, rows)
+}
+
+// emitAll feeds rows to s in order, failing the test on an Emit error.
+func emitAll(t *testing.T, s Sink, rows []Row) {
+	t.Helper()
+	for _, r := range rows {
+		if err := s.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // FuzzParetoOracle decodes bytes into rows with coarse objectives (so

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -23,43 +24,183 @@ func sampleRows() []Row {
 	}
 }
 
+// wireRow and wireTrailer are the NDJSON lines as encoding/json reads
+// them. Null objectives (canceled rows) decode as nil pointers.
+type wireRow struct {
+	I        int64    `json:"i"`
+	Evo      string   `json:"evo"`
+	FlopBW   float64  `json:"flopbw"`
+	H        int      `json:"h"`
+	SL       int      `json:"sl"`
+	B        int      `json:"b"`
+	TP       int      `json:"tp"`
+	IterS    *float64 `json:"iter_s"`
+	CommFrac *float64 `json:"comm_frac"`
+	MemBytes *float64 `json:"mem_bytes"`
+	Canceled bool     `json:"canceled"`
+}
+
+type wireTrailer struct {
+	Trailer  bool   `json:"trailer"`
+	Rows     int64  `json:"rows"`
+	Total    int64  `json:"total"`
+	Canceled int64  `json:"canceled"`
+	Complete bool   `json:"complete"`
+	Reason   string `json:"reason"`
+}
+
+// sameBits reports whether a decoded objective round-trips the emitted
+// float bit for bit; a canceled (NaN) objective must decode as null.
+func sameBits(got *float64, want float64) bool {
+	if math.IsNaN(want) {
+		return got == nil
+	}
+	return got != nil && math.Float64bits(*got) == math.Float64bits(want)
+}
+
+// TestNDJSONRoundTrip decodes every written line with encoding/json and
+// requires the row coordinates, the objectives bit for bit (the
+// writer's shortest-float encoding must round-trip exactly) and the
+// trailer back. The cases cover non-integral floats, canceled rows with
+// null objectives, and a trailer reason that needs escaping.
 func TestNDJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewNDJSON(&buf)
-	rows := sampleRows()
-	for _, r := range rows {
-		if err := s.Emit(r); err != nil {
-			t.Fatalf("Emit: %v", err)
+	rng := rand.New(rand.NewSource(41))
+	fractional := randomGrid(rng, 200)
+	for i := range fractional {
+		fractional[i].FlopVsBW = 1 + rng.Float64()*3
+		fractional[i].IterTime = units.Seconds(rng.Float64() * 123.456e-3)
+		fractional[i].CommFrac = rng.Float64()
+		fractional[i].MemBytes = units.Bytes(rng.Float64() * 68e9)
+	}
+	canceled := withCanceled(rng, randomGrid(rng, 120), 80)
+	cases := []struct {
+		name    string
+		rows    []Row
+		trailer Trailer
+	}{
+		{"sample", sampleRows(), Trailer{Rows: 3, Total: 3, Complete: true}},
+		{"fractional", fractional, Trailer{Rows: 200, Total: 200, Complete: true}},
+		{"canceled", canceled, Trailer{Rows: 200, Total: 200, Canceled: 80, Reason: "deadline exceeded"}},
+		{"escaped-reason", nil, Trailer{Total: 200, Reason: "killed: signal \"TERM\"\tat C:\\run\n"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			s := NewNDJSON(&buf)
+			for _, r := range tc.rows {
+				if err := s.Emit(r); err != nil {
+					t.Fatalf("Emit: %v", err)
+				}
+			}
+			if err := s.Close(tc.trailer); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+			if len(lines) != len(tc.rows)+1 {
+				t.Fatalf("got %d lines, want %d rows + trailer", len(lines), len(tc.rows))
+			}
+			for i, r := range tc.rows {
+				var got wireRow
+				if err := json.Unmarshal([]byte(lines[i]), &got); err != nil {
+					t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, lines[i])
+				}
+				coords := wireRow{I: r.Index, Evo: r.Evo, H: r.H, SL: r.SL, B: r.B, TP: r.TP, Canceled: !r.Finite()}
+				gotCoords := got
+				gotCoords.FlopBW, gotCoords.IterS, gotCoords.CommFrac, gotCoords.MemBytes = 0, nil, nil, nil
+				if gotCoords != coords {
+					t.Errorf("line %d: coordinates diverged: got %+v, want %+v", i, gotCoords, coords)
+				}
+				if math.Float64bits(got.FlopBW) != math.Float64bits(r.FlopVsBW) ||
+					!sameBits(got.IterS, float64(r.IterTime)) ||
+					!sameBits(got.CommFrac, r.CommFrac) ||
+					!sameBits(got.MemBytes, float64(r.MemBytes)) {
+					t.Errorf("line %d: floats do not round-trip bit-exactly\n%s\nwant %+v", i, lines[i], r)
+				}
+			}
+			var got wireTrailer
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &got); err != nil {
+				t.Fatalf("trailer is not valid JSON: %v", err)
+			}
+			tr := tc.trailer
+			want := wireTrailer{Trailer: true, Rows: tr.Rows, Total: tr.Total, Canceled: tr.Canceled, Complete: tr.Complete, Reason: tr.Reason}
+			if got != want {
+				t.Fatalf("trailer = %+v, want %+v", got, want)
+			}
+		})
+	}
+}
+
+// orNaN maps a decoded null objective back to the NaN a canceled row
+// carries in memory.
+func orNaN(v *float64) float64 {
+	if v == nil {
+		return math.NaN()
+	}
+	return *v
+}
+
+// TestParseNDJSONRoundTrip: parse every line of a written artifact with
+// encoding/json and re-serialize through a fresh writer — the bytes must
+// be identical. Any consumer that reads a sweep back and re-emits it
+// (a filter, a concatenation) reproduces the original artifact byte for
+// byte, including non-integral floats, canceled rows and escaped
+// trailer reasons.
+func TestParseNDJSONRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	rows := withCanceled(rng, randomGrid(rng, 200), 25)
+	for i := range rows {
+		if i%3 == 0 && rows[i].Finite() {
+			rows[i].CommFrac = rng.Float64()
+			rows[i].IterTime = units.Seconds(rng.Float64() * 123.456e-3)
+			rows[i].MemBytes = units.Bytes(rng.Float64() * 68e9)
 		}
 	}
-	if err := s.Close(Trailer{Rows: 3, Total: 3, Complete: true}); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
-	if len(lines) != len(rows)+1 {
-		t.Fatalf("got %d lines, want %d rows + trailer", len(lines), len(rows))
-	}
-	for i, r := range rows {
-		var got map[string]any
-		if err := json.Unmarshal([]byte(lines[i]), &got); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, lines[i])
+	for _, tr := range []Trailer{
+		{Rows: 225, Total: 225, Complete: true},
+		{Rows: 225, Total: 300, Canceled: 25, Complete: false, Reason: "deadline exceeded"},
+		{Rows: 0, Total: 200, Complete: false, Reason: `killed: signal "TERM"` + "\tat C:\\run\n"},
+	} {
+		var art bytes.Buffer
+		w := NewNDJSON(&art)
+		for _, r := range rows {
+			if err := w.Emit(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if got["evo"] != r.Evo {
-			t.Errorf("line %d: evo = %q, want %q", i, got["evo"], r.Evo)
+		if err := w.Close(tr); err != nil {
+			t.Fatal(err)
 		}
-		if got["h"].(float64) != float64(r.H) || got["tp"].(float64) != float64(r.TP) {
-			t.Errorf("line %d: coordinates diverged: %v", i, got)
+		lines := strings.Split(strings.TrimSuffix(art.String(), "\n"), "\n")
+		if len(lines) != len(rows)+1 {
+			t.Fatalf("artifact has %d lines, want %d", len(lines), len(rows)+1)
 		}
-		if math.Abs(got["iter_s"].(float64)-float64(r.IterTime)) > 0 {
-			t.Errorf("line %d: iter_s = %v, want %v", i, got["iter_s"], r.IterTime)
+
+		var out bytes.Buffer
+		re := NewNDJSON(&out)
+		for li, line := range lines[:len(rows)] {
+			var p wireRow
+			if err := json.Unmarshal([]byte(line), &p); err != nil {
+				t.Fatalf("line %d: %v", li, err)
+			}
+			r := Row{Index: p.I, Evo: p.Evo, FlopVsBW: p.FlopBW, H: p.H, SL: p.SL, B: p.B, TP: p.TP,
+				IterTime: units.Seconds(orNaN(p.IterS)), CommFrac: orNaN(p.CommFrac), MemBytes: units.Bytes(orNaN(p.MemBytes))}
+			if err := re.Emit(r); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	var trailer map[string]any
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &trailer); err != nil {
-		t.Fatalf("trailer is not valid JSON: %v", err)
-	}
-	if trailer["trailer"] != true || trailer["complete"] != true || trailer["rows"].(float64) != 3 {
-		t.Fatalf("bad trailer: %v", trailer)
+		var pt wireTrailer
+		if err := json.Unmarshal([]byte(lines[len(rows)]), &pt); err != nil {
+			t.Fatalf("trailer: %v", err)
+		}
+		if !pt.Trailer {
+			t.Fatalf("last line is not a trailer: %s", lines[len(rows)])
+		}
+		if err := re.Close(Trailer{Rows: pt.Rows, Total: pt.Total, Canceled: pt.Canceled, Complete: pt.Complete, Reason: pt.Reason}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), art.Bytes()) {
+			t.Fatalf("parse→re-serialize is not byte-identical (trailer %+v)", tr)
+		}
 	}
 }
 
