@@ -34,12 +34,10 @@ bench-sim:
 
 # bench-stream prints the streaming-sweep benchmarks: sink encoding,
 # online reducers (ParetoEmit also selects ParetoEmitFrontier, the
-# large-frontier case), the ordered chunk engine, and the zero-alloc
-# arena re-time step.
+# large-frontier case), and the ordered chunk engine.
 bench-stream:
 	$(GO) test -run '^$$' -bench 'NDJSONEmit|ParetoEmit|TopKEmit' -benchmem ./internal/stream
 	$(GO) test -run '^$$' -bench 'StreamCtx' -benchmem ./internal/parallel
-	$(GO) test -run '^$$' -bench 'ArenaReTime' -benchmem ./internal/dist
 
 # bench-json refreshes BENCH_sweep.json, BENCH_sim.json, and
 # BENCH_stream.json, the recorded baselines the telemetry layer, the

@@ -8,6 +8,7 @@
 package twocs_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -231,7 +232,7 @@ func BenchmarkFigure10SerializedComm(b *testing.B) {
 			t.AddRow(bc.name, fmt.Sprint(bc.tp), report.Pct(fr[i]))
 		}
 		t.Render(os.Stdout)
-		pts, err := a.SerializedSweep(core.Table3Hs(), core.Table3SLs(),
+		pts, err := a.SerializedSweepCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
 			core.Table3TPs(), 1, twocs.Today())
 		if err != nil {
 			b.Fatal(err)
@@ -261,7 +262,7 @@ func BenchmarkFigure11OverlappedComm(b *testing.B) {
 	hs := []int{1024, 4096, 16384}
 	slbs := []int{1024, 4096, 16384}
 	printOnce(b, "fig11", func() {
-		pts, err := a.OverlappedSweep(hs, slbs, 16, twocs.Today())
+		pts, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, twocs.Today())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -352,7 +353,7 @@ func BenchmarkFigure14CaseStudy(b *testing.B) {
 	}
 	cfg.Layers = 16 // fractions are stable beyond ~8 layers
 	run := func() []twocs.CaseResult {
-		res, err := a.CaseStudy(cfg, 128, 4, twocs.FlopVsBW(4), twocs.Fig14Scenarios())
+		res, err := a.CaseStudyCtx(context.Background(), cfg, 128, 4, twocs.FlopVsBW(4), twocs.Fig14Scenarios())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -498,7 +499,7 @@ func benchSerializedSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.SerializedSweep(core.Table3Hs(), core.Table3SLs(),
+		if _, err := a.SerializedSweepCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
 			core.Table3TPs(), 1, twocs.Today()); err != nil {
 			b.Fatal(err)
 		}
@@ -513,7 +514,7 @@ func benchOverlappedSweep(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.OverlappedSweep(core.Table3Hs(), core.Table3SLs(),
+		if _, err := a.OverlappedSweepCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
 			16, twocs.Today()); err != nil {
 			b.Fatal(err)
 		}
@@ -529,7 +530,7 @@ func BenchmarkSerializedEvolutionGrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.SerializedEvolutionGrid(core.Table3Hs(), core.Table3SLs(),
+		if _, err := a.SerializedEvolutionGridCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
 			core.Table3TPs(), 1, evos); err != nil {
 			b.Fatal(err)
 		}
@@ -579,7 +580,7 @@ func BenchmarkProfilingSpeedup(b *testing.B) {
 				}
 			}
 		}
-		if _, err := a.OverlappedSweep(core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
+		if _, err := a.OverlappedSweepCtx(context.Background(), core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
 			b.Fatal(err)
 		}
 		speedup := float64(exhaustive) / float64(a.StrategyLedger.Total())

@@ -78,7 +78,7 @@ func TestObservabilityFlagsLeaveStdoutIdentical(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 	dump := metrics.String()
-	for _, want := range []string{"core.substrate.hit", "core.substrate.miss", "parallel.map.tasks"} {
+	for _, want := range []string{"core.substrate.hit", "core.substrate.miss", "parallel.stream.tasks"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("metrics dump missing %q:\n%s", want, dump)
 		}

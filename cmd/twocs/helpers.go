@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+
 	"twocs/internal/core"
 	"twocs/internal/dist"
 	"twocs/internal/hw"
@@ -61,7 +63,7 @@ func runValidationSuite() ([]opmodel.Validation, error) {
 // what the analyzer actually spent. The second return value is the ROI
 // speedup — a full iteration over just its backward pass, the fraction
 // ROI extraction avoids executing.
-func profilingSpeedup() (profile.SpeedupReport, float64, error) {
+func profilingSpeedup(ctx context.Context) (profile.SpeedupReport, float64, error) {
 	a, err := newAnalyzer()
 	if err != nil {
 		return profile.SpeedupReport{}, 0, err
@@ -70,14 +72,14 @@ func profilingSpeedup() (profile.SpeedupReport, float64, error) {
 	// layers at H=1K up to ~120 at H=20K); the exhaustive grid prices
 	// every configuration at its representative depth, fanned out over
 	// the sweep engine.
-	exhaustive, err := a.ExhaustiveCostStudy(
+	exhaustive, err := a.ExhaustiveCostStudyCtx(ctx,
 		core.Table3Hs(), core.Table3SLs(), core.Table3TPs(), 1, layersFor)
 	if err != nil {
 		return profile.SpeedupReport{}, 0, err
 	}
 	// The strategy side also executes the overlapped-analysis ROIs
-	// (§4.2.2 step 2a) — OverlappedSweep charges them to the ledger.
-	if _, err := a.OverlappedSweep(core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
+	// (§4.2.2 step 2a) — OverlappedSweepCtx charges them to the ledger.
+	if _, err := a.OverlappedSweepCtx(ctx, core.Table3Hs(), core.Table3SLs(), 16, hw.Identity()); err != nil {
 		return profile.SpeedupReport{}, 0, err
 	}
 	rep, err := profile.CompareStrategy(exhaustive, a.StrategyLedger)

@@ -364,7 +364,7 @@ func dispatch(ctx context.Context, cmd string, rest []string, w io.Writer) error
 	case "validate":
 		return cmdValidate(rest, w)
 	case "speedup":
-		return cmdSpeedup(rest, w)
+		return cmdSpeedup(ctx, rest, w)
 	case "pipeline":
 		return cmdPipeline(rest, w)
 	case "precision":
@@ -588,7 +588,7 @@ func cmdSerialized(ctx context.Context, args []string, w io.Writer) error {
 	t := report.NewTable(title, "H", "SL", "TP", "comm fraction (%)")
 	for i, p := range pts {
 		frac := report.Pct(p.Fraction)
-		if partial && !pe.Completed[i] {
+		if partial && i >= pe.Done {
 			frac = canceledCell
 		}
 		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SL), fmt.Sprint(p.TP), frac)
@@ -626,7 +626,7 @@ func cmdOverlapped(ctx context.Context, args []string, w io.Writer) error {
 	t := report.NewTable(title, "H", "SL·B", "overlap (%)")
 	for i, p := range pts {
 		pct := fmt.Sprintf("%.1f", p.Percent)
-		if partial && !pe.Completed[i] {
+		if partial && i >= pe.Done {
 			pct = canceledCell
 		}
 		t.AddRow(fmt.Sprint(p.H), fmt.Sprint(p.SLB), pct)
@@ -699,12 +699,12 @@ func cmdValidate(args []string, w io.Writer) error {
 	return t.Render(w)
 }
 
-func cmdSpeedup(args []string, w io.Writer) error {
+func cmdSpeedup(ctx context.Context, args []string, w io.Writer) error {
 	fs := newFlagSet("speedup")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	rep, roiSpeedup, err := profilingSpeedup()
+	rep, roiSpeedup, err := profilingSpeedup(ctx)
 	if err != nil {
 		return err
 	}

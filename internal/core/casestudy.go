@@ -51,20 +51,12 @@ type CaseResult struct {
 	ComputeFrac        float64
 }
 
-// CaseStudy simulates one full iteration of cfg at the given TP/DP under
-// a hardware evolution, for each scenario. The TP collective always uses
-// the optimistic intra-node path (consistent with the Figure 10-13
-// projections); scenarios degrade only the DP path and add interference,
-// exactly the §4.3.7 progression.
-//
-//lint:ctxfacade non-Ctx compat shim; CaseStudyCtx is the cancelable variant
-func (a *Analyzer) CaseStudy(cfg model.Config, tp, dp int, evo hw.Evolution,
-	scenarios []CaseScenario) ([]CaseResult, error) {
-	return a.CaseStudyCtx(context.Background(), cfg, tp, dp, evo, scenarios)
-}
-
-// CaseStudyCtx is CaseStudy with cancellation: once ctx fires the study
-// stops claiming scenarios and returns ctx's error.
+// CaseStudyCtx simulates one full iteration of cfg at the given TP/DP
+// under a hardware evolution, for each scenario. The TP collective
+// always uses the optimistic intra-node path (consistent with the
+// Figure 10-13 projections); scenarios degrade only the DP path and add
+// interference, exactly the §4.3.7 progression. Once ctx fires the
+// study stops claiming scenarios and returns ctx's error.
 func (a *Analyzer) CaseStudyCtx(ctx context.Context, cfg model.Config, tp, dp int, evo hw.Evolution,
 	scenarios []CaseScenario) ([]CaseResult, error) {
 	defer telemetry.Active().Start("core.CaseStudy").End()
@@ -95,7 +87,7 @@ func (a *Analyzer) CaseStudyCtx(ctx context.Context, cfg model.Config, tp, dp in
 
 	// Scenarios simulate concurrently under Analyzer.Workers (they share
 	// the memoized substrate) and return in scenario order.
-	return parallel.MapCtx(ctx, a.workers(), len(scenarios), func(_ context.Context, i int) (CaseResult, error) {
+	return strict(parallel.Collect(ctx, a.workers(), len(scenarios), func(_ context.Context, i int) (CaseResult, error) {
 		sc := scenarios[i]
 		if sc.DPBandwidthFraction <= 0 || sc.Interference < 1 {
 			return CaseResult{}, fmt.Errorf("core: invalid scenario %+v", sc)
@@ -124,5 +116,5 @@ func (a *Analyzer) CaseStudyCtx(ctx context.Context, cfg model.Config, tp, dp in
 			HiddenDPFrac:       units.Ratio(hidden, mk),
 			ComputeFrac:        units.Ratio(float64(rep.ComputeTime), mk),
 		}, nil
-	})
+	}))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -190,7 +191,7 @@ func TestSerializedSweepFig10Band(t *testing.T) {
 	// serialized fraction spans roughly 20-50% on current hardware,
 	// reaching ~50% for H=64K at its required TP.
 	a := newAnalyzer(t)
-	pts, err := a.SerializedSweep([]int{4096, 16384, 65536}, []int{2048},
+	pts, err := a.SerializedSweepCtx(context.Background(), []int{4096, 16384, 65536}, []int{2048},
 		[]int{16, 64, 256}, 1, hw.Identity())
 	if err != nil {
 		t.Fatal(err)
@@ -221,11 +222,11 @@ func TestSerializedSweepEvolutionRaisesFractions(t *testing.T) {
 	// Fig 12: 2×/4× flop-vs-bw raise every grid point's fraction.
 	a := newAnalyzer(t)
 	hs, sls, tps := []int{4096, 16384}, []int{2048}, []int{16, 64}
-	base, err := a.SerializedSweep(hs, sls, tps, 1, hw.Identity())
+	base, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
-	x4, err := a.SerializedSweep(hs, sls, tps, 1, hw.FlopVsBWScenario(4))
+	x4, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.FlopVsBWScenario(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestSerializedSweepEvolutionRaisesFractions(t *testing.T) {
 
 func TestOverlappedSweepFig11Trends(t *testing.T) {
 	a := newAnalyzer(t)
-	pts, err := a.OverlappedSweep([]int{2048, 8192}, []int{1024, 4096, 16384}, 16, hw.Identity())
+	pts, err := a.OverlappedSweepCtx(context.Background(), []int{2048, 8192}, []int{1024, 4096, 16384}, 16, hw.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestCaseStudyFig14(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Layers = 8
-	res, err := a.CaseStudy(cfg, 128, 4, hw.FlopVsBWScenario(4), PaperScenariosFig14())
+	res, err := a.CaseStudyCtx(context.Background(), cfg, 128, 4, hw.FlopVsBWScenario(4), PaperScenariosFig14())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +348,14 @@ func TestCaseStudyFig14(t *testing.T) {
 func TestCaseStudyValidation(t *testing.T) {
 	a := newAnalyzer(t)
 	cfg, _ := FutureConfig(4096, 1024, 1)
-	if _, err := a.CaseStudy(cfg, 16, 1, hw.Identity(), PaperScenariosFig14()); err == nil {
+	if _, err := a.CaseStudyCtx(context.Background(), cfg, 16, 1, hw.Identity(), PaperScenariosFig14()); err == nil {
 		t.Error("DP=1 accepted")
 	}
-	if _, err := a.CaseStudy(cfg, 16, 4, hw.Identity(), nil); err == nil {
+	if _, err := a.CaseStudyCtx(context.Background(), cfg, 16, 4, hw.Identity(), nil); err == nil {
 		t.Error("no scenarios accepted")
 	}
 	bad := []CaseScenario{{Name: "x", DPBandwidthFraction: 0, Interference: 1}}
-	if _, err := a.CaseStudy(cfg, 16, 4, hw.Identity(), bad); err == nil {
+	if _, err := a.CaseStudyCtx(context.Background(), cfg, 16, 4, hw.Identity(), bad); err == nil {
 		t.Error("invalid scenario accepted")
 	}
 }

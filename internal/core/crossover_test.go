@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -114,7 +115,7 @@ func TestCrossoverTableRejectsBadTarget(t *testing.T) {
 func TestCrossoverTableOnRealGrid(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := []int{1024, 4096}, []int{1024, 2048}, []int{4, 8, 16}
-	pts, err := a.SerializedSweep(hs, sls, tps, 1, hw.FlopVsBWScenario(1))
+	pts, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.FlopVsBWScenario(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func (a *Analyzer) DegradationStudy(ctx context.Context, cfg model.Config, tp in
 	}
 	healthyFrac := units.Ratio(float64(hComm), float64(hComp+hComm))
 
-	return parallel.MapCtx(ctx, a.workers(), len(faults),
+	return strict(parallel.Collect(ctx, a.workers(), len(faults),
 		func(_ context.Context, i int) (DegradationRow, error) {
 			faulted, err := sub.ring.WithFault(faults[i])
 			if err != nil {
@@ -125,5 +125,5 @@ func (a *Analyzer) DegradationStudy(ctx context.Context, cfg model.Config, tp in
 				CommFraction:   frac,
 				DeltaPP:        (frac - healthyFrac) * 100,
 			}, nil
-		})
+		}))
 }

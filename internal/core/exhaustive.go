@@ -16,18 +16,11 @@ import (
 // engine; the resulting ledger is filled in grid order regardless of
 // worker count, keeping its line items deterministic.
 
-// ExhaustiveCostStudy prices an end-to-end profiling run of every
+// ExhaustiveCostStudyCtx prices an end-to-end profiling run of every
 // (H × SL × TP) sweep configuration at fixed B. layersFor maps hidden
 // size to a representative depth (real models deepen as they widen,
 // Table 2); nil charges each configuration at its own layer count.
-//
-//lint:ctxfacade non-Ctx compat shim; ExhaustiveCostStudyCtx is the cancelable variant
-func (a *Analyzer) ExhaustiveCostStudy(hs, sls, tps []int, b int, layersFor func(h int) int) (*profile.Ledger, error) {
-	return a.ExhaustiveCostStudyCtx(context.Background(), hs, sls, tps, b, layersFor)
-}
-
-// ExhaustiveCostStudyCtx is ExhaustiveCostStudy with cancellation: once
-// ctx fires the sweep stops claiming configurations and the study
+// Once ctx fires the sweep stops claiming configurations and the study
 // returns ctx's error. A partially priced ledger would misstate the
 // exhaustive-profiling cost, so this study is strict, not best-effort.
 func (a *Analyzer) ExhaustiveCostStudyCtx(ctx context.Context, hs, sls, tps []int, b int, layersFor func(h int) int) (*profile.Ledger, error) {
@@ -40,7 +33,7 @@ func (a *Analyzer) ExhaustiveCostStudyCtx(ctx context.Context, hs, sls, tps []in
 		name string
 		cost units.Seconds
 	}
-	costs, err := parallel.MapCtx(ctx, a.workers(), len(tasks), func(_ context.Context, i int) (priced, error) {
+	costs, err := parallel.Collect(ctx, a.workers(), len(tasks), func(_ context.Context, i int) (priced, error) {
 		t := tasks[i]
 		cfg := t.cfg
 		if layersFor != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -46,7 +47,7 @@ func TestSerializedSweepParallelEquivalence(t *testing.T) {
 	hs, sls, tps := smallGrid()
 	for _, w := range []int{2, 4, 8} {
 		atWorkers(t, a, w, "SerializedSweep", func() ([]SerializedPoint, error) {
-			return a.SerializedSweep(hs, sls, tps, 1, hw.FlopVsBWScenario(2))
+			return a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.FlopVsBWScenario(2))
 		})
 	}
 }
@@ -56,7 +57,7 @@ func TestOverlappedSweepParallelEquivalence(t *testing.T) {
 	hs, sls, _ := smallGrid()
 	for _, w := range []int{2, 4} {
 		atWorkers(t, a, w, "OverlappedSweep", func() ([]OverlappedPoint, error) {
-			return a.OverlappedSweep(hs, sls, 16, hw.Identity())
+			return a.OverlappedSweepCtx(context.Background(), hs, sls, 16, hw.Identity())
 		})
 	}
 }
@@ -65,22 +66,14 @@ func TestSerializedEvolutionGridParallelEquivalence(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := smallGrid()
 	atWorkers(t, a, 4, "SerializedEvolutionGrid", func() ([][]SerializedPoint, error) {
-		return a.SerializedEvolutionGrid(hs, sls, tps, 1, hw.PaperScenarios())
-	})
-}
-
-func TestOverlappedEvolutionGridParallelEquivalence(t *testing.T) {
-	a := newAnalyzer(t)
-	hs, sls, _ := smallGrid()
-	atWorkers(t, a, 4, "OverlappedEvolutionGrid", func() ([][]OverlappedPoint, error) {
-		return a.OverlappedEvolutionGrid(hs, sls, 16, hw.PaperScenarios())
+		return a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, 1, hw.PaperScenarios())
 	})
 }
 
 func TestZooTimelineParallelEquivalence(t *testing.T) {
 	a := newAnalyzer(t)
 	atWorkers(t, a, 4, "ZooTimeline", func() ([]ZooTimelineRow, error) {
-		return a.ZooTimeline(model.Zoo())
+		return a.ZooTimelineCtx(context.Background(), model.Zoo())
 	})
 }
 
@@ -91,7 +84,7 @@ func TestScalingStudyParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	atWorkers(t, a, 4, "ScalingStudy", func() ([]ScalingRow, error) {
-		return a.ScalingStudy(cfg, 64, []int{2, 4, 8, 16, 32}, hw.Identity())
+		return a.ScalingStudyCtx(context.Background(), cfg, 64, []int{2, 4, 8, 16, 32}, hw.Identity())
 	})
 }
 
@@ -102,7 +95,7 @@ func TestCaseStudyParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	atWorkers(t, a, 3, "CaseStudy", func() ([]CaseResult, error) {
-		return a.CaseStudy(cfg, 16, 4, hw.FlopVsBWScenario(4), PaperScenariosFig14())
+		return a.CaseStudyCtx(context.Background(), cfg, 16, 4, hw.FlopVsBWScenario(4), PaperScenariosFig14())
 	})
 }
 
@@ -116,12 +109,12 @@ func TestExhaustiveCostStudyParallelEquivalence(t *testing.T) {
 		return 2
 	}
 	a.Workers = 1
-	seq, err := a.ExhaustiveCostStudy(hs, sls, tps, 1, layersFor)
+	seq, err := a.ExhaustiveCostStudyCtx(context.Background(), hs, sls, tps, 1, layersFor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a.Workers = 4
-	par, err := a.ExhaustiveCostStudy(hs, sls, tps, 1, layersFor)
+	par, err := a.ExhaustiveCostStudyCtx(context.Background(), hs, sls, tps, 1, layersFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,13 +135,13 @@ func TestQuickSweepEquivalence(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := smallGrid()
 	a.Workers = 1
-	seq, err := a.SerializedSweep(hs, sls, tps, 1, hw.Identity())
+	seq, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
 	prop := func(wRaw uint8) bool {
 		a.Workers = int(wRaw%12) + 1
-		par, err := a.SerializedSweep(hs, sls, tps, 1, hw.Identity())
+		par, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
 		if err != nil {
 			return false
 		}
@@ -164,31 +157,31 @@ func TestSweepErrorPaths(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		a.Workers = w
 		// Empty grid: no H values at all.
-		if _, err := a.SerializedSweep(nil, []int{1024}, []int{4}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
+		if _, err := a.SerializedSweepCtx(context.Background(), nil, []int{1024}, []int{4}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: empty serialized grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
 		// All points skipped: no TP degree divides a 16-head config.
-		if _, err := a.SerializedSweep([]int{1024}, []int{1024}, []int{7, 11}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
+		if _, err := a.SerializedSweepCtx(context.Background(), []int{1024}, []int{1024}, []int{7, 11}, 1, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: all-skipped serialized grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
-		if _, err := a.SerializedEvolutionGrid([]int{1024}, []int{1024}, []int{7}, 1, []hw.Evolution{hw.Identity()}); !errors.Is(err, ErrNoRunnablePoints) {
+		if _, err := a.SerializedEvolutionGridCtx(context.Background(), []int{1024}, []int{1024}, []int{7}, 1, []hw.Evolution{hw.Identity()}); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: all-skipped evolution grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
-		if _, err := a.OverlappedSweep(nil, nil, 16, hw.Identity()); err == nil {
+		if _, err := a.OverlappedSweepCtx(context.Background(), nil, nil, 16, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: empty overlapped grid should error", w)
 		}
-		if _, err := a.OverlappedSweep([]int{1024}, []int{1024}, 7, hw.Identity()); err == nil {
+		if _, err := a.OverlappedSweepCtx(context.Background(), []int{1024}, []int{1024}, 7, hw.Identity()); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: all-skipped overlapped grid should error", w)
 		}
-		if _, err := a.SerializedEvolutionGrid([]int{1024}, []int{1024}, []int{4}, 1, nil); err == nil {
+		if _, err := a.SerializedEvolutionGridCtx(context.Background(), []int{1024}, []int{1024}, []int{4}, 1, nil); err == nil {
 			t.Fatalf("workers=%d: no scenarios should error", w)
 		}
-		if _, err := a.ExhaustiveCostStudy(nil, nil, nil, 1, nil); !errors.Is(err, ErrNoRunnablePoints) {
+		if _, err := a.ExhaustiveCostStudyCtx(context.Background(), nil, nil, nil, 1, nil); !errors.Is(err, ErrNoRunnablePoints) {
 			t.Fatalf("workers=%d: empty exhaustive grid: err %v, want ErrNoRunnablePoints", w, err)
 		}
 		// Invalid evolution must surface the same error at any worker count.
 		bad := hw.Evolution{}
-		if _, err := a.SerializedSweep([]int{1024}, []int{1024}, []int{4}, 1, bad); err == nil {
+		if _, err := a.SerializedSweepCtx(context.Background(), []int{1024}, []int{1024}, []int{4}, 1, bad); err == nil {
 			t.Fatalf("workers=%d: invalid evolution should error", w)
 		}
 	}
@@ -201,12 +194,12 @@ func TestStrategyLedgerUnderParallelSweep(t *testing.T) {
 	hs, sls, _ := smallGrid()
 	seqA := newAnalyzer(t)
 	seqA.Workers = 1
-	if _, err := seqA.OverlappedSweep(hs, sls, 16, hw.Identity()); err != nil {
+	if _, err := seqA.OverlappedSweepCtx(context.Background(), hs, sls, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	parA := newAnalyzer(t)
 	parA.Workers = 8
-	if _, err := parA.OverlappedSweep(hs, sls, 16, hw.Identity()); err != nil {
+	if _, err := parA.OverlappedSweepCtx(context.Background(), hs, sls, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	if seqA.StrategyLedger.Total() != parA.StrategyLedger.Total() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"twocs/internal/collective"
@@ -29,15 +30,12 @@ func TestSerializedSweepCtxCanceledKeepsCoordinates(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: PartialError does not unwrap to Canceled: %v", w, err)
 		}
-		if len(out) != len(pe.Completed) || len(out) == 0 {
-			t.Fatalf("workers=%d: lengths %d/%d", w, len(out), len(pe.Completed))
+		if pe.Done != 0 || len(out) == 0 {
+			t.Fatalf("workers=%d: Done=%d with %d points", w, pe.Done, len(out))
 		}
 		// Incomplete points must still name their grid coordinates so a
 		// renderer can print "(canceled)" cells for them.
 		for i, p := range out {
-			if pe.Completed[i] {
-				continue
-			}
 			if p.H == 0 || p.SL == 0 || p.TP == 0 {
 				t.Fatalf("workers=%d: incomplete point %d lost coordinates: %+v", w, i, p)
 			}
@@ -55,23 +53,107 @@ func TestOverlappedSweepCtxCanceledKeepsCoordinates(t *testing.T) {
 	cancel()
 	out, err := a.OverlappedSweepCtx(ctx, hs, sls, 16, hw.Identity())
 	var pe *parallel.PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *parallel.PartialError", err)
+	if !errors.As(err, &pe) || pe.Done != 0 {
+		t.Fatalf("err = %v, want *parallel.PartialError with nothing done", err)
 	}
 	for i, p := range out {
-		if !pe.Completed[i] && (p.H == 0 || !math.IsNaN(p.Percent)) {
+		if p.H == 0 || !math.IsNaN(p.Percent) {
 			t.Fatalf("incomplete point %d: %+v", i, p)
 		}
 	}
 }
 
+// cancelAfter is a context whose Err turns to context.Canceled after
+// its first n calls. The sweep engine consults Err before every claim
+// (before every task on one worker), so the cancel lands mid-grid.
+type cancelAfter struct {
+	context.Context
+	left atomic.Int64
+}
+
+func newCancelAfter(n int64) *cancelAfter {
+	c := &cancelAfter{Context: context.Background()}
+	c.left.Store(n)
+	return c
+}
+
+func (c *cancelAfter) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestSweepCtxMidRunCancelPrefix pins the best-effort grids' contract
+// for a cancel that lands mid-run: exactly the points [0, Done) hold
+// the values of a complete run, and every later point is NaN with its
+// coordinates.
+func TestSweepCtxMidRunCancelPrefix(t *testing.T) {
+	a := newAnalyzer(t)
+	hs, sls, tps := smallGrid()
+	serialized := func(ctx context.Context) ([]float64, []int, error) {
+		pts, err := a.SerializedSweepCtx(ctx, hs, sls, tps, 1, hw.Identity())
+		vals, coords := make([]float64, len(pts)), make([]int, len(pts))
+		for i, p := range pts {
+			vals[i], coords[i] = p.Fraction, p.H*p.SL*p.TP
+		}
+		return vals, coords, err
+	}
+	overlapped := func(ctx context.Context) ([]float64, []int, error) {
+		pts, err := a.OverlappedSweepCtx(ctx, hs, sls, 16, hw.Identity())
+		vals, coords := make([]float64, len(pts)), make([]int, len(pts))
+		for i, p := range pts {
+			vals[i], coords[i] = p.Percent, p.H*p.SLB
+		}
+		return vals, coords, err
+	}
+	for name, sweep := range map[string]func(context.Context) ([]float64, []int, error){
+		"serialized": serialized, "overlapped": overlapped,
+	} {
+		full, fullCoords, err := sweep(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range []int{1, 4} {
+			a.Workers = w
+			got, coords, err := sweep(newCancelAfter(3))
+			var pe *parallel.PartialError
+			if !errors.As(err, &pe) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s workers=%d: err = %v, want a canceled *parallel.PartialError", name, w, err)
+			}
+			if pe.Done <= 0 || pe.Done >= len(full) || len(got) != len(full) {
+				t.Fatalf("%s workers=%d: Done=%d of %d points (%d returned), want a mid-grid prefix",
+					name, w, pe.Done, len(full), len(got))
+			}
+			if w == 1 && pe.Done != 3 {
+				t.Fatalf("%s workers=1: Done=%d, want the 3 points before the cancel", name, pe.Done)
+			}
+			for i := range got {
+				if coords[i] != fullCoords[i] {
+					t.Fatalf("%s workers=%d: point %d lost its coordinates", name, w, i)
+				}
+				if i < pe.Done && got[i] != full[i] {
+					t.Fatalf("%s workers=%d: done point %d = %v, want %v", name, w, i, got[i], full[i])
+				}
+				if i >= pe.Done && !math.IsNaN(got[i]) {
+					t.Fatalf("%s workers=%d: point %d past Done = %v, want NaN", name, w, i, got[i])
+				}
+			}
+		}
+		a.Workers = 1
+	}
+}
+
+// TestSweepCtxCompleteRunMatchesPlain: a best-effort sweep that runs to
+// completion returns no error and the strict grid's points.
 func TestSweepCtxCompleteRunMatchesPlain(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := smallGrid()
-	plain, err := a.SerializedSweep(hs, sls, tps, 1, hw.Identity())
+	strict, err := a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, 1, []hw.Evolution{hw.Identity()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain := strict[0]
 	viaCtx, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, 1, hw.Identity())
 	if err != nil {
 		t.Fatalf("uncanceled ctx sweep errored: %v", err)
@@ -98,10 +180,6 @@ func TestStrictStudiesHonorCancellation(t *testing.T) {
 	studies := map[string]func() error{
 		"SerializedEvolutionGridCtx": func() error {
 			_, err := a.SerializedEvolutionGridCtx(ctx, hs, sls, tps, 1, hw.PaperScenarios())
-			return err
-		},
-		"OverlappedEvolutionGridCtx": func() error {
-			_, err := a.OverlappedEvolutionGridCtx(ctx, hs, sls, 16, hw.PaperScenarios())
 			return err
 		},
 		"ExhaustiveCostStudyCtx": func() error {

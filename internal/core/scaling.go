@@ -25,7 +25,7 @@ type ScalingRow struct {
 	CommFraction float64
 }
 
-// ScalingStudy simulates full iterations for every way of factoring
+// ScalingStudyCtx simulates full iterations for every way of factoring
 // `devices` into TP×DP (TP from tps that divide the budget and the
 // model), quantifying the throughput cost of tensor parallelism: every
 // doubling of TP trades data-parallel throughput for serialized
@@ -33,15 +33,8 @@ type ScalingRow struct {
 // erosion (§2.4: communication "limits throughput scaling with
 // increasing device count"). Feasible splits are simulated concurrently
 // under Analyzer.Workers, sharing the memoized substrate, and returned
-// in ascending-TP order.
-//
-//lint:ctxfacade non-Ctx compat shim; ScalingStudyCtx is the cancelable variant
-func (a *Analyzer) ScalingStudy(cfg model.Config, devices int, tps []int, evo hw.Evolution) ([]ScalingRow, error) {
-	return a.ScalingStudyCtx(context.Background(), cfg, devices, tps, evo)
-}
-
-// ScalingStudyCtx is ScalingStudy with cancellation: once ctx fires the
-// study stops claiming TP×DP splits and returns ctx's error.
+// in ascending-TP order. Once ctx fires the study stops claiming TP×DP
+// splits and returns ctx's error.
 func (a *Analyzer) ScalingStudyCtx(ctx context.Context, cfg model.Config, devices int, tps []int, evo hw.Evolution) ([]ScalingRow, error) {
 	defer telemetry.Active().Start("core.ScalingStudy").End()
 	if devices < 2 {
@@ -82,7 +75,7 @@ func (a *Analyzer) ScalingStudyCtx(ctx context.Context, cfg model.Config, device
 		}
 	}
 
-	out, err := parallel.MapCtx(ctx, a.workers(), len(cands), func(_ context.Context, i int) (ScalingRow, error) {
+	out, err := parallel.Collect(ctx, a.workers(), len(cands), func(_ context.Context, i int) (ScalingRow, error) {
 		tp := cands[i]
 		dp := devices / tp
 		timer := &dist.Timer{Calc: sub.calc, TPModel: sub.ring, DPModel: sub.ring, TP: tp, DP: dp}

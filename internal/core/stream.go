@@ -8,6 +8,7 @@ import (
 
 	"twocs/internal/hw"
 	"twocs/internal/model"
+	"twocs/internal/opmodel"
 	"twocs/internal/parallel"
 	"twocs/internal/stream"
 	"twocs/internal/telemetry"
@@ -49,6 +50,24 @@ func enumerateStream(hs, sls, tps []int, b int) ([]streamTask, error) {
 	return out, nil
 }
 
+// streamRow is row g of the streamed grid, task t at batch b under
+// evo. Its objectives come from proj; a nil proj marks a point the
+// workers never computed, whose objectives are NaN.
+func streamRow(g int64, t streamTask, b int, evo hw.Evolution, proj *opmodel.IterationProjection) stream.Row {
+	r := stream.Row{
+		Index: g,
+		Evo:   evo.Name, FlopVsBW: evo.FlopVsBW(),
+		H: t.h, SL: t.sl, B: b, TP: t.tp,
+	}
+	if proj == nil {
+		nan := math.NaN()
+		r.IterTime, r.CommFrac, r.MemBytes = units.Seconds(nan), nan, units.Bytes(nan)
+		return r
+	}
+	r.IterTime, r.CommFrac, r.MemBytes = proj.Total(), proj.CommFraction(), t.mem
+	return r
+}
+
 // trailerReason renders a stream-ending error for the trailer row.
 func trailerReason(err error) string {
 	switch {
@@ -78,13 +97,6 @@ func GridRowCount(hs, sls, tps []int, b, nEvos int) (int64, error) {
 		return 0, err
 	}
 	return int64(nEvos) * int64(len(tasks)), nil
-}
-
-// StreamSweepCtx streams the serialized sweep at one hardware scenario:
-// every (H × SL × TP) point at fixed B, in grid order, into sink. See
-// StreamEvolutionGridCtx for the contract.
-func (a *Analyzer) StreamSweepCtx(ctx context.Context, hs, sls, tps []int, b int, evo hw.Evolution, sink stream.Sink) error {
-	return a.StreamEvolutionGridCtx(ctx, hs, sls, tps, b, []hw.Evolution{evo}, sink)
 }
 
 // StreamEvolutionGridCtx streams the full (evolution × H × SL × TP)
@@ -148,14 +160,7 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 			if err != nil {
 				return stream.Row{}, err
 			}
-			return stream.Row{
-				Index: g,
-				Evo:   evo.Name, FlopVsBW: evo.FlopVsBW(),
-				H: t.h, SL: t.sl, B: b, TP: t.tp,
-				IterTime: proj.Total(),
-				CommFrac: proj.CommFraction(),
-				MemBytes: t.mem,
-			}, nil
+			return streamRow(g, t, b, evo, &proj), nil
 		},
 		func(_ int, vals []stream.Row) error {
 			for _, r := range vals {
@@ -173,18 +178,9 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	// trailer — Close always runs.
 	var canceled int64
 	if partial && streamErr != nil {
-		nan := math.NaN()
 		for g := rows; g < total; g++ {
 			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]
-			err := sink.Emit(stream.Row{
-				Index: g,
-				Evo:   evo.Name, FlopVsBW: evo.FlopVsBW(),
-				H: t.h, SL: t.sl, B: b, TP: t.tp,
-				IterTime: units.Seconds(nan),
-				CommFrac: nan,
-				MemBytes: units.Bytes(nan),
-			})
-			if err != nil {
+			if err := sink.Emit(streamRow(g, t, b, evo, nil)); err != nil {
 				break
 			}
 			rows++

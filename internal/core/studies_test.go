@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -134,7 +135,7 @@ func TestZeROStudy(t *testing.T) {
 
 func TestZooTimeline(t *testing.T) {
 	a := newAnalyzer(t)
-	rows, err := a.ZooTimeline(model.Zoo())
+	rows, err := a.ZooTimelineCtx(context.Background(), model.Zoo())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestZooTimeline(t *testing.T) {
 		t.Errorf("comm share should grow with era: Megatron-LM %v vs MT-NLG %v",
 			byName["Megatron-LM"].Frac1x, byName["MT-NLG"].Frac1x)
 	}
-	if _, err := a.ZooTimeline(nil); err == nil {
+	if _, err := a.ZooTimelineCtx(context.Background(), nil); err == nil {
 		t.Error("empty zoo accepted")
 	}
 }
@@ -231,7 +232,7 @@ func TestScalingStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Layers = 4
-	rows, err := a.ScalingStudy(cfg, 256, []int{2, 8, 32, 128}, hw.Identity())
+	rows, err := a.ScalingStudyCtx(context.Background(), cfg, 256, []int{2, 8, 32, 128}, hw.Identity())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +253,13 @@ func TestScalingStudy(t *testing.T) {
 			t.Errorf("comm fraction should grow with TP")
 		}
 	}
-	if _, err := a.ScalingStudy(cfg, 1, []int{2}, hw.Identity()); err == nil {
+	if _, err := a.ScalingStudyCtx(context.Background(), cfg, 1, []int{2}, hw.Identity()); err == nil {
 		t.Error("single device accepted")
 	}
-	if _, err := a.ScalingStudy(cfg, 256, nil, hw.Identity()); err == nil {
+	if _, err := a.ScalingStudyCtx(context.Background(), cfg, 256, nil, hw.Identity()); err == nil {
 		t.Error("empty tps accepted")
 	}
-	if _, err := a.ScalingStudy(cfg, 6, []int{4}, hw.Identity()); err == nil {
+	if _, err := a.ScalingStudyCtx(context.Background(), cfg, 6, []int{4}, hw.Identity()); err == nil {
 		t.Error("infeasible split accepted")
 	}
 }

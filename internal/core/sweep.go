@@ -117,77 +117,81 @@ type SerializedPoint struct {
 	Fraction float64
 }
 
-// SerializedSweep projects the serialized-communication fraction over the
-// (H × SL × TP) grid at fixed B under one hardware scenario — the paper's
-// 196-configuration projection from a single baseline (§4.2.4). Points
-// are projected concurrently under Analyzer.Workers and returned in grid
-// order. On failure the partial grid is discarded and the error the
-// sequential loop would have hit is returned; SerializedSweepCtx is the
-// best-effort, cancelable variant.
-//
-//lint:ctxfacade non-Ctx compat shim; SerializedSweepCtx is the cancelable variant
-func (a *Analyzer) SerializedSweep(hs, sls, tps []int, b int, evo hw.Evolution) ([]SerializedPoint, error) {
-	out, err := a.SerializedSweepCtx(context.Background(), hs, sls, tps, b, evo)
+// serializedPoint is grid task t at batch b under evo with serialized
+// fraction frac — NaN for a point a best-effort sweep never computed.
+// Every materialized serialized grid builds its points here.
+func serializedPoint(t serializedTask, b int, evo hw.Evolution, frac float64) SerializedPoint {
+	return SerializedPoint{
+		H: t.h, SL: t.sl, B: b, TP: t.tp,
+		FlopVsBW: evo.FlopVsBW(),
+		Fraction: frac,
+	}
+}
+
+// backfill completes a best-effort grid from the prefix the workers
+// finished: every point after it is nan(i) — its grid coordinates with
+// NaN objectives — so renderers can name the points that are missing.
+// A stopped grid reports a *parallel.PartialError whose Done is the
+// prefix length.
+func backfill[T any](done []T, n int, cause error, nan func(i int) T) ([]T, error) {
+	if cause == nil {
+		return done, nil
+	}
+	out := done
+	for i := len(done); i < n; i++ {
+		out = append(out, nan(i))
+	}
+	return out, &parallel.PartialError{Cause: cause, Done: len(done)}
+}
+
+// strict drops the completed prefix of a study that stopped early:
+// its rows are only meaningful complete.
+func strict[T any](out []T, err error) ([]T, error) {
 	if err != nil {
-		return nil, parallel.Cause(err)
+		return nil, err
 	}
 	return out, nil
 }
 
-// SerializedSweepCtx is SerializedSweep with cancellation and graceful
-// degradation: the sweep stops claiming grid points once ctx fires, and
-// instead of discarding a partially completed grid it returns the
-// full-length point slice plus a *parallel.PartialError saying which
-// entries are valid. Incomplete entries keep their grid coordinates
-// (H, SL, B, TP, FlopVsBW) so renderers can name them, with Fraction
-// set to NaN.
+// SerializedSweepCtx projects the serialized-communication fraction
+// over the (H × SL × TP) grid at fixed B under one hardware scenario —
+// the paper's 196-configuration projection from a single baseline
+// (§4.2.4). Points are projected concurrently under Analyzer.Workers
+// and returned in grid order.
+//
+// The sweep is best-effort: it stops claiming grid points once ctx
+// fires, and instead of discarding a partially completed grid it
+// returns the full-length point slice plus a *parallel.PartialError.
+// The points [0, Done) are complete; every later one keeps its grid
+// coordinates (H, SL, B, TP, FlopVsBW) so renderers can name it, with
+// Fraction set to NaN. A point failure stops the grid the same way,
+// its error the one the sequential loop would have hit.
 func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b int, evo hw.Evolution) ([]SerializedPoint, error) {
 	defer telemetry.Active().Start("core.SerializedSweep").End()
 	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return nil, err
 	}
-	out, err := parallel.MapPartial(ctx, a.workers(), len(tasks),
-		func(ctx context.Context, i int) (SerializedPoint, error) {
+	done, err := parallel.Collect(ctx, a.workers(), len(tasks),
+		func(_ context.Context, i int) (SerializedPoint, error) {
 			t := tasks[i]
 			proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
 			if err != nil {
 				return SerializedPoint{}, err
 			}
-			return SerializedPoint{
-				H: t.h, SL: t.sl, B: b, TP: t.tp,
-				FlopVsBW: evo.FlopVsBW(),
-				Fraction: proj.CommFraction(),
-			}, nil
+			return serializedPoint(t, b, evo, proj.CommFraction()), nil
 		})
-	if pe, ok := err.(*parallel.PartialError); ok {
-		for i, done := range pe.Completed {
-			if !done {
-				t := tasks[i]
-				out[i] = SerializedPoint{
-					H: t.h, SL: t.sl, B: b, TP: t.tp,
-					FlopVsBW: evo.FlopVsBW(),
-					Fraction: math.NaN(),
-				}
-			}
-		}
-	}
-	return out, err
+	return backfill(done, len(tasks), err, func(i int) SerializedPoint {
+		return serializedPoint(tasks[i], b, evo, math.NaN())
+	})
 }
 
-// SerializedEvolutionGrid runs the Figure 12 study: the full serialized
-// sweep at every hardware-evolution scenario, sharing one memoized
-// timer stack per scenario and one operator graph per configuration
-// shape across the whole (evolution × H × SL × TP) space. Results are
-// ordered scenario-major, each scenario's points in grid order.
-//
-//lint:ctxfacade non-Ctx compat shim; SerializedEvolutionGridCtx is the cancelable variant
-func (a *Analyzer) SerializedEvolutionGrid(hs, sls, tps []int, b int, evos []hw.Evolution) ([][]SerializedPoint, error) {
-	return a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, b, evos)
-}
-
-// SerializedEvolutionGridCtx is SerializedEvolutionGrid with
-// cancellation: once ctx fires the grid stops claiming points and
+// SerializedEvolutionGridCtx runs the Figure 12 study: the full
+// serialized sweep at every hardware-evolution scenario, sharing one
+// memoized timer stack per scenario and one operator graph per
+// configuration shape across the whole (evolution × H × SL × TP)
+// space. Results are ordered scenario-major, each scenario's points in
+// grid order. Once ctx fires the grid stops claiming points and
 // returns ctx's error (strict — scenario slices are only meaningful
 // complete).
 func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution) ([][]SerializedPoint, error) {
@@ -199,17 +203,13 @@ func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps 
 	if err != nil {
 		return nil, err
 	}
-	flat, err := parallel.MapCtx(ctx, a.workers(), len(evos)*len(tasks), func(_ context.Context, i int) (SerializedPoint, error) {
+	flat, err := parallel.Collect(ctx, a.workers(), len(evos)*len(tasks), func(_ context.Context, i int) (SerializedPoint, error) {
 		evo, t := evos[i/len(tasks)], tasks[i%len(tasks)]
 		proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
 		if err != nil {
 			return SerializedPoint{}, err
 		}
-		return SerializedPoint{
-			H: t.h, SL: t.sl, B: b, TP: t.tp,
-			FlopVsBW: evo.FlopVsBW(),
-			Fraction: proj.CommFraction(),
-		}, nil
+		return serializedPoint(t, b, evo, proj.CommFraction()), nil
 	})
 	if err != nil {
 		return nil, err
@@ -231,7 +231,8 @@ type OverlappedPoint struct {
 }
 
 // enumerateOverlapped expands the (H × SL·B) grid at one TP degree,
-// with the same hoisting as enumerateSerialized.
+// with the same hoisting and the same ErrNoRunnablePoints contract as
+// enumerateSerialized.
 func enumerateOverlapped(hs, slbs []int, tp int) ([]serializedTask, error) {
 	tasks := make([]serializedTask, 0, len(hs)*len(slbs))
 	for _, h := range hs {
@@ -246,42 +247,31 @@ func enumerateOverlapped(hs, slbs []int, tp int) ([]serializedTask, error) {
 			tasks = append(tasks, serializedTask{cfg: cfg, h: h, sl: slb, tp: tp})
 		}
 	}
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("%w: empty overlapped sweep", ErrNoRunnablePoints)
+	}
 	return tasks, nil
 }
 
-// OverlappedSweep measures ROI overlap percentages over an (H × SL·B)
-// grid at fixed TP under one hardware scenario. B is folded into SL·B by
-// holding B=1 and sweeping SL — the reduction the algorithmic analysis
-// licenses (slack = O(SL·B), §4.2.1). ROIs execute concurrently under
-// Analyzer.Workers; the ledger totals are order-independent, and the
-// returned points are in grid order. OverlappedSweepCtx is the
-// best-effort, cancelable variant.
+// OverlappedSweepCtx measures ROI overlap percentages over an
+// (H × SL·B) grid at fixed TP under one hardware scenario. B is folded
+// into SL·B by holding B=1 and sweeping SL — the reduction the
+// algorithmic analysis licenses (slack = O(SL·B), §4.2.1). ROIs execute
+// concurrently under Analyzer.Workers; the ledger totals are
+// order-independent, and the returned points are in grid order.
 //
-//lint:ctxfacade non-Ctx compat shim; OverlappedSweepCtx is the cancelable variant
-func (a *Analyzer) OverlappedSweep(hs, slbs []int, tp int, evo hw.Evolution) ([]OverlappedPoint, error) {
-	out, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, tp, evo)
-	if err != nil {
-		return nil, parallel.Cause(err)
-	}
-	return out, nil
-}
-
-// OverlappedSweepCtx is OverlappedSweep with cancellation and graceful
-// degradation, mirroring SerializedSweepCtx: a canceled or failing sweep
-// returns the completed prefix plus a *parallel.PartialError, with
-// incomplete entries keeping their grid coordinates and Percent set to
-// NaN.
+// The sweep is best-effort like SerializedSweepCtx: a canceled or
+// failing sweep returns the full grid plus a *parallel.PartialError,
+// the points from Done on keeping their grid coordinates with Percent
+// set to NaN.
 func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp int, evo hw.Evolution) ([]OverlappedPoint, error) {
 	defer telemetry.Active().Start("core.OverlappedSweep").End()
 	tasks, err := enumerateOverlapped(hs, slbs, tp)
 	if err != nil {
 		return nil, err
 	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty overlapped sweep")
-	}
-	out, err := parallel.MapPartial(ctx, a.workers(), len(tasks),
-		func(ctx context.Context, i int) (OverlappedPoint, error) {
+	done, err := parallel.Collect(ctx, a.workers(), len(tasks),
+		func(_ context.Context, i int) (OverlappedPoint, error) {
 			t := tasks[i]
 			pct, err := a.OverlappedPercent(t.cfg, t.tp, evo)
 			if err != nil {
@@ -291,62 +281,11 @@ func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp in
 				H: t.h, SLB: t.sl, FlopVsBW: evo.FlopVsBW(), Percent: pct,
 			}, nil
 		})
-	if pe, ok := err.(*parallel.PartialError); ok {
-		for i, done := range pe.Completed {
-			if !done {
-				t := tasks[i]
-				out[i] = OverlappedPoint{
-					H: t.h, SLB: t.sl, FlopVsBW: evo.FlopVsBW(), Percent: math.NaN(),
-				}
-			}
-		}
-	}
-	return out, err
-}
-
-// OverlappedEvolutionGrid runs the Figure 13 study: the overlapped
-// sweep at every hardware-evolution scenario. Each scenario's ROIs
-// execute on its memoized substrate; results are ordered scenario-major,
-// each scenario's points in grid order.
-//
-//lint:ctxfacade non-Ctx compat shim; OverlappedEvolutionGridCtx is the cancelable variant
-func (a *Analyzer) OverlappedEvolutionGrid(hs, slbs []int, tp int, evos []hw.Evolution) ([][]OverlappedPoint, error) {
-	return a.OverlappedEvolutionGridCtx(context.Background(), hs, slbs, tp, evos)
-}
-
-// OverlappedEvolutionGridCtx is OverlappedEvolutionGrid with
-// cancellation: once ctx fires the grid stops claiming points and
-// returns ctx's error.
-func (a *Analyzer) OverlappedEvolutionGridCtx(ctx context.Context, hs, slbs []int, tp int, evos []hw.Evolution) ([][]OverlappedPoint, error) {
-	defer telemetry.Active().Start("core.OverlappedEvolutionGrid").End()
-	if len(evos) == 0 {
-		return nil, fmt.Errorf("core: no evolution scenarios")
-	}
-	tasks, err := enumerateOverlapped(hs, slbs, tp)
-	if err != nil {
-		return nil, err
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("core: empty overlapped sweep")
-	}
-	flat, err := parallel.MapCtx(ctx, a.workers(), len(evos)*len(tasks), func(_ context.Context, i int) (OverlappedPoint, error) {
-		evo, t := evos[i/len(tasks)], tasks[i%len(tasks)]
-		pct, err := a.OverlappedPercent(t.cfg, t.tp, evo)
-		if err != nil {
-			return OverlappedPoint{}, err
-		}
+	return backfill(done, len(tasks), err, func(i int) OverlappedPoint {
 		return OverlappedPoint{
-			H: t.h, SLB: t.sl, FlopVsBW: evo.FlopVsBW(), Percent: pct,
-		}, nil
+			H: tasks[i].h, SLB: tasks[i].sl, FlopVsBW: evo.FlopVsBW(), Percent: math.NaN(),
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]OverlappedPoint, len(evos))
-	for i := range evos {
-		out[i] = flat[i*len(tasks) : (i+1)*len(tasks)]
-	}
-	return out, nil
 }
 
 // SweepConfigCount returns the number of distinct (H, SL, TP) projections

@@ -2,9 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"testing"
+	"time"
 
 	"twocs/internal/hw"
+	"twocs/internal/parallel"
 	"twocs/internal/telemetry"
 )
 
@@ -14,7 +18,7 @@ func telemetryTestGrid() (hs, slbs []int) {
 	return []int{1024, 2048, 4096, 8192}, []int{1024, 2048, 4096}
 }
 
-// collectSweepTelemetry runs one OverlappedSweep under a fresh
+// collectSweepTelemetry runs one OverlappedSweepCtx under a fresh
 // collector and returns the rendered deterministic snapshot.
 func collectSweepTelemetry(t *testing.T, a *Analyzer, workers int) string {
 	t.Helper()
@@ -23,7 +27,7 @@ func collectSweepTelemetry(t *testing.T, a *Analyzer, workers int) string {
 	telemetry.Enable(col)
 	defer telemetry.Enable(nil)
 	a.Workers = workers
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -34,7 +38,7 @@ func collectSweepTelemetry(t *testing.T, a *Analyzer, workers int) string {
 }
 
 // TestTelemetrySnapshotWorkerCountInvariant is the ISSUE's concurrency
-// gate: a real OverlappedSweep at -workers 4 with telemetry enabled
+// gate: a real OverlappedSweepCtx at -workers 4 with telemetry enabled
 // must produce a deterministic metrics snapshot byte-identical to the
 // sequential run's — cache hit counts, ledger charges and
 // simulated-duration histograms may not depend on scheduling. Run
@@ -46,7 +50,7 @@ func TestTelemetrySnapshotWorkerCountInvariant(t *testing.T) {
 	// cache without telemetry, so both measured runs see identical cache
 	// state (the op-graph cache is shared across tests in this binary).
 	hs, slbs := telemetryTestGrid()
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -58,7 +62,7 @@ func TestTelemetrySnapshotWorkerCountInvariant(t *testing.T) {
 	for _, want := range []string{
 		"core.substrate.hit", "model.opscache.hit",
 		"profile.ledger.charge", "dist.op.dp-allreduce.sim_ns",
-		"parallel.map.calls",
+		"parallel.stream.calls",
 	} {
 		if !bytes.Contains([]byte(seq), []byte(want)) {
 			t.Errorf("deterministic snapshot missing %q:\n%s", want, seq)
@@ -74,10 +78,42 @@ func TestTelemetryDisabledSweepIsUninstrumented(t *testing.T) {
 	telemetry.Enable(nil)
 	a := newAnalyzer(t)
 	hs, slbs := telemetryTestGrid()
-	if _, err := a.OverlappedSweep(hs, slbs, 16, hw.Identity()); err != nil {
+	if _, err := a.OverlappedSweepCtx(context.Background(), hs, slbs, 16, hw.Identity()); err != nil {
 		t.Fatal(err)
 	}
 	if tel := telemetry.Active(); tel != nil {
 		t.Fatal("no collector was enabled, but Active() is non-nil")
+	}
+}
+
+// TestCollectLeavesProgressAlone: the process-wide progress tracker
+// follows the one streamed sweep a process serves (twocsd always
+// installs one), so neither parallel.Collect nor a materialized study
+// on it may move the tracker. It is armed with rows, busy time and a
+// frozen clock, so any touch changes its snapshot.
+func TestCollectLeavesProgressAlone(t *testing.T) {
+	p := telemetry.NewProgress()
+	telemetry.EnableProgress(p)
+	defer telemetry.EnableProgress(nil)
+	p.Begin("sweep-stream", 10)
+	p.AddRows(3)
+	p.WorkerBusy(0, time.Millisecond)
+	p.Finish(false, "armed")
+	before := p.Snapshot()
+
+	a := newAnalyzer(t)
+	hs, sls, tps := smallGrid()
+	for _, w := range []int{1, 4} {
+		a.Workers = w
+		if _, err := parallel.Collect(context.Background(), w, 200,
+			func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.SerializedEvolutionGridCtx(context.Background(), hs, sls, tps, 1, hw.PaperScenarios()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := p.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a materialized run moved the progress tracker:\nbefore %+v\nafter  %+v", before, after)
 	}
 }

@@ -23,7 +23,7 @@ type ZooTimelineRow struct {
 	Frac1x, Frac2x, Frac4x float64
 }
 
-// ZooTimeline projects the serialized-communication share of every zoo
+// ZooTimelineCtx projects the serialized-communication share of every zoo
 // model at its representative TP degree across the paper's hardware
 // scenarios — the "communication's share keeps growing" narrative
 // (Sections 1 and 8) as one table over real model history.
@@ -32,20 +32,14 @@ type ZooTimelineRow struct {
 // so each model is projected through its proportional stand-in from
 // FutureConfig, preserving H, SL, B and layer count. Models are
 // projected concurrently under Analyzer.Workers, in timeline order.
-//
-//lint:ctxfacade non-Ctx compat shim; ZooTimelineCtx is the cancelable variant
-func (a *Analyzer) ZooTimeline(entries []model.ZooEntry) ([]ZooTimelineRow, error) {
-	return a.ZooTimelineCtx(context.Background(), entries)
-}
-
-// ZooTimelineCtx is ZooTimeline with cancellation: once ctx fires the
-// study stops claiming models and returns ctx's error.
+// Once ctx fires the study stops claiming models and returns ctx's
+// error.
 func (a *Analyzer) ZooTimelineCtx(ctx context.Context, entries []model.ZooEntry) ([]ZooTimelineRow, error) {
 	defer telemetry.Active().Start("core.ZooTimeline").End()
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("core: no models")
 	}
-	return parallel.MapCtx(ctx, a.workers(), len(entries), func(_ context.Context, i int) (ZooTimelineRow, error) {
+	return strict(parallel.Collect(ctx, a.workers(), len(entries), func(_ context.Context, i int) (ZooTimelineRow, error) {
 		e := entries[i]
 		h := nearestPow2(e.Config.Hidden)
 		cfg, err := FutureConfig(h, e.Config.SeqLen, e.Batch)
@@ -73,7 +67,7 @@ func (a *Analyzer) ZooTimelineCtx(ctx context.Context, entries []model.ZooEntry)
 			*sc.dst = p.CommFraction()
 		}
 		return row, nil
-	})
+	}))
 }
 
 // nearestPow2 rounds to the nearest power of two (ties go up), keeping

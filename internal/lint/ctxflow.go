@@ -18,9 +18,9 @@ import (
 //     //lint:ctxfacade <reason>
 //
 //     The reason is mandatory — the annotation is an explicit allowlist
-//     entry, reviewed like code, not a blanket ignore. Facades exist
-//     for the internal/core compat shims and parallel.Map, whose
-//     callers predate the Ctx API.
+//     entry, reviewed like code, not a blanket ignore. The module
+//     itself needs none: every sweep and study takes its caller's
+//     context.
 //
 //   - DROP: a function that has a context parameter but passes a
 //     context-taking callee an argument containing no context value

@@ -80,7 +80,7 @@ type paramForward struct {
 // consume.
 type Summary struct {
 	// ShortName is a diagnostic-friendly name: "Program.RunReuse",
-	// "parallel.Map".
+	// "parallel.Collect".
 	ShortName string
 
 	// HasCtx reports a context.Context parameter; CtxParam is its

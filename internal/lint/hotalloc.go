@@ -13,8 +13,8 @@ import (
 //
 //	//lint:hotpath
 //
-// in its doc comment — sim.Program.RunReuse, the dist re-time path, the
-// stream Emit paths — must contain no allocating construct, and neither
+// in its doc comment — sim.Program.RunReuse and the stream Emit
+// paths — must contain no allocating construct, and neither
 // may anything in its static call-graph closure. The dynamic side of
 // the same contract is the ==0 allocs/op CI gate
 // (TestProgramReTimeAllocBound and friends); hotalloc is the static

@@ -11,7 +11,7 @@ import (
 // inside a closure handed to the parallel sweep engine — every worker
 // would replay its event loop over the same buffers. The analyzer flags
 // any use of a captured RunState variable inside a closure passed to
-// parallel.Map, MapCtx, or MapPartial (nested literals included). The
+// parallel.Collect (nested literals included). The
 // safe patterns are untouched: calling Program.Run (which draws from
 // the program's internal pool) or allocating with Program.NewState
 // inside the closure, and capturing the *sim.Program itself, which is
@@ -52,9 +52,7 @@ func runSimScratch(p *Pass) {
 			if fn == nil || fn.Pkg() == nil || !hasSuffixPath(fn.Pkg().Path(), parallelPathSuffix) {
 				return true
 			}
-			switch fn.Name() {
-			case "Map", "MapCtx", "MapPartial":
-			default:
+			if fn.Name() != "Collect" {
 				return true
 			}
 			if len(call.Args) == 0 {

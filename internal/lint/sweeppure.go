@@ -6,10 +6,10 @@ import (
 )
 
 // SweepPure enforces the purity contract of the parallel sweep engine:
-// a closure handed to parallel.Map, MapCtx, or MapPartial runs on many
-// goroutines at once, so it must communicate only through its return
-// value. The analyzer flags, anywhere inside such a closure
-// (nested literals included):
+// a closure handed to parallel.Collect runs on many goroutines at
+// once, so it must communicate only through its return value. The
+// analyzer flags, anywhere inside such a closure (nested literals
+// included):
 //
 //   - assignments, ++/--, and op= on variables captured from the
 //     enclosing scope (including named result parameters and
@@ -26,7 +26,7 @@ import (
 // //lint:ignore sweeppure and name the lock.
 var SweepPure = &Analyzer{
 	Name: "sweeppure",
-	Doc:  "flags closures passed to parallel.Map/MapCtx/MapPartial that mutate captured variables",
+	Doc:  "flags closures passed to parallel.Collect that mutate captured variables",
 	Run:  runSweepPure,
 }
 
@@ -43,9 +43,7 @@ func runSweepPure(p *Pass) {
 			if fn == nil || fn.Pkg() == nil || !hasSuffixPath(fn.Pkg().Path(), parallelPathSuffix) {
 				return true
 			}
-			switch fn.Name() {
-			case "Map", "MapCtx", "MapPartial":
-			default:
+			if fn.Name() != "Collect" {
 				return true
 			}
 			if len(call.Args) == 0 {

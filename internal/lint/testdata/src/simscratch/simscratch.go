@@ -13,23 +13,23 @@ import (
 
 // --- positives ---
 
-func sharedScratch(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
+func sharedScratch(ctx context.Context, p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
 	st := p.NewState()
-	return parallel.Map(0, n, func(i int) (*sim.Trace, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		return p.RunWith(st, durs, sim.Config{}) // want "captured sim.RunState"
 	})
 }
 
 func sharedScratchCtx(ctx context.Context, p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
 	st := p.NewState()
-	return parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		return p.RunWith(st, durs, sim.Config{}) // want "captured sim.RunState"
 	})
 }
 
-func sharedScratchNested(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
+func sharedScratchNested(ctx context.Context, p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
 	st := p.NewState()
-	return parallel.Map(0, n, func(i int) (*sim.Trace, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		run := func() (*sim.Trace, error) {
 			return p.RunWith(st, durs, sim.Config{}) // want "captured sim.RunState"
 		}
@@ -37,8 +37,8 @@ func sharedScratchNested(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Tr
 	})
 }
 
-func sharedScratchValue(p *sim.Program, st *sim.RunState, durs []units.Seconds, n int) ([]int, error) {
-	return parallel.Map(0, n, func(i int) (int, error) {
+func sharedScratchValue(ctx context.Context, p *sim.Program, st *sim.RunState, durs []units.Seconds, n int) ([]int, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		use := st // want "captured sim.RunState"
 		_ = use
 		return i, nil
@@ -48,16 +48,16 @@ func sharedScratchValue(p *sim.Program, st *sim.RunState, durs []units.Seconds, 
 // --- negatives ---
 
 // Pooled scratch: Program.Run draws per-call state internally.
-func pooledRun(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
-	return parallel.Map(0, n, func(i int) (*sim.Trace, error) {
+func pooledRun(ctx context.Context, p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		return p.Run(durs, sim.Config{})
 	})
 }
 
 // Per-worker scratch allocated inside the closure is the intended
 // re-time-loop pattern.
-func perTaskState(p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
-	return parallel.Map(0, n, func(i int) (*sim.Trace, error) {
+func perTaskState(ctx context.Context, p *sim.Program, durs []units.Seconds, n int) ([]*sim.Trace, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		st := p.NewState()
 		return p.RunWith(st, durs, sim.Config{})
 	})
@@ -70,8 +70,8 @@ func sequentialState(p *sim.Program, durs []units.Seconds) (*sim.Trace, error) {
 }
 
 // Suppressed with an explicit reason.
-func suppressed(p *sim.Program, st *sim.RunState, durs []units.Seconds, n int) ([]*sim.Trace, error) {
-	return parallel.Map(1, n, func(i int) (*sim.Trace, error) {
+func suppressed(ctx context.Context, p *sim.Program, st *sim.RunState, durs []units.Seconds, n int) ([]*sim.Trace, error) {
+	return parallel.Collect(ctx, 1, n, func(_ context.Context, i int) (*sim.Trace, error) {
 		//lint:ignore simscratch workers=1 pins the sweep to one goroutine here
 		return p.RunWith(st, durs, sim.Config{})
 	})

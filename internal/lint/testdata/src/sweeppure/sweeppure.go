@@ -1,6 +1,6 @@
 // Package sweeppure exercises the sweeppure analyzer against the real
-// twocs/internal/parallel engine: closures handed to Map, MapCtx, or
-// MapPartial must not mutate captured state.
+// twocs/internal/parallel engine: closures handed to Collect must not
+// mutate captured state.
 package sweeppure
 
 import (
@@ -11,27 +11,27 @@ import (
 
 // --- positives ---
 
-func sumRace(n int) (float64, error) {
+func sumRace(ctx context.Context, n int) (float64, error) {
 	var total float64
-	_, err := parallel.Map(0, n, func(i int) (float64, error) {
+	_, err := parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (float64, error) {
 		total += float64(i) // want "mutates captured variable"
 		return total, nil
 	})
 	return total, err
 }
 
-func mapWriteRace(n int) (map[int]bool, error) {
+func mapWriteRace(ctx context.Context, n int) (map[int]bool, error) {
 	seen := make(map[int]bool)
-	_, err := parallel.Map(0, n, func(i int) (int, error) {
+	_, err := parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		seen[i] = true // want "map write"
 		return i, nil
 	})
 	return seen, err
 }
 
-func counterRace(n int) ([]int, error) {
+func counterRace(ctx context.Context, n int) ([]int, error) {
 	count := 0
-	return parallel.Map(0, n, func(i int) (int, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		count++ // want "mutates captured variable"
 		return count, nil
 	})
@@ -39,7 +39,7 @@ func counterRace(n int) ([]int, error) {
 
 func ctxSumRace(ctx context.Context, n int) (float64, error) {
 	var total float64
-	_, err := parallel.MapCtx(ctx, 0, n, func(_ context.Context, i int) (float64, error) {
+	_, err := parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (float64, error) {
 		total += float64(i) // want "mutates captured variable"
 		return total, nil
 	})
@@ -48,7 +48,7 @@ func ctxSumRace(ctx context.Context, n int) (float64, error) {
 
 func partialCounterRace(ctx context.Context, n int) ([]int, error) {
 	count := 0
-	return parallel.MapPartial(ctx, 0, n, func(_ context.Context, i int) (int, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		count++ // want "mutates captured variable"
 		return count, nil
 	})
@@ -56,9 +56,9 @@ func partialCounterRace(ctx context.Context, n int) ([]int, error) {
 
 type tally struct{ hits int }
 
-func fieldWriteRace(n int) (*tally, error) {
+func fieldWriteRace(ctx context.Context, n int) (*tally, error) {
 	t := &tally{}
-	_, err := parallel.Map(0, n, func(i int) (int, error) {
+	_, err := parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		t.hits++ // want "write through field or pointer"
 		return i, nil
 	})
@@ -67,20 +67,20 @@ func fieldWriteRace(n int) (*tally, error) {
 
 // --- negatives ---
 
-func pureOK(xs []float64) ([]float64, error) {
-	return parallel.Map(0, len(xs), func(i int) (float64, error) {
+func pureOK(ctx context.Context, xs []float64) ([]float64, error) {
+	return parallel.Collect(ctx, 0, len(xs), func(_ context.Context, i int) (float64, error) {
 		return xs[i] * 2, nil
 	})
 }
 
 func ctxPureOK(ctx context.Context, xs []float64) ([]float64, error) {
-	return parallel.MapCtx(ctx, 0, len(xs), func(_ context.Context, i int) (float64, error) {
+	return parallel.Collect(ctx, 0, len(xs), func(_ context.Context, i int) (float64, error) {
 		return xs[i] * 2, nil
 	})
 }
 
-func localStateOK(n int) ([]int, error) {
-	return parallel.Map(0, n, func(i int) (int, error) {
+func localStateOK(ctx context.Context, n int) ([]int, error) {
+	return parallel.Collect(ctx, 0, n, func(_ context.Context, i int) (int, error) {
 		acc := 0
 		for j := 0; j < i; j++ {
 			acc += j
@@ -89,9 +89,9 @@ func localStateOK(n int) ([]int, error) {
 	})
 }
 
-func ignoredWithReason(n int) (int, error) {
+func ignoredWithReason(ctx context.Context, n int) (int, error) {
 	calls := 0
-	_, err := parallel.Map(1, n, func(i int) (int, error) {
+	_, err := parallel.Collect(ctx, 1, n, func(_ context.Context, i int) (int, error) {
 		//lint:ignore sweeppure single worker requested; fixture exercises suppression
 		calls++
 		return i, nil

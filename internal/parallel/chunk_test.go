@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestChunkSize(t *testing.T) {
@@ -29,17 +30,17 @@ func TestChunkSize(t *testing.T) {
 // evaluated exactly once and lands in its own slot.
 func TestMapChunkedCompleteCoverage(t *testing.T) {
 	for _, n := range []int{1, 63, 64, 65, 257, 1024} {
-		for _, workers := range []int{2, 4, 7} {
+		for _, workers := range []int{1, 2, 4, 7} {
 			var calls atomic.Int64
-			out, err := Map(workers, n, func(i int) (int, error) {
+			out, err := collect(workers, n, func(i int) (int, error) {
 				calls.Add(1)
 				return i * i, nil
 			})
 			if err != nil {
 				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 			}
-			if c := calls.Load(); c != int64(n) {
-				t.Fatalf("n=%d workers=%d: %d calls", n, workers, c)
+			if c := calls.Load(); c != int64(n) || len(out) != n {
+				t.Fatalf("n=%d workers=%d: %d calls, %d results", n, workers, c, len(out))
 			}
 			for i, v := range out {
 				if v != i*i {
@@ -51,14 +52,14 @@ func TestMapChunkedCompleteCoverage(t *testing.T) {
 }
 
 // TestMapChunkedLowestIndexAcrossChunks places a late failure so it is
-// observed (and the failed flag raised) before an earlier chunk's
+// observed (and the stop flag raised) before an earlier chunk's
 // failure runs. Because claimed chunks are visited to completion, the
 // earlier index must still win — the invariant chunking must preserve.
 func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
 	const n = 1024 // workers=2 -> chunk 64: indices 5 and 700 are claims apart
 	release := make(chan struct{})
 	var sawLate atomic.Bool
-	_, err := Map(2, n, func(i int) (int, error) {
+	out, err := collect(2, n, func(i int) (int, error) {
 		switch {
 		case i == 700:
 			// Fail fast and let the early chunk's worker proceed only
@@ -80,25 +81,58 @@ func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
 		}
 		return i, nil
 	})
-	if err == nil || err.Error() != "boom at 5" {
-		t.Fatalf("err = %v, want boom at 5", err)
+	if err == nil || err.Error() != "boom at 5" || len(out) != 5 {
+		t.Fatalf("(%d results, %v), want 5 and boom at 5", len(out), err)
 	}
 }
 
 // TestMapChunkedPanicIndex checks a panic mid-chunk is attributed to
 // its own index, not the chunk boundary.
 func TestMapChunkedPanicIndex(t *testing.T) {
-	_, err := Map(2, 1024, func(i int) (int, error) {
-		if i == 37 {
-			panic("kaboom")
+	bothPaths(t, func(t *testing.T, workers int) {
+		out, err := collect(workers, 1024, func(i int) (int, error) {
+			if i == 37 {
+				panic("kaboom")
+			}
+			return i, nil
+		})
+		pe, ok := err.(*PanicError)
+		if !ok {
+			t.Fatalf("err = %T (%v), want *PanicError", err, err)
 		}
-		return i, nil
+		if pe.Index != 37 || len(out) != 37 {
+			t.Fatalf("panic attributed to index %d with %d results, want 37", pe.Index, len(out))
+		}
 	})
-	pe, ok := err.(*PanicError)
-	if !ok {
-		t.Fatalf("err = %T (%v), want *PanicError", err, err)
-	}
-	if pe.Index != 37 {
-		t.Fatalf("panic attributed to index %d, want 37", pe.Index)
+}
+
+// TestCollectNoOrderWait pins what separates Collect from StreamCtx:
+// a worker never waits for a lower chunk to finish before claiming the
+// next one. Task 0 blocks until every other task has run, so a worker
+// that waited for its emission turn would deadlock. The grid is small
+// enough that every chunk is one index (chunkSize(12, 2) = 1).
+func TestCollectNoOrderWait(t *testing.T) {
+	const n = 12
+	var others atomic.Int64
+	allRan := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := collect(2, n, func(i int) (int, error) {
+			if i == 0 {
+				<-allRan
+			} else if others.Add(1) == n-1 {
+				close(allRan)
+			}
+			return i, nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Collect waited on task 0 before running the rest of the grid")
 	}
 }

@@ -15,7 +15,7 @@ func TestMapContainsPanicAsLowestIndexError(t *testing.T) {
 	// *PanicError naming the grid index, and the lowest-index guarantee
 	// must hold against both other panics and ordinary errors.
 	for _, workers := range []int{1, 2, 8} {
-		_, err := Map(workers, 64, func(i int) (int, error) {
+		_, err := collect(workers, 64, func(i int) (int, error) {
 			switch i {
 			case 9:
 				panic("boom")
@@ -51,162 +51,147 @@ func TestMapPanicEqualsSequential(t *testing.T) {
 		}
 		return i, nil
 	}
-	_, seqErr := Map(1, 50, fn)
+	_, seqErr := collect(1, 50, fn)
 	for _, workers := range []int{2, 4, 16} {
-		_, parErr := Map(workers, 50, fn)
+		_, parErr := collect(workers, 50, fn)
 		if seqErr == nil || parErr == nil || seqErr.Error() != parErr.Error() {
 			t.Fatalf("workers=%d: parallel %v != sequential %v", workers, parErr, seqErr)
 		}
 	}
 }
 
+// TestMapCtxCancellation: a mid-run cancel stops claiming and returns
+// ctx's error with a contiguous completed prefix; on one worker the
+// prefix ends exactly where the cancel landed.
 func TestMapCtxCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	bothPaths(t, func(t *testing.T, workers int) {
 		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
 		var calls atomic.Int64
 		const n = 10_000
-		out, err := MapCtx(ctx, workers, n, func(_ context.Context, i int) (int, error) {
+		out, err := Collect(ctx, workers, n, func(_ context.Context, i int) (int, error) {
 			if calls.Add(1) == 8 {
 				cancel()
 			}
-			return i, nil
+			return i * 3, nil
 		})
-		cancel()
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if out != nil {
-			t.Fatalf("workers=%d: strict mode returned results on cancel", workers)
+		if c := calls.Load(); c >= n || len(out) >= n {
+			t.Fatalf("cancellation did not stop claiming (%d calls, %d results)", c, len(out))
 		}
-		if c := calls.Load(); c >= n {
-			t.Fatalf("workers=%d: cancellation did not stop claiming (%d calls)", workers, c)
+		if workers == 1 && len(out) != 8 {
+			t.Fatalf("sequential cancel kept %d results, want 8", len(out))
 		}
-	}
+		for i, v := range out {
+			if v != i*3 {
+				t.Fatalf("prefix out[%d] = %d, want %d", i, v, i*3)
+			}
+		}
+	})
 }
 
 func TestMapCtxDeadline(t *testing.T) {
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	_, err := MapCtx(ctx, 2, 1_000_000, func(ctx context.Context, i int) (int, error) {
-		if i == 0 {
-			<-ctx.Done() // park until the deadline fires
+	bothPaths(t, func(t *testing.T, workers int) {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		out, err := Collect(ctx, workers, 1_000_000, func(ctx context.Context, i int) (int, error) {
+			// Park until the deadline fires. Parking tasks spread over the
+			// grid hold every worker, so no pool claims it all in time.
+			if i%1000 == 0 {
+				<-ctx.Done()
+			}
+			return i, nil
+		})
+		if !errors.Is(err, context.DeadlineExceeded) || len(out) == 1_000_000 {
+			t.Fatalf("(%d results, %v), want a partial prefix and context.DeadlineExceeded", len(out), err)
 		}
-		return i, nil
 	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
 }
 
 func TestMapCtxCompletesDespiteLateCancel(t *testing.T) {
 	// A context that fires after the last task completed is a success.
-	ctx, cancel := context.WithCancel(context.Background())
-	out, err := MapCtx(ctx, 4, 32, func(context.Context, int) (int, error) { return 7, nil })
-	cancel()
-	if err != nil || len(out) != 32 {
-		t.Fatalf("completed sweep reported (%d results, %v)", len(out), err)
-	}
+	bothPaths(t, func(t *testing.T, workers int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		out, err := Collect(ctx, workers, 32, func(context.Context, int) (int, error) { return 7, nil })
+		cancel()
+		if err != nil || len(out) != 32 {
+			t.Fatalf("completed sweep reported (%d results, %v)", len(out), err)
+		}
+	})
 }
 
 func TestMapPartialKeepsCompletedWork(t *testing.T) {
-	// Best-effort mode: a mid-grid failure keeps everything that
-	// finished and reports the rest through a structured PartialError.
-	for _, workers := range []int{1, 4} {
-		out, err := MapPartial(context.Background(), workers, 40,
-			func(_ context.Context, i int) (int, error) {
-				if i == 25 {
-					return 0, errors.New("bad point")
-				}
-				return i * 2, nil
-			})
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PartialError", workers, err)
-		}
-		if pe.Index != 25 || pe.Cause.Error() != "bad point" {
-			t.Fatalf("workers=%d: cause = (%d, %v)", workers, pe.Index, pe.Cause)
-		}
-		if len(out) != 40 || len(pe.Completed) != 40 {
-			t.Fatalf("workers=%d: lengths %d/%d, want 40", workers, len(out), len(pe.Completed))
-		}
-		// Every index below the failing one must be complete (the
-		// sequential-equivalence guarantee), and completed entries must
-		// hold their computed values.
-		done := 0
-		for i, ok := range pe.Completed {
-			if i < 25 && !ok {
-				t.Fatalf("workers=%d: index %d below failure not completed", workers, i)
+	// A mid-grid failure keeps the completed prefix — exactly the
+	// indices below the failing one, holding their computed values.
+	bothPaths(t, func(t *testing.T, workers int) {
+		out, err := collect(workers, 40, func(i int) (int, error) {
+			if i == 25 {
+				return 0, errors.New("bad point")
 			}
-			if ok {
-				done++
-				if out[i] != i*2 {
-					t.Fatalf("workers=%d: out[%d] = %d, want %d", workers, i, out[i], i*2)
-				}
+			return i * 2, nil
+		})
+		if err == nil || err.Error() != "bad point" || len(out) != 25 {
+			t.Fatalf("(%d results, %v), want 25 and bad point", len(out), err)
+		}
+		for i, v := range out {
+			if v != i*2 {
+				t.Fatalf("out[%d] = %d, want %d", i, v, i*2)
 			}
 		}
-		if pe.Completed[25] || done != pe.NumCompleted {
-			t.Fatalf("workers=%d: bitmap inconsistent (done=%d, NumCompleted=%d)",
-				workers, done, pe.NumCompleted)
-		}
-	}
+	})
 }
 
 func TestMapPartialCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // canceled before any task runs
-	out, err := MapPartial(ctx, 4, 16, func(_ context.Context, i int) (int, error) {
-		return i, nil
+	bothPaths(t, func(t *testing.T, workers int) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel() // canceled before any task runs
+		var calls atomic.Int64
+		out, err := Collect(ctx, workers, 16, func(_ context.Context, i int) (int, error) {
+			calls.Add(1)
+			return i, nil
+		})
+		if !errors.Is(err, context.Canceled) || len(out) != 0 || calls.Load() != 0 {
+			t.Fatalf("pre-canceled sweep: (%d results, %d calls, %v)", len(out), calls.Load(), err)
+		}
 	})
-	var pe *PartialError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PartialError", err)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("PartialError does not unwrap to context.Canceled: %v", err)
-	}
-	if pe.Index != -1 || pe.NumCompleted != 0 || len(out) != 16 {
-		t.Fatalf("pre-canceled sweep: index=%d done=%d len=%d", pe.Index, pe.NumCompleted, len(out))
-	}
 }
 
+// TestMapPartialPanicUnwraps: a best-effort grid's PartialError names
+// the completed prefix and unwraps to the contained panic.
 func TestMapPartialPanicUnwraps(t *testing.T) {
-	_, err := MapPartial(context.Background(), 2, 8, func(_ context.Context, i int) (int, error) {
-		if i == 3 {
-			panic("kaboom")
+	bothPaths(t, func(t *testing.T, workers int) {
+		out, cause := collect(workers, 8, func(i int) (int, error) {
+			if i == 3 {
+				panic("kaboom")
+			}
+			return i, nil
+		})
+		err := error(&PartialError{Cause: cause, Done: len(out)})
+		var pan *PanicError
+		if !errors.As(err, &pan) || pan.Index != 3 {
+			t.Fatalf("err = %v, want *PanicError at 3 through PartialError", err)
 		}
-		return i, nil
+		if want := "parallel: sweep incomplete (3 tasks done): parallel: task 3 panicked: kaboom"; err.Error() != want {
+			t.Fatalf("err = %q, want %q", err, want)
+		}
 	})
-	var pan *PanicError
-	if !errors.As(err, &pan) || pan.Index != 3 {
-		t.Fatalf("err = %v, want *PanicError at 3 through PartialError", err)
-	}
-	if got := Cause(err); got != pan {
-		t.Fatalf("Cause(%v) = %v, want the panic error", err, got)
-	}
 }
 
 func TestMapPartialCompleteRunHasNilError(t *testing.T) {
-	out, err := MapPartial(context.Background(), 4, 10,
-		func(_ context.Context, i int) (int, error) { return i, nil })
-	if err != nil || len(out) != 10 {
-		t.Fatalf("complete run: (%d, %v)", len(out), err)
-	}
+	bothPaths(t, func(t *testing.T, workers int) {
+		out, err := collect(workers, 10, func(i int) (int, error) { return i, nil })
+		if err != nil || len(out) != 10 {
+			t.Fatalf("complete run: (%d, %v)", len(out), err)
+		}
+	})
 }
 
 func TestMapPartialArgErrors(t *testing.T) {
-	if _, err := MapPartial[int](context.Background(), 2, -1, nil); err == nil {
+	if out, err := Collect[int](context.Background(), 2, -1, nil); err == nil || out != nil {
 		t.Fatal("invalid args accepted")
 	} else if _, ok := err.(*PartialError); ok {
 		t.Fatal("argument error wrapped as PartialError")
-	}
-}
-
-func TestCausePassesPlainErrors(t *testing.T) {
-	plain := errors.New("plain")
-	if Cause(plain) != plain {
-		t.Fatal("Cause rewrote a plain error")
-	}
-	if Cause(nil) != nil {
-		t.Fatal("Cause(nil) != nil")
 	}
 }

@@ -7,11 +7,15 @@
 // loop: outputs are ordered by grid index, and the reported error is
 // the one the sequential loop would have hit first.
 //
-// The engine is hardened for long production sweeps: a panicking task
-// is contained and reported as an error naming its grid index (the
-// process survives, see PanicError), sweeps can be canceled or
-// deadlined through a context (MapCtx), and best-effort runs keep the
-// work already done instead of discarding it (MapPartial).
+// One claim loop does the work; two front ends sit on it. Collect
+// writes every chunk straight into a result slice and returns the
+// completed prefix; StreamCtx hands chunks to a caller's emit function
+// in index order, holding only O(workers × chunk) results. The engine
+// is hardened for long production sweeps: a panicking task is
+// contained and reported as an error naming its grid index (the
+// process survives, see PanicError), and a sweep can be canceled or
+// deadlined through its context, keeping the contiguous prefix it
+// completed.
 package parallel
 
 import (
@@ -21,7 +25,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"twocs/internal/telemetry"
 )
@@ -36,7 +39,7 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// checkArgs validates the shared Map/MapCtx/MapPartial arguments.
+// checkArgs validates the arguments Collect and StreamCtx share.
 func checkArgs(n int, fnNil bool) error {
 	if n < 0 {
 		return fmt.Errorf("parallel: negative task count %d", n)
@@ -47,49 +50,40 @@ func checkArgs(n int, fnNil bool) error {
 	return nil
 }
 
-// Map evaluates fn(0) .. fn(n-1) using at most Workers(workers)
+// Collect evaluates fn(0) .. fn(n-1) using at most Workers(workers)
 // goroutines and returns the results indexed like the inputs — the
-// output slice is deterministic regardless of worker count or
-// scheduling. fn must be safe for concurrent invocation when more than
-// one worker is requested.
+// output is deterministic regardless of worker count or scheduling. fn
+// must be safe for concurrent invocation when more than one worker is
+// requested.
 //
-// Error semantics match the sequential loop: on failure Map returns the
-// error of the lowest failing index. A task that panics does not kill
-// the process; the panic is contained and reported as a *PanicError at
-// that task's index, competing for lowest-index like any other error.
-// The first observed failure cancels the sweep — no new chunks are
-// claimed — but already-claimed chunks run to completion (or to their
-// own, lower-index error), which is what makes the lowest-index
-// guarantee hold: chunks are claimed monotonically, so every index
-// below a failing one is either complete or inside a claimed chunk
-// whose worker will still visit it when the failure is recorded.
+// A run that stops early returns the longest completed prefix
+// out[:k] and the cause: the lowest-index task error (a panic is
+// contained as a *PanicError at its index), else ctx's error. Every
+// index below the cause is complete, exactly as in the sequential
+// loop. Cancellation stops new chunk claims and already-claimed chunks
+// finish, so the prefix covers every claimed chunk; on one worker it
+// stops at the next index. A context that fires only after every task
+// completed is a success. Argument errors (negative n, nil fn) return
+// no results.
 //
-//lint:ctxfacade non-Ctx compat entry point; callers without a context use MapCtx to get cancellation
-func Map[T any](workers, n int, fn func(int) (T, error)) ([]T, error) {
+// Each worker claims the next chunk as soon as it finishes one, never
+// waiting on another worker: a skewed chunk delays only itself.
+func Collect[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, error) {
 	if err := checkArgs(n, fn == nil); err != nil {
 		return nil, err
 	}
-	out, oc := mapEngine(context.Background(), workers, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) })
-	if oc.cause != nil {
-		return nil, oc.cause
+	if n == 0 {
+		return nil, nil
 	}
-	return out, nil
-}
-
-// outcome is what one engine run observed beyond the result slice.
-type outcome struct {
-	// completed[i] reports task i finished successfully; nDone counts
-	// the true entries.
-	completed []bool
-	nDone     int
-	// cause is nil when all n tasks completed; otherwise the
-	// lowest-index task error (possibly a *PanicError) or, when no task
-	// failed, the context's error.
-	cause error
-	// causeIdx is the grid index of a task-error cause, -1 when the
-	// cause is the context's (or there is none).
-	causeIdx int
+	workers = min(Workers(workers), n)
+	out := make([]T, n)
+	// Collect leaves the process-wide progress tracker alone: it tracks
+	// the one streamed sweep a daemon is serving, which a concurrent
+	// study must not move.
+	done, err := run(ctx, workers, n, chunkSize(n, workers), out, nil, fn,
+		func(int, int, []T, error) bool { return true })
+	telemetry.Active().Count("parallel.stream.rows", int64(done))
+	return out[:done], err
 }
 
 // runTask invokes fn(ctx, i) with panic containment: a panicking task
@@ -106,15 +100,15 @@ func runTask[T any](ctx context.Context, fn func(context.Context, int) (T, error
 }
 
 // chunkSize picks how many consecutive indices one claim hands a
-// worker. Fine-grained grids (an evolution grid point is a few map
-// loads and some arithmetic) spend a measurable share of their wall
-// time on claim traffic when every task is its own atomic increment;
-// batching amortizes that to one claim per chunk. The size is derived
-// only from n and workers — never from timing — so the dispatch
-// pattern, and with it every observable result, stays deterministic.
-// The cap keeps the tail balanced when task costs are skewed, and
-// 4 chunks per worker bounds the idle tail at ~1/4 of one worker's
-// share.
+// Collect worker. Fine-grained grids (an evolution grid point is a few
+// map loads and some arithmetic) spend a measurable share of their
+// wall time on claim traffic when every task is its own atomic
+// increment; batching amortizes that to one claim per chunk. The size
+// is derived only from n and workers — never from timing — so the
+// dispatch pattern, and with it every observable result, stays
+// deterministic. The cap keeps the tail balanced when task costs are
+// skewed, and 4 chunks per worker bounds the idle tail at ~1/4 of one
+// worker's share.
 func chunkSize(n, workers int) int {
 	c := n / (workers * 4)
 	if c < 1 {
@@ -126,151 +120,132 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
-// mapEngine is the shared sweep core behind Map, MapCtx and MapPartial:
-// monotonic chunked index claiming over a bounded pool, panic
-// containment per task, lowest-index error selection, and cooperative
-// cancellation (no new chunk is claimed once ctx is done or a task has
-// failed; a claimed chunk always runs to completion or to its own
-// error, preserving the lowest-index guarantee). out[i] is only
-// meaningful where completed[i] is true.
-func mapEngine[T any](ctx context.Context, workers, n int, fn func(context.Context, int) (T, error)) ([]T, outcome) {
-	oc := outcome{causeIdx: -1}
-	if n == 0 {
-		return nil, oc
-	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+// run is the one claim loop behind Collect and StreamCtx. Workers
+// claim chunks of chunk consecutive indices from a monotone counter.
+// With out non-nil, chunk [lo, hi)'s results are written straight to
+// out[lo:hi]; otherwise each worker fills one buffer of its own, reused
+// chunk after chunk. After every claimed chunk, done(w, c, vals, err)
+// receives what chunk c produced — all its results, or the prefix
+// before the error err that stopped it — and returns false to stop the
+// run.
+//
+// A task error (panics contained per task) stops new claims at once.
+// A pool consults ctx per claim, so its claimed chunk always runs to
+// completion or to its own error; chunks are claimed monotonically, so
+// every index below the lowest failing one is complete. One worker
+// runs on the caller's goroutine and consults ctx before every task,
+// stopping at the next index.
+//
+// run returns the length k of the completed prefix and the cause that
+// stopped it: the lowest-index task error, else ctx's error when k < n,
+// else nil. A run stopped by done reports no cause of its own. pr
+// receives each worker's busy time; a nil pr records nothing.
+func run[T any](ctx context.Context, workers, n, chunk int, out []T, pr *telemetry.Progress,
+	fn func(context.Context, int) (T, error),
+	done func(w, c int, vals []T, err error) bool) (int, error) {
+	nChunks := (n + chunk - 1) / chunk
+	workers = min(workers, nChunks)
 	// Self-telemetry: when a collector is active, every worker gets its
-	// own trace lane carrying one span per task, so a -trace export
-	// shows exactly how the grid was scheduled; counters and the
-	// utilization gauge summarize the same picture. With telemetry
-	// disabled (tel == nil) each hook below is a nil-receiver no-op
-	// that performs no allocation — the sweep hot path stays free.
+	// own trace lane carrying one span per chunk, so a -trace export
+	// shows how the grid was scheduled at a cost that does not grow
+	// per row. With telemetry disabled (tel == nil) each hook below is
+	// a nil-receiver no-op that performs no allocation.
 	tel := telemetry.Active()
-	tel.Count("parallel.map.calls", 1)
-	tel.Count("parallel.map.tasks", int64(n))
-	out := make([]T, n)
-	oc.completed = make([]bool, n)
-	if workers == 1 {
-		lane := tel.Lane("sweep-worker 0")
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				tel.Count("parallel.map.canceled", 1)
-				oc.cause = err
-				return out, oc
-			}
-			sp := lane.StartIndexed("task", i)
-			v, err := runTask(ctx, fn, i)
-			tel.Observe("parallel.task.wall_ns", int64(sp.End()))
-			if err != nil {
-				oc.cause, oc.causeIdx = err, i
-				return out, oc
-			}
-			out[i] = v
-			oc.completed[i] = true
-			oc.nDone++
+	tel.Count("parallel.stream.calls", 1)
+	tel.Count("parallel.stream.tasks", int64(n))
+	pr.SetWorkers(workers)
+
+	// The claim state the workers share, one allocation.
+	var st struct {
+		next    atomic.Int64
+		stopped atomic.Bool
+		wg      sync.WaitGroup
+
+		mu     sync.Mutex
+		err    error // lowest-index stop, guarded by mu
+		errIdx int   // its index, n when none; guarded by mu
+	}
+	st.errIdx = n
+	work := func(w int) {
+		var lane telemetry.Lane
+		if tel != nil {
+			lane = tel.Lane("stream-worker " + strconv.Itoa(w))
 		}
-		return out, oc
-	}
-
-	chunk := chunkSize(n, workers)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		nDone  atomic.Int64
-		wg     sync.WaitGroup
-
-		mu          sync.Mutex
-		firstErr    error
-		firstErrIdx = n
-
-		mapStart  time.Time
-		busyTotal atomic.Int64
-	)
-	if tel != nil {
-		mapStart = time.Now()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lane telemetry.Lane
-			var workerStart time.Time
-			if tel != nil {
-				lane = tel.Lane("sweep-worker " + strconv.Itoa(w))
-				workerStart = time.Now()
+		var buf []T
+		if out == nil {
+			buf = make([]T, chunk)
+		}
+		for !st.stopped.Load() {
+			// A pool consults ctx per claim, one worker per task.
+			if workers > 1 && ctx.Err() != nil {
+				return
 			}
-			var busy int64
-			defer func() {
-				if tel == nil {
-					return
-				}
-				busyTotal.Add(busy)
-				tel.Observe("parallel.worker.busy.wall_ns", busy)
-				// Queue wait: the worker's non-task time — claim
-				// overhead plus any tail idling after its last task.
-				tel.Observe("parallel.worker.queuewait.wall_ns",
-					int64(time.Since(workerStart))-busy)
-			}()
-			for {
-				// failed/ctx are consulted per chunk, not per task: a
-				// claimed chunk must be visited fully (or up to the
-				// worker's own error) for the lowest-index guarantee.
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				lo := int(next.Add(int64(chunk))) - chunk
-				if lo >= n {
-					return
-				}
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				done := 0
-				for i := lo; i < hi; i++ {
-					sp := lane.StartIndexed("task", i)
-					v, err := runTask(ctx, fn, i)
-					d := sp.End()
-					busy += int64(d)
-					tel.Observe("parallel.task.wall_ns", int64(d))
-					if err != nil {
-						mu.Lock()
-						if i < firstErrIdx {
-							firstErrIdx, firstErr = i, err
-						}
-						mu.Unlock()
-						failed.Store(true)
-						nDone.Add(int64(done))
-						return
+			c := int(st.next.Add(1)) - 1
+			if c >= nChunks {
+				return
+			}
+			lo := c * chunk
+			hi := min(lo+chunk, n)
+			var vals []T
+			if out != nil {
+				vals = out[lo:hi]
+			} else {
+				vals = buf[:hi-lo]
+			}
+			sp := lane.StartIndexed("chunk", c)
+			var err error
+			k := 0
+			for ; k < len(vals); k++ {
+				if workers == 1 {
+					if err = ctx.Err(); err != nil {
+						break
 					}
-					out[i] = v
-					oc.completed[i] = true
-					done++
 				}
-				nDone.Add(int64(done))
+				if vals[k], err = runTask(ctx, fn, lo+k); err != nil {
+					break
+				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	oc.nDone = int(nDone.Load())
-	if tel != nil {
-		if wall := int64(time.Since(mapStart)) * int64(workers); wall > 0 {
-			tel.SetGauge("parallel.worker.utilization",
-				float64(busyTotal.Load())/float64(wall))
+			if err != nil {
+				st.mu.Lock()
+				if lo+k < st.errIdx {
+					st.errIdx, st.err = lo+k, err
+				}
+				st.mu.Unlock()
+				st.stopped.Store(true)
+			}
+			pr.WorkerBusy(w, endChunk(tel, sp))
+			if !done(w, c, vals[:k], err) {
+				st.stopped.Store(true)
+				return
+			}
 		}
 	}
-	switch {
-	case firstErr != nil:
-		// A task error wins over a concurrent cancellation: it is
-		// deterministic with respect to the work that actually ran,
-		// where the cancellation's timing is not.
-		oc.cause, oc.causeIdx = firstErr, firstErrIdx
-	case ctx.Err() != nil && oc.nDone < n:
-		tel.Count("parallel.map.canceled", 1)
-		oc.cause = ctx.Err()
+	if workers == 1 {
+		work(0)
+	} else {
+		for w := 0; w < workers; w++ {
+			st.wg.Add(1)
+			go func(w int) {
+				defer st.wg.Done()
+				work(w)
+			}(w)
+		}
+		st.wg.Wait()
 	}
-	return out, oc
+
+	// A task error wins over a concurrent cancellation: it is
+	// deterministic with respect to the work that actually ran, where
+	// the cancellation's timing is not. Without one, every claimed
+	// chunk ran to completion, and the claimed chunks are [0, claimed).
+	k, cause := st.errIdx, st.err
+	if cause == nil {
+		k = min(int(st.next.Load())*chunk, n)
+		if k < n {
+			cause = ctx.Err()
+		}
+	}
+	if cause != nil && cause == ctx.Err() {
+		tel.Count("parallel.stream.canceled", 1)
+	}
+	return k, cause
 }

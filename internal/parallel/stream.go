@@ -3,23 +3,20 @@ package parallel
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"twocs/internal/telemetry"
 )
 
-// This file is the streaming side of the sweep engine. The grid studies
-// built on Map/MapCtx materialize a full result slice — fine for a
-// hundreds-point figure, the memory ceiling for a 10⁶-10⁷ point
-// design-space search. StreamCtx keeps the engine's contracts (index
-// order, sequential-equivalent errors, panic attribution, cooperative
-// cancellation) while holding only O(workers × chunk) results in
-// memory: workers claim fixed chunks, fill a per-worker buffer, and
-// hand completed chunks to the caller's emit function in strict index
-// order.
+// This file is the streaming front end of the sweep engine. Collect
+// materializes a full result slice — fine for a hundreds-point figure,
+// the memory ceiling for a 10⁶-10⁷ point design-space search. StreamCtx
+// runs the same claim loop (index order, sequential-equivalent errors,
+// panic attribution, cooperative cancellation) while holding only
+// O(workers × chunk) results in memory: workers fill a per-worker
+// buffer per chunk and hand completed chunks to the caller's emit
+// function in strict index order.
 
 // DefaultStreamChunk is the chunk size StreamCtx uses when the caller
 // passes chunk <= 0: large enough to amortize claim and emission-turn
@@ -38,14 +35,15 @@ const DefaultStreamChunk = 512
 // 10⁶-point grid stream through a fixed-size window. The emitted byte
 // stream is identical to the sequential loop's at any worker count.
 //
-// Error semantics are sequential-equivalent, like Map: every row before
-// the failing index is emitted, no row at or after it is, and the
-// returned error is the lowest-index task error (panics contained as
-// *PanicError). An emit error aborts the stream and is returned as-is.
-// Cancellation stops new chunk claims; already-claimed chunks complete
-// and are emitted (the sequential path stops at the next index), then
-// ctx's error is returned. A context that fires only after every chunk
-// was emitted is a success.
+// Error semantics are sequential-equivalent, like Collect: every row
+// before the failing index is emitted, no row at or after it is, and
+// the returned error is the lowest-index task error (panics contained
+// as *PanicError). An emit error aborts the stream and is returned
+// as-is. Cancellation stops new chunk claims; already-claimed chunks
+// complete and are emitted (the sequential path stops at the next
+// index), then ctx's error is returned. A context that fires only after
+// every chunk was emitted is a success. The active progress tracker, if
+// any, follows the emitted rows.
 func StreamCtx[T any](ctx context.Context, workers, n, chunk int, fn func(context.Context, int) (T, error), emit func(lo int, vals []T) error) error {
 	if err := checkArgs(n, fn == nil); err != nil {
 		return err
@@ -60,147 +58,42 @@ func StreamCtx[T any](ctx context.Context, workers, n, chunk int, fn func(contex
 		return nil
 	}
 	workers = Workers(workers)
-	nChunks := (n + chunk - 1) / chunk
-	if workers > nChunks {
-		workers = nChunks
-	}
 	tel := telemetry.Active()
-	tel.Count("parallel.stream.calls", 1)
-	tel.Count("parallel.stream.tasks", int64(n))
 	// Live progress: when a tracker is active, every emitted chunk
 	// advances the rows/chunks tallies and each worker reports the wall
 	// time it spent inside tasks — the /progress endpoint's raw
 	// material. A nil tracker makes each hook a no-op that performs no
 	// allocation, like the telemetry collector.
 	pr := telemetry.ActiveProgress()
-	pr.SetWorkers(workers)
-
-	if workers == 1 {
-		lane := tel.Lane("stream-worker 0")
-		buf := make([]T, 0, chunk)
-		for lo := 0; lo < n; lo += chunk {
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			buf = buf[:0]
-			sp := lane.StartIndexed("chunk", lo/chunk)
-			for i := lo; i < hi; i++ {
-				if err := ctx.Err(); err != nil {
-					tel.Count("parallel.stream.canceled", 1)
-					pr.WorkerBusy(0, endChunk(tel, sp))
-					return flushPrefix(tel, emit, lo, buf, err)
-				}
-				v, err := runTask(ctx, fn, i)
-				if err != nil {
-					pr.WorkerBusy(0, endChunk(tel, sp))
-					return flushPrefix(tel, emit, lo, buf, err)
-				}
-				buf = append(buf, v)
-			}
-			busy := endChunk(tel, sp)
-			tel.Count("parallel.stream.rows", int64(len(buf)))
-			if err := emit(lo, buf); err != nil {
-				return err
-			}
-			pr.AddRows(int64(len(buf)))
-			pr.ChunkDone()
-			pr.WorkerBusy(0, busy)
-		}
-		return nil
-	}
-
-	var (
-		nextChunk atomic.Int64
-		failed    atomic.Bool
-		wg        sync.WaitGroup
-	)
 	turns := newSequencer()
-
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var lane telemetry.Lane
-			if tel != nil {
-				lane = tel.Lane("stream-worker " + strconv.Itoa(w))
-			}
-			buf := make([]T, 0, chunk)
-			for {
-				// Consulted per chunk, not per task: a claimed chunk is
-				// visited fully (or to its own error) so the emission
-				// turns below always line up with the claim order.
-				if failed.Load() || ctx.Err() != nil {
-					return
-				}
-				c := int(nextChunk.Add(1)) - 1
-				if c >= nChunks {
-					return
-				}
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				buf = buf[:0]
-				sp := lane.StartIndexed("chunk", c)
-				var taskErr error
-				for i := lo; i < hi; i++ {
-					v, err := runTask(ctx, fn, i)
-					if err != nil {
-						taskErr = err
-						// Stop new claims promptly; this chunk still
-						// takes its emission turn below so the rows
-						// before the failure reach the sink.
-						failed.Store(true)
-						break
+	_, cause := run(ctx, workers, n, chunk, nil, pr, fn,
+		func(_, c int, vals []T, taskErr error) bool {
+			// Take chunk c's emission turn. Chunks are claimed
+			// monotonically and every claimed chunk reaches this
+			// call, so the wait cannot starve; the emission-order-
+			// first error is the lowest-index error because chunk
+			// order is row order. A failed chunk still emits the rows
+			// before its failure.
+			wait, ok := turns.Do(c, func() error {
+				if len(vals) > 0 {
+					if err := emit(c*chunk, vals); err != nil {
+						return err
 					}
-					buf = append(buf, v)
+					tel.Count("parallel.stream.rows", int64(len(vals)))
+					pr.AddRows(int64(len(vals)))
 				}
-				pr.WorkerBusy(w, endChunk(tel, sp))
-
-				// Take this chunk's emission turn. Chunks are claimed
-				// monotonically, so every chunk below c is claimed and
-				// will pass through here — the wait cannot starve. The
-				// emission-order-first error is the lowest-index error
-				// because chunk index order is row index order.
-				wait, ok := turns.Do(c, func() error {
-					var emitErr error
-					if len(buf) > 0 {
-						emitErr = emit(lo, buf)
-						tel.Count("parallel.stream.rows", int64(len(buf)))
-						if emitErr == nil {
-							pr.AddRows(int64(len(buf)))
-						}
-					}
-					if emitErr != nil {
-						failed.Store(true)
-						return emitErr
-					}
-					if taskErr != nil {
-						return taskErr
-					}
+				if taskErr == nil {
 					pr.ChunkDone()
-					return nil
-				})
-				if tel != nil {
-					tel.Observe("parallel.stream.emitwait.wall_ns", int64(wait))
 				}
-				if !ok {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if streamErr := turns.Err(); streamErr != nil {
-		return streamErr
-	}
-	if err := ctx.Err(); err != nil && turns.Done() < nChunks {
-		tel.Count("parallel.stream.canceled", 1)
+				return taskErr
+			})
+			tel.Observe("parallel.stream.emitwait.wall_ns", int64(wait))
+			return ok
+		})
+	if err := turns.Err(); err != nil {
 		return err
 	}
-	return nil
+	return cause
 }
 
 // endChunk ends a chunk's span and records its wall time: the worker's
@@ -211,20 +104,6 @@ func endChunk(tel *telemetry.Collector, sp telemetry.Span) time.Duration {
 	d := sp.End()
 	tel.Observe("parallel.stream.chunk.wall_ns", int64(d))
 	return d
-}
-
-// flushPrefix emits the rows of a partially completed chunk before
-// returning the error that stopped it, preserving the every-row-before-
-// the-failure contract of the sequential loop.
-func flushPrefix[T any](tel *telemetry.Collector, emit func(int, []T) error, lo int, buf []T, cause error) error {
-	if len(buf) > 0 {
-		if err := emit(lo, buf); err != nil {
-			return err
-		}
-		tel.Count("parallel.stream.rows", int64(len(buf)))
-		telemetry.ActiveProgress().AddRows(int64(len(buf)))
-	}
-	return cause
 }
 
 // sequencer serializes concurrent producers into a strict turn order:

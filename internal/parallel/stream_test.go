@@ -1,12 +1,9 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -220,37 +217,7 @@ func TestStreamCtxChunkSpans(t *testing.T) {
 			}
 			want := (tc.n + chunk - 1) / chunk
 
-			var buf bytes.Buffer
-			if err := col.WriteChromeTrace(&buf); err != nil {
-				t.Fatal(err)
-			}
-			var events []struct {
-				Name string            `json:"name"`
-				Ph   string            `json:"ph"`
-				TID  int               `json:"tid"`
-				Args map[string]string `json:"args"`
-			}
-			if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-				t.Fatalf("trace is not valid JSON: %v", err)
-			}
-			lanes := make(map[int]string)
-			for _, e := range events {
-				if e.Ph == "M" && e.Name == "thread_name" {
-					lanes[e.TID] = e.Args["name"]
-				}
-			}
-			chunks, tasks := 0, 0
-			for _, e := range events {
-				if e.Ph != "X" || !strings.HasPrefix(lanes[e.TID], "stream-worker ") {
-					continue
-				}
-				switch {
-				case strings.HasPrefix(e.Name, "chunk "):
-					chunks++
-				case strings.HasPrefix(e.Name, "task "):
-					tasks++
-				}
-			}
+			_, chunks, tasks := traceChunks(t, col)
 			if chunks != want || tasks != 0 {
 				t.Errorf("w=%d n=%d c=%d: %d chunk spans and %d task spans on stream-worker lanes, want %d and 0",
 					workers, tc.n, tc.chunk, chunks, tasks, want)

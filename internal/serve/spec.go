@@ -10,7 +10,7 @@
 // decode strictly (unknown fields are errors), normalize to a canonical
 // form, and hash into a bounded LRU result cache; admission is a token
 // bucket plus an in-flight cap; every request runs under a deadline
-// threaded through the same MapCtx/StreamCtx machinery the CLI uses;
+// threaded through the same Collect/StreamCtx machinery the CLI uses;
 // and per-request spans/counters land in the process collector the
 // /metrics endpoints already serve.
 package serve

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -234,7 +235,7 @@ func TestProgramConcurrentRun(t *testing.T) {
 		}
 		sequential[i] = tr
 	}
-	concurrent, err := parallel.Map(8, len(points), func(i int) (*Trace, error) {
+	concurrent, err := parallel.Collect(context.Background(), 8, len(points), func(_ context.Context, i int) (*Trace, error) {
 		durs := p.Durations()
 		for j := range durs {
 			durs[j] *= units.Seconds(points[i])
@@ -242,7 +243,7 @@ func TestProgramConcurrentRun(t *testing.T) {
 		return p.Run(durs, cfg)
 	})
 	if err != nil {
-		t.Fatalf("parallel.Map: %v", err)
+		t.Fatalf("parallel.Collect: %v", err)
 	}
 	for i := range points {
 		requireSameTrace(t, sequential[i], concurrent[i])

@@ -1,6 +1,6 @@
 // Package telemetry is the analysis engine's self-observability layer:
 // where internal/sim traces the *simulated* cluster, this package
-// traces the tool itself — sweep-worker spans, cache hit rates, ledger
+// traces the tool itself — sweep-engine chunk spans, cache hit rates, ledger
 // charge events, operator-timing histograms — so every performance
 // claim about the engine can be measured rather than asserted (the
 // same bar the paper holds its own instrumentation to, §4.2/§4.3.8).

@@ -73,10 +73,10 @@ func TestSimNanos(t *testing.T) {
 func TestDeterministicFiltersWallAndGauges(t *testing.T) {
 	c := NewCollector()
 	c.Count("core.cache.hit", 4)
-	c.Count("parallel.worker.busy.wall_ns", 123)
+	c.Count("parallel.stream.emitwait.wall_ns", 123)
 	c.Observe("dist.op.gemm.sim_ns", 10)
-	c.Observe("parallel.task.wall_ns", 99)
-	c.SetGauge("parallel.worker.utilization", 0.8)
+	c.Observe("parallel.stream.chunk.wall_ns", 99)
+	c.SetGauge("test.utilization", 0.8)
 
 	d := c.Snapshot().Deterministic()
 	if len(d.Counters) != 1 || d.Counters[0].Name != "core.cache.hit" {
@@ -107,14 +107,14 @@ func TestWriteMetricsFormat(t *testing.T) {
 func TestSpansExportToChromeTrace(t *testing.T) {
 	c := NewCollector()
 	outer := c.Start("study")
-	lane := c.Lane("sweep-worker 0")
-	sp := lane.StartIndexed("task", 3)
+	lane := c.Lane("stream-worker 0")
+	sp := lane.StartIndexed("chunk", 3)
 	if d := sp.End(); d < 0 {
 		t.Fatalf("negative span duration %v", d)
 	}
 	outer.End()
 	// Lane dedup: same name must map to the same tid.
-	if again := c.Lane("sweep-worker 0"); again.tid != lane.tid {
+	if again := c.Lane("stream-worker 0"); again.tid != lane.tid {
 		t.Fatalf("lane not deduplicated: %d vs %d", again.tid, lane.tid)
 	}
 
@@ -131,7 +131,7 @@ func TestSpansExportToChromeTrace(t *testing.T) {
 		names = append(names, e["name"].(string))
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"process_name", "thread_name", "task 3", "study"} {
+	for _, want := range []string{"process_name", "thread_name", "chunk 3", "study"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("trace missing %q: %s", want, joined)
 		}
@@ -194,17 +194,17 @@ func TestNilCollectorIsSafe(t *testing.T) {
 }
 
 // TestDisabledSpanHotPathZeroAllocs is the ISSUE's hot-path guarantee:
-// with no active collector, the full per-task instrumentation sequence
+// with no active collector, the full per-chunk instrumentation sequence
 // of the sweep engine (lane lookup, indexed span, observation, count)
 // allocates nothing.
 func TestDisabledSpanHotPathZeroAllocs(t *testing.T) {
 	Enable(nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		tel := Active()
-		lane := tel.Lane("sweep-worker 0")
-		sp := lane.StartIndexed("task", 17)
-		tel.Observe("parallel.task.wall_ns", int64(sp.End()))
-		tel.Count("parallel.map.calls", 1)
+		lane := tel.Lane("stream-worker 0")
+		sp := lane.StartIndexed("chunk", 17)
+		tel.Observe("parallel.stream.chunk.wall_ns", int64(sp.End()))
+		tel.Count("parallel.stream.calls", 1)
 		root := tel.Start("study")
 		root.End()
 	})

@@ -45,7 +45,6 @@ go test -run '^$' -bench 'Sweep|EvolutionGrid' -benchmem -count="$count" . | tee
 go test -run '^$' -bench 'ProgramReTime|RunRebuild' -benchmem -count="$count" ./internal/sim | tee "$raw_sim" >&2
 go test -run '^$' -bench 'NDJSONEmit|ParetoEmit|TopKEmit|CalibrationSpin' -benchmem -count="$count" ./internal/stream | tee "$raw_stream" >&2
 go test -run '^$' -bench 'StreamCtx' -benchmem -count="$count" ./internal/parallel | tee -a "$raw_stream" >&2
-go test -run '^$' -bench 'ArenaReTime' -benchmem -count="$count" ./internal/dist | tee -a "$raw_stream" >&2
 
 # The grid benchmark belongs to both contracts: it is the sweep set's
 # heaviest member and the compiled-schedule layer's acceptance number.

@@ -58,12 +58,12 @@ type (
 	AlgRow = core.AlgRow
 )
 
-// Streaming sweep types. Analyzer.StreamSweepCtx and
-// Analyzer.StreamEvolutionGridCtx push one Row per grid point, in grid
-// order at any worker count, into a Sink — peak memory stays bounded at
-// any grid size, which is what makes 10⁶-10⁷-point design-space
-// searches practical. See the stream package docs for the ordering and
-// trailer contracts.
+// Streaming sweep types. Analyzer.StreamEvolutionGridCtx (and its
+// best-effort twin StreamEvolutionGridPartialCtx) push one Row per grid
+// point, in grid order at any worker count, into a Sink — peak memory
+// stays bounded at any grid size, which is what makes 10⁶-10⁷-point
+// design-space searches practical. See the stream package docs for the
+// ordering and trailer contracts.
 type (
 	// Row is one streamed grid point: coordinates plus the three
 	// search objectives (iteration time, comm fraction, memory).

@@ -160,8 +160,8 @@ func TestFacadeStreaming(t *testing.T) {
 	pareto := twocs.NewPareto()
 	marg := twocs.NewMarginals()
 	sink := twocs.MultiSink(twocs.NewNDJSON(&buf), top, pareto, marg)
-	err = a.StreamSweepCtx(context.Background(),
-		[]int{1024, 4096}, []int{1024, 2048}, []int{4, 16}, 1, twocs.FlopVsBW(4), sink)
+	err = a.StreamEvolutionGridCtx(context.Background(),
+		[]int{1024, 4096}, []int{1024, 2048}, []int{4, 16}, 1, []twocs.Evolution{twocs.FlopVsBW(4)}, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
