@@ -8,7 +8,7 @@
 //	detrange   no map-ordered iteration feeding deterministic output
 //	lockcheck  '// guarded by <mu>' fields accessed only under the lock,
 //	           interprocedurally through same-receiver helper methods
-//	sweeppure  no mutation of captured state in parallel.Collect closures
+//	sweeppure  no mutation of captured state in parallel.Collect/StreamCtx task closures
 //	simscratch no retention of simulator scratch state across runs
 //	hotalloc   //lint:hotpath functions and everything they transitively
 //	           call are provably allocation-free in steady state

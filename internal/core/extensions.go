@@ -82,12 +82,12 @@ func (a *Analyzer) ProjectInference(cfg model.Config, tp int, evo hw.Evolution) 
 	if err != nil {
 		return opmodel.IterationProjection{}, err
 	}
-	layers := float64(cfg.Layers)
+	compute, comm := lp.Scale(float64(cfg.Layers), evo)
 	return opmodel.IterationProjection{
 		Target:         cfg,
 		TP:             tp,
 		Evo:            evo,
-		Compute:        units.Seconds(float64(lp.Compute) * layers / evo.FlopScale),
-		SerializedComm: units.Seconds(float64(lp.SerializedComm) * layers / evo.NetScale),
+		Compute:        compute,
+		SerializedComm: comm,
 	}, nil
 }

@@ -8,7 +8,6 @@ import (
 
 	"twocs/internal/hw"
 	"twocs/internal/model"
-	"twocs/internal/opmodel"
 	"twocs/internal/parallel"
 	"twocs/internal/stream"
 	"twocs/internal/telemetry"
@@ -26,46 +25,31 @@ import (
 // prefix was delivered, and cancellation delivers the claimed prefix.
 // Either way the sink's Close carries a trailer saying what happened.
 
-// streamTask precomputes the per-task, evolution-independent pieces of
-// a stream row: the memory footprint and the enumerated coordinates.
-type streamTask struct {
-	serializedTask
-	mem units.Bytes
-}
-
-func enumerateStream(hs, sls, tps []int, b int) ([]streamTask, error) {
-	tasks, err := enumerateSerialized(hs, sls, tps, b)
-	if err != nil {
-		return nil, err
-	}
+// memFootprints returns each task's per-device memory footprint: the
+// evolution-independent third objective of a stream row.
+func memFootprints(tasks []serializedTask) ([]units.Bytes, error) {
 	memModel := model.DefaultMemoryModel()
-	out := make([]streamTask, len(tasks))
-	for i, t := range tasks {
-		mem, err := memModel.PerDevice(t.cfg, t.tp)
+	out := make([]units.Bytes, len(tasks))
+	for i := range tasks {
+		mem, err := memModel.PerDevice(tasks[i].cfg, tasks[i].tp)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = streamTask{serializedTask: t, mem: mem}
+		out[i] = mem
 	}
 	return out, nil
 }
 
-// streamRow is row g of the streamed grid, task t at batch b under
-// evo. Its objectives come from proj; a nil proj marks a point the
-// workers never computed, whose objectives are NaN.
-func streamRow(g int64, t streamTask, b int, evo hw.Evolution, proj *opmodel.IterationProjection) stream.Row {
-	r := stream.Row{
+// streamRow is row g of the streamed grid, task t at batch b under evo,
+// with objectives iter, frac and mem — NaN for a point the workers
+// never computed.
+func streamRow(g int64, t *serializedTask, b int, evo *hw.Evolution, iter units.Seconds, frac float64, mem units.Bytes) stream.Row {
+	return stream.Row{
 		Index: g,
 		Evo:   evo.Name, FlopVsBW: evo.FlopVsBW(),
 		H: t.h, SL: t.sl, B: b, TP: t.tp,
+		IterTime: iter, CommFrac: frac, MemBytes: mem,
 	}
-	if proj == nil {
-		nan := math.NaN()
-		r.IterTime, r.CommFrac, r.MemBytes = units.Seconds(nan), nan, units.Bytes(nan)
-		return r
-	}
-	r.IterTime, r.CommFrac, r.MemBytes = proj.Total(), proj.CommFraction(), t.mem
-	return r
 }
 
 // trailerReason renders a stream-ending error for the trailer row.
@@ -140,27 +124,35 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	if len(evos) == 0 {
 		return fmt.Errorf("core: no evolution scenarios")
 	}
-	tasks, err := enumerateStream(hs, sls, tps, b)
+	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		return err
 	}
-	total := int64(len(evos)) * int64(len(tasks))
+	mem, err := memFootprints(tasks)
+	if err != nil {
+		return err
+	}
+	nt := int64(len(tasks))
+	total := int64(len(evos)) * nt
 	// Live progress bracket: the active tracker (if any) learns the grid
 	// size up front and, after the sink's trailer is written, the same
 	// completion verdict the artifact carries — so /progress and the
 	// trailer tell one story, also for canceled or failed streams.
 	pr := telemetry.ActiveProgress()
 	pr.Begin("sweep-stream", total)
+	priced := a.priceTasks(ctx, tasks)
+	evoErrs := validateEvos(evos)
 	var rows int64
 	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total), 0,
 		func(_ context.Context, i int) (stream.Row, error) {
 			g := int64(i)
-			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]
-			proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
+			e, t := g/nt, g%nt
+			p, evo := &priced[t], &evos[e]
+			iter, frac, err := p.project(evo, evoErrs[e])
 			if err != nil {
 				return stream.Row{}, err
 			}
-			return streamRow(g, t, b, evo, &proj), nil
+			return streamRow(g, p.serializedTask, b, evo, iter, frac, mem[t]), nil
 		},
 		func(_ int, vals []stream.Row) error {
 			for _, r := range vals {
@@ -178,9 +170,10 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	// trailer — Close always runs.
 	var canceled int64
 	if partial && streamErr != nil {
+		nan := math.NaN()
 		for g := rows; g < total; g++ {
-			evo, t := evos[g/int64(len(tasks))], tasks[g%int64(len(tasks))]
-			if err := sink.Emit(streamRow(g, t, b, evo, nil)); err != nil {
+			r := streamRow(g, &tasks[g%nt], b, &evos[g/nt], units.Seconds(nan), nan, units.Bytes(nan))
+			if err := sink.Emit(r); err != nil {
 				break
 			}
 			rows++

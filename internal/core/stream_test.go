@@ -253,7 +253,7 @@ func TestStreamGridMillionPoints(t *testing.T) {
 	a := newAnalyzer(t)
 	hs, sls, tps := Table3Hs(), Table3SLs(), Table3TPs()
 	b := 1
-	tasks, err := enumerateStream(hs, sls, tps, b)
+	tasks, err := enumerateSerialized(hs, sls, tps, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,11 @@ import (
 
 	"twocs/internal/hw"
 	"twocs/internal/model"
+	"twocs/internal/opmodel"
 	"twocs/internal/parallel"
 	"twocs/internal/telemetry"
 	"twocs/internal/tensor"
+	"twocs/internal/units"
 )
 
 // This file encodes the paper's Table 3 sweep space and runs the
@@ -120,12 +122,79 @@ type SerializedPoint struct {
 // serializedPoint is grid task t at batch b under evo with serialized
 // fraction frac — NaN for a point a best-effort sweep never computed.
 // Every materialized serialized grid builds its points here.
-func serializedPoint(t serializedTask, b int, evo hw.Evolution, frac float64) SerializedPoint {
+func serializedPoint(t *serializedTask, b int, evo *hw.Evolution, frac float64) SerializedPoint {
 	return SerializedPoint{
 		H: t.h, SL: t.sl, B: b, TP: t.tp,
 		FlopVsBW: evo.FlopVsBW(),
 		Fraction: frac,
 	}
+}
+
+// pricedTask is a grid task, pointing into the grid's enumerated task
+// list, with its per-layer projection. A hardware scenario only
+// rescales that projection (LayerProjection.Scale), so a serialized
+// grid prices each task once and every (scenario, task) point costs
+// two multiplies. err is the pricing failure, reported at the first
+// point that uses the task.
+type pricedTask struct {
+	*serializedTask
+	layer opmodel.LayerProjection
+	err   error
+}
+
+// priceTasks prices every task of a serialized grid through the
+// memoized OpModel.ProjectLayer, spreading cold misses over the
+// analyzer's workers. Failures are kept per task, not returned, so each
+// surfaces where SerializedFraction would have raised it.
+//
+// Pricing is setup, not grid points: it stops once ctx is done but
+// never asks ctx.Err, leaving every Err poll to the grid's own claim
+// loop, so a cancel lands at the same point as when each point priced
+// itself. A stopped pricing (ctx, or a contained panic naming the task
+// index) marks the unpriced tasks with its cause; after a cancel the
+// grid, consulting the same done ctx, stops before using them.
+func (a *Analyzer) priceTasks(ctx context.Context, tasks []serializedTask) []pricedTask {
+	done := ctx.Done()
+	priced, cause := parallel.Collect(context.WithoutCancel(ctx), a.workers(), len(tasks),
+		func(_ context.Context, i int) (pricedTask, error) {
+			select {
+			case <-done:
+				return pricedTask{}, ctx.Err()
+			default:
+			}
+			t := &tasks[i]
+			layer, err := a.OpModel.ProjectLayer(t.cfg, t.tp)
+			return pricedTask{serializedTask: t, layer: layer, err: err}, nil
+		})
+	for i := len(priced); i < len(tasks); i++ {
+		priced = append(priced, pricedTask{serializedTask: &tasks[i], err: cause})
+	}
+	return priced
+}
+
+// validateEvos validates each scenario once per grid call; a failure
+// is reported at the scenario's first point.
+func validateEvos(evos []hw.Evolution) []error {
+	errs := make([]error, len(evos))
+	for i := range evos {
+		errs[i] = evos[i].Validate()
+	}
+	return errs
+}
+
+// project is task p under scenario evo, whose Validate error is evoErr:
+// SerializedFraction's checks in its order and its bits (Total and
+// CommFraction of the Scale'd split), without its memo lookup.
+func (p *pricedTask) project(evo *hw.Evolution, evoErr error) (iter units.Seconds, frac float64, err error) {
+	if evoErr != nil {
+		return 0, 0, evoErr
+	}
+	if p.err != nil {
+		return 0, 0, p.err
+	}
+	compute, comm := p.layer.Scale(float64(p.cfg.Layers), *evo)
+	iter = compute + comm
+	return iter, units.Ratio(float64(comm), float64(iter)), nil
 }
 
 // backfill completes a best-effort grid from the prefix the workers
@@ -172,28 +241,29 @@ func (a *Analyzer) SerializedSweepCtx(ctx context.Context, hs, sls, tps []int, b
 	if err != nil {
 		return nil, err
 	}
-	done, err := parallel.Collect(ctx, a.workers(), len(tasks),
+	priced := a.priceTasks(ctx, tasks)
+	evoErr := evo.Validate()
+	done, err := parallel.Collect(ctx, a.workers(), len(priced),
 		func(_ context.Context, i int) (SerializedPoint, error) {
-			t := tasks[i]
-			proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
+			p := &priced[i]
+			_, frac, err := p.project(&evo, evoErr)
 			if err != nil {
 				return SerializedPoint{}, err
 			}
-			return serializedPoint(t, b, evo, proj.CommFraction()), nil
+			return serializedPoint(p.serializedTask, b, &evo, frac), nil
 		})
 	return backfill(done, len(tasks), err, func(i int) SerializedPoint {
-		return serializedPoint(tasks[i], b, evo, math.NaN())
+		return serializedPoint(&tasks[i], b, &evo, math.NaN())
 	})
 }
 
 // SerializedEvolutionGridCtx runs the Figure 12 study: the full
-// serialized sweep at every hardware-evolution scenario, sharing one
-// memoized timer stack per scenario and one operator graph per
-// configuration shape across the whole (evolution × H × SL × TP)
-// space. Results are ordered scenario-major, each scenario's points in
-// grid order. Once ctx fires the grid stops claiming points and
-// returns ctx's error (strict — scenario slices are only meaningful
-// complete).
+// serialized sweep at every hardware-evolution scenario, pricing each
+// (H, SL, TP) task once and rescaling it per scenario across the whole
+// (evolution × H × SL × TP) space. Results are ordered scenario-major,
+// each scenario's points in grid order. Once ctx fires the grid stops
+// claiming points and returns ctx's error (strict — scenario slices
+// are only meaningful complete).
 func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution) ([][]SerializedPoint, error) {
 	defer telemetry.Active().Start("core.SerializedEvolutionGrid").End()
 	if len(evos) == 0 {
@@ -203,13 +273,15 @@ func (a *Analyzer) SerializedEvolutionGridCtx(ctx context.Context, hs, sls, tps 
 	if err != nil {
 		return nil, err
 	}
-	flat, err := parallel.Collect(ctx, a.workers(), len(evos)*len(tasks), func(_ context.Context, i int) (SerializedPoint, error) {
-		evo, t := evos[i/len(tasks)], tasks[i%len(tasks)]
-		proj, err := a.SerializedFraction(t.cfg, t.tp, evo)
+	priced := a.priceTasks(ctx, tasks)
+	evoErrs := validateEvos(evos)
+	flat, err := parallel.Collect(ctx, a.workers(), len(evos)*len(priced), func(_ context.Context, i int) (SerializedPoint, error) {
+		e, p := i/len(priced), &priced[i%len(priced)]
+		_, frac, err := p.project(&evos[e], evoErrs[e])
 		if err != nil {
 			return SerializedPoint{}, err
 		}
-		return serializedPoint(t, b, evo, proj.CommFraction()), nil
+		return serializedPoint(p.serializedTask, b, &evos[e], frac), nil
 	})
 	if err != nil {
 		return nil, err

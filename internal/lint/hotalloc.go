@@ -13,10 +13,10 @@ import (
 //
 //	//lint:hotpath
 //
-// in its doc comment — sim.Program.RunReuse and the stream Emit
-// paths — must contain no allocating construct, and neither
-// may anything in its static call-graph closure. The dynamic side of
-// the same contract is the ==0 allocs/op CI gate
+// in its doc comment — sim.Program.RunReuse, the stream Emit paths and
+// opmodel.LayerProjection.Scale — must contain no allocating construct,
+// and neither may anything in its static call-graph closure. The
+// dynamic side of the same contract is the ==0 allocs/op CI gate
 // (TestProgramReTimeAllocBound and friends); hotalloc is the static
 // proof that the bound holds by construction, not by benchmark luck.
 //

@@ -6,10 +6,12 @@ import (
 )
 
 // SweepPure enforces the purity contract of the parallel sweep engine:
-// a closure handed to parallel.Collect runs on many goroutines at
-// once, so it must communicate only through its return value. The
-// analyzer flags, anywhere inside such a closure (nested literals
-// included):
+// a task closure — the fn argument of parallel.Collect or
+// parallel.StreamCtx — runs on many goroutines at once, so it must
+// communicate only through its return value. StreamCtx's emit closure
+// is exempt: the engine serializes it, and accumulating there is its
+// job. The analyzer flags, anywhere inside a task closure (nested
+// literals included):
 //
 //   - assignments, ++/--, and op= on variables captured from the
 //     enclosing scope (including named result parameters and
@@ -26,7 +28,7 @@ import (
 // //lint:ignore sweeppure and name the lock.
 var SweepPure = &Analyzer{
 	Name: "sweeppure",
-	Doc:  "flags closures passed to parallel.Collect that mutate captured variables",
+	Doc:  "flags task closures passed to parallel.Collect or StreamCtx that mutate captured variables",
 	Run:  runSweepPure,
 }
 
@@ -43,13 +45,21 @@ func runSweepPure(p *Pass) {
 			if fn == nil || fn.Pkg() == nil || !hasSuffixPath(fn.Pkg().Path(), parallelPathSuffix) {
 				return true
 			}
-			if fn.Name() != "Collect" {
+			// The task closure is Collect's last argument and
+			// StreamCtx's last but one (emit follows it).
+			var arg int
+			switch fn.Name() {
+			case "Collect":
+				arg = len(call.Args) - 1
+			case "StreamCtx":
+				arg = len(call.Args) - 2
+			default:
 				return true
 			}
-			if len(call.Args) == 0 {
+			if arg < 0 {
 				return true
 			}
-			lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
+			lit, ok := unparen(call.Args[arg]).(*ast.FuncLit)
 			if !ok {
 				return true
 			}

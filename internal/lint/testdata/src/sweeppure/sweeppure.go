@@ -1,6 +1,7 @@
 // Package sweeppure exercises the sweeppure analyzer against the real
-// twocs/internal/parallel engine: closures handed to Collect must not
-// mutate captured state.
+// twocs/internal/parallel engine: task closures handed to Collect or
+// StreamCtx must not mutate captured state; StreamCtx's emit closure
+// may.
 package sweeppure
 
 import (
@@ -65,6 +66,17 @@ func fieldWriteRace(ctx context.Context, n int) (*tally, error) {
 	return t, err
 }
 
+func streamTaskRace(ctx context.Context, n int) (int, error) {
+	produced := 0
+	err := parallel.StreamCtx(ctx, 0, n, 0,
+		func(_ context.Context, i int) (int, error) {
+			produced++ // want "parallel.StreamCtx closure mutates captured variable"
+			return i, nil
+		},
+		func(int, []int) error { return nil })
+	return produced, err
+}
+
 // --- negatives ---
 
 func pureOK(ctx context.Context, xs []float64) ([]float64, error) {
@@ -97,4 +109,17 @@ func ignoredWithReason(ctx context.Context, n int) (int, error) {
 		return i, nil
 	})
 	return calls, err
+}
+
+func streamEmitAccumulatesOK(ctx context.Context, xs []float64) (float64, error) {
+	var total float64
+	err := parallel.StreamCtx(ctx, 0, len(xs), 0,
+		func(_ context.Context, i int) (float64, error) { return xs[i] * 2, nil },
+		func(_ int, vals []float64) error {
+			for _, v := range vals {
+				total += v
+			}
+			return nil
+		})
+	return total, err
 }

@@ -61,12 +61,13 @@ type Model struct {
 	latencyAwareAR bool
 
 	// projCache memoizes per-layer projections by (shape, tp, phase).
-	// An evolution grid projects each (H, SL, B, TP) point under every
-	// hardware scenario, but the scenario only rescales the layer sums
-	// (ProjectIteration) — the per-operator projection is scenario-
-	// independent, so it is computed once per shape and re-scaled many
-	// times. Guarded by the Model's immutability: calibration happens
-	// before first use.
+	// A hardware scenario only rescales the layer sums
+	// (LayerProjection.Scale) — the per-operator projection is
+	// scenario-independent — so the serialized grids look each shape up
+	// once per grid call and rescale it for every scenario, and the memo
+	// dedups those lookups across calls, requests and single-point
+	// projections. Guarded by the Model's immutability: calibration
+	// happens before first use.
 	projCache sync.Map // projKey -> LayerProjection
 }
 
@@ -303,6 +304,18 @@ type LayerProjection struct {
 	SerializedComm units.Seconds
 }
 
+// Scale projects layers such layers onto hardware evolved by evo:
+// compute accelerates by FlopScale while communication accelerates only
+// by NetScale (§4.3.6). evo must be valid. It is the one float formula
+// behind every whole-model projection, so a grid that prices a shape
+// once and rescales it per scenario gets ProjectIteration's bits.
+//
+//lint:hotpath
+func (lp LayerProjection) Scale(layers float64, evo hw.Evolution) (compute, comm units.Seconds) {
+	return units.Seconds(float64(lp.Compute) * layers / evo.FlopScale),
+		units.Seconds(float64(lp.SerializedComm) * layers / evo.NetScale)
+}
+
 // ProjectLayer projects every operator of one target layer's iteration
 // and sums compute vs serialized communication. The operator graph comes
 // from the process-wide memo (model.CachedLayerOps), so repeated
@@ -395,12 +408,12 @@ func (m *Model) ProjectIteration(target model.Config, tp int, evo hw.Evolution) 
 	if err != nil {
 		return IterationProjection{}, err
 	}
-	layers := float64(target.Layers)
+	compute, comm := lp.Scale(float64(target.Layers), evo)
 	return IterationProjection{
 		Target:         target,
 		TP:             tp,
 		Evo:            evo,
-		Compute:        units.Seconds(float64(lp.Compute) * layers / evo.FlopScale),
-		SerializedComm: units.Seconds(float64(lp.SerializedComm) * layers / evo.NetScale),
+		Compute:        compute,
+		SerializedComm: comm,
 	}, nil
 }
