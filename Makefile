@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint bench bench-sim bench-stream bench-json bench-gate bench-report obs-smoke serve-smoke serve-loadtest clean
+.PHONY: build test race lint bench obs-smoke serve-smoke serve-loadtest clean
 
 build:
 	$(GO) build ./...
@@ -21,41 +21,13 @@ lint:
 	@fmt_out=$$(gofmt -l .); if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; fi
 
-# bench prints the sweep-engine benchmarks (the telemetry layer's
-# perf-contract set) without updating the recorded baseline.
+# bench runs every BENCHMARK.json workload briefly through perfbench and
+# fails unless each run is correct (goldens matched) with no failed
+# operations, then vets and tests the perfbench module, which the root
+# module's build and tests do not reach — the same checks CI runs.
 bench:
-	$(GO) test -run '^$$' -bench 'Sweep|EvolutionGrid' -benchmem .
-
-# bench-sim prints the compiled-schedule benchmarks: the internal/sim
-# re-time set plus the evolution grid they accelerate.
-bench-sim:
-	$(GO) test -run '^$$' -bench 'ProgramReTime|RunRebuild' -benchmem ./internal/sim
-	$(GO) test -run '^$$' -bench 'SerializedEvolutionGrid' -benchmem .
-
-# bench-stream prints the streaming-sweep benchmarks: sink encoding,
-# online reducers (ParetoEmit also selects ParetoEmitFrontier, the
-# large-frontier case), and the ordered chunk engine.
-bench-stream:
-	$(GO) test -run '^$$' -bench 'NDJSONEmit|ParetoEmit|TopKEmit' -benchmem ./internal/stream
-	$(GO) test -run '^$$' -bench 'StreamCtx' -benchmem ./internal/parallel
-
-# bench-json refreshes BENCH_sweep.json, BENCH_sim.json, and
-# BENCH_stream.json, the recorded baselines the telemetry layer, the
-# compiled-schedule layer, and the streaming sweep are held to (see
-# EXPERIMENTS.md). Re-render BENCHMARK.md afterwards.
-bench-json:
-	scripts/bench_sweep.sh
-	scripts/bench_report.sh
-
-# bench-gate re-runs the gated sets and fails on a >10% ns/op or any
-# allocs/op regression against the committed baselines — the same
-# check CI runs.
-bench-gate:
-	scripts/bench_gate.sh
-
-# bench-report re-renders BENCHMARK.md from the committed baselines.
-bench-report:
-	scripts/bench_report.sh
+	scripts/perfbench_smoke.sh
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # obs-smoke exercises the live observability plane end to end: a
 # streaming sweep with -http/-sample/-progress, scraped mid-run — the

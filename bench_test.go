@@ -20,6 +20,7 @@ import (
 	"twocs/internal/hw"
 	"twocs/internal/model"
 	"twocs/internal/opmodel"
+	"twocs/internal/race"
 	"twocs/internal/report"
 	"twocs/internal/units"
 )
@@ -484,11 +485,11 @@ func BenchmarkFigure15cAllReduceModel(b *testing.B) {
 
 // sweepAnalyzer builds a fresh analyzer so per-benchmark worker settings
 // and ledger growth do not leak into the shared one.
-func sweepAnalyzer(b *testing.B, workers int) *twocs.Analyzer {
-	b.Helper()
+func sweepAnalyzer(tb testing.TB, workers int) *twocs.Analyzer {
+	tb.Helper()
 	a, err := twocs.NewAnalyzer()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	a.Workers = workers
 	return a
@@ -524,15 +525,48 @@ func benchOverlappedSweep(b *testing.B, workers int) {
 func BenchmarkSequentialOverlappedSweep(b *testing.B) { benchOverlappedSweep(b, 1) }
 func BenchmarkParallelOverlappedSweep(b *testing.B)   { benchOverlappedSweep(b, 4) }
 
+// evolutionGrid is one iteration of BenchmarkSerializedEvolutionGrid:
+// the Table-3 serialized grid under three evolutions.
+func evolutionGrid(a *twocs.Analyzer) error {
+	evos := []twocs.Evolution{twocs.Today(), twocs.FlopVsBW(2), twocs.FlopVsBW(4)}
+	_, err := a.SerializedEvolutionGridCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
+		core.Table3TPs(), 1, evos)
+	return err
+}
+
 func BenchmarkSerializedEvolutionGrid(b *testing.B) {
 	a := sweepAnalyzer(b, 0)
-	evos := []twocs.Evolution{twocs.Today(), twocs.FlopVsBW(2), twocs.FlopVsBW(4)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.SerializedEvolutionGridCtx(context.Background(), core.Table3Hs(), core.Table3SLs(),
-			core.Table3TPs(), 1, evos); err != nil {
+		if err := evolutionGrid(a); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestSerializedEvolutionGridAllocBound pins the grid's allocations per
+// call once the memos are warm: they are per-call setup (tasks, prices,
+// the result grid, the worker pool), not per row. Each worker adds 8;
+// the worker counts are explicit so the bounds hold on any host.
+func TestSerializedEvolutionGridAllocBound(t *testing.T) {
+	if race.Enabled() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	for _, tc := range []struct {
+		workers int
+		bound   float64
+	}{
+		{1, 47},
+		{4, 63},
+	} {
+		a := sweepAnalyzer(t, tc.workers)
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := evolutionGrid(a); err != nil {
+				t.Fatal(err)
+			}
+		}); avg > tc.bound {
+			t.Errorf("workers=%d: grid allocates %.0f objects/call, bound is %.0f", tc.workers, avg, tc.bound)
 		}
 	}
 }

@@ -236,6 +236,24 @@ func TestStreamCtxChunkSpans(t *testing.T) {
 	}
 }
 
+// streamCtxAllocBound is BenchmarkStreamCtx's allocations per stream:
+// the engine's buffers and goroutines, 17 or 18 depending on how the
+// workers interleave. Nothing is allocated per row or per chunk.
+const streamCtxAllocBound = 18
+
+func TestStreamCtxAllocBound(t *testing.T) {
+	if avg := testing.AllocsPerRun(20, func() {
+		err := StreamCtx(context.Background(), 4, 100_000, 0,
+			func(_ context.Context, i int) (int64, error) { return int64(i), nil },
+			func(lo int, vals []int64) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); avg > streamCtxAllocBound {
+		t.Fatalf("StreamCtx allocates %.0f objects/stream, bound is %d", avg, streamCtxAllocBound)
+	}
+}
+
 // BenchmarkStreamCtx measures the engine's per-row overhead at the
 // default chunk size with trivially cheap tasks.
 func BenchmarkStreamCtx(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"twocs/internal/parallel"
+	"twocs/internal/race"
 	"twocs/internal/units"
 )
 
@@ -283,8 +284,8 @@ func TestProgramRunValidation(t *testing.T) {
 // one RunReuse call over caller-owned scratch and trace: exactly zero.
 // The trace struct, its span slice, and the sort all reuse
 // caller-owned storage, so nothing is proportional to re-runs. CI's
-// alloc smoke step greps for this test; raising the bound is an
-// explicit reviewable change here, not a silent regression.
+// "Alloc contracts" step runs this test by name; raising the bound is
+// an explicit reviewable change here, not a silent regression.
 const reTimeAllocBound = 0
 
 // TestProgramReTimeAllocBound pins the re-time hot path's allocations.
@@ -308,6 +309,39 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 	})
 	if avg > reTimeAllocBound {
 		t.Fatalf("re-time path allocates %.1f objects/run, bound is %d", avg, reTimeAllocBound)
+	}
+}
+
+// TestRunAllocBounds pins the allocations per run of the pooled re-time
+// (the two a Trace needs: the struct and its span slice) and of the
+// rebuild-per-point path, each over its benchmark's loop body.
+func TestRunAllocBounds(t *testing.T) {
+	if race.Enabled() {
+		t.Skip("allocation counts are exact only without the race detector")
+	}
+	ops := iterationOps(24)
+	p, err := Compile(ops)
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	durs := p.Durations()
+	cfg := Config{InterferenceSlowdown: 1.4}
+	for _, tc := range []struct {
+		bench string
+		bound float64
+		run   func() error
+	}{
+		{"ProgramReTimePooled", 2, func() error { _, err := p.Run(durs, cfg); return err }},
+		{"RunRebuild", 45, func() error { _, err := Run(ops, cfg); return err }},
+	} {
+		avg := testing.AllocsPerRun(200, func() {
+			if err := tc.run(); err != nil {
+				t.Fatalf("%s: %v", tc.bench, err)
+			}
+		})
+		if avg > tc.bound {
+			t.Errorf("Benchmark%s body allocates %.0f objects/run, bound is %.0f", tc.bench, avg, tc.bound)
+		}
 	}
 }
 

@@ -220,12 +220,11 @@ func table3Shapes() [][3]int {
 	return out
 }
 
-// BenchmarkNDJSONEmitGrid is the per-row serialization cost over a
-// sweep-shaped stream: scenarios × the 156 Table-3 shapes,
-// evolution-major, with a footprint per shape and unique iteration
-// times and fractions per row, so memo hits and misses occur at a real
-// sweep's rate (BenchmarkNDJSONEmit re-emits one row, always a hit).
-func BenchmarkNDJSONEmitGrid(b *testing.B) {
+// gridRows is a sweep-shaped stream: scenarios × the 156 Table-3
+// shapes, evolution-major, with a footprint per shape and unique
+// iteration times and fractions per row, so memo hits and misses occur
+// at a real sweep's rate.
+func gridRows() []Row {
 	const scenarios = 20
 	shapes := table3Shapes()
 	rng := rand.New(rand.NewSource(1))
@@ -244,6 +243,13 @@ func BenchmarkNDJSONEmitGrid(b *testing.B) {
 			})
 		}
 	}
+	return rows
+}
+
+// BenchmarkNDJSONEmitGrid is the per-row serialization cost over
+// gridRows (BenchmarkNDJSONEmit re-emits one row, always a memo hit).
+func BenchmarkNDJSONEmitGrid(b *testing.B) {
+	rows := gridRows()
 	s := NewNDJSON(io.Discard)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -507,6 +507,38 @@ func TestReducersBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestReducerEmitAllocFree pins the reducers' per-row Emit at zero
+// allocations over each benchmark's stream, starting from an empty
+// reducer: the frontier and the heap grow by amortized appends, never
+// once per row.
+func TestReducerEmitAllocFree(t *testing.T) {
+	tk, err := NewTopK(32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		bench string
+		sink  Sink
+		rows  []Row
+	}{
+		{"ParetoEmit", NewPareto(), randomGrid(rand.New(rand.NewSource(1)), 4096)},
+		{"ParetoEmitFrontier", NewPareto(), frontierGrid(rand.New(rand.NewSource(1)), 150, 55)},
+		{"TopKEmit", tk, randomGrid(rand.New(rand.NewSource(2)), 4096)},
+	} {
+		i := 0
+		// One pass over the stream: AllocsPerRun's warm-up call emits
+		// the first row.
+		if avg := testing.AllocsPerRun(len(tc.rows)-1, func() {
+			if err := tc.sink.Emit(tc.rows[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}); avg > 0 {
+			t.Errorf("Benchmark%s body allocates %.1f objects/row, want 0", tc.bench, avg)
+		}
+	}
+}
+
 func BenchmarkParetoEmit(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	rows := randomGrid(rng, 4096)

@@ -295,33 +295,42 @@ func TestMultiFanOut(t *testing.T) {
 
 // TestEmitAllocFree pins the serialization hot path: steady-state Emit
 // on both writers performs zero allocations, the property that makes
-// peak RSS independent of grid size.
+// peak RSS independent of grid size. The inputs are the streams of
+// BenchmarkNDJSONEmit (one row, re-emitted) and BenchmarkNDJSONEmitGrid
+// (sweep-shaped rows, so the float memo misses at a real sweep's rate).
 func TestEmitAllocFree(t *testing.T) {
-	r := sampleRows()[0]
-	nd := NewNDJSON(io.Discard)
-	cs := NewCSV(io.Discard)
-	// Warm up: first emits size the scratch buffers (and CSV header).
-	for i := 0; i < 4; i++ {
-		if err := nd.Emit(r); err != nil {
-			t.Fatal(err)
+	for _, in := range []struct {
+		name string
+		rows []Row
+	}{
+		{"one row", sampleRows()[:1]},
+		{"grid", gridRows()},
+	} {
+		for _, w := range []struct {
+			name string
+			sink Sink
+		}{
+			{"NDJSON", NewNDJSON(io.Discard)},
+			{"CSV", NewCSV(io.Discard)},
+		} {
+			emit := func(r Row) {
+				if err := w.sink.Emit(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Warm up: a first pass sizes the scratch buffers (and CSV
+			// header).
+			for _, r := range in.rows {
+				emit(r)
+			}
+			i := 0
+			if avg := testing.AllocsPerRun(max(200, len(in.rows)), func() {
+				emit(in.rows[i%len(in.rows)])
+				i++
+			}); avg > 0 {
+				t.Errorf("%s.Emit over %s allocates %.1f objects/row, want 0", w.name, in.name, avg)
+			}
 		}
-		if err := cs.Emit(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := nd.Emit(r); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 0 {
-		t.Errorf("NDJSON.Emit allocates %.1f objects/row, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := cs.Emit(r); err != nil {
-			t.Fatal(err)
-		}
-	}); avg > 0 {
-		t.Errorf("CSV.Emit allocates %.1f objects/row, want 0", avg)
 	}
 }
 
@@ -350,27 +359,3 @@ func BenchmarkNDJSONEmit(b *testing.B) {
 }
 
 var _ = units.Seconds(0) // keep the units import with the sample rows
-
-// benchSink keeps the calibration spin loop from being optimized away.
-var benchSink uint64
-
-// BenchmarkCalibrationSpin is NOT a perf contract: it is a fixed
-// CPU-bound workload (a 4096-step xorshift loop) whose ns/op tracks the
-// current speed of the machine running it. scripts/bench_gate.sh
-// divides the fresh number by the one recorded alongside the baselines
-// to cancel machine drift — frequency scaling, noisy neighbors — before
-// applying the regression tolerance to the gated benchmarks, which are
-// all CPU-bound like this one.
-func BenchmarkCalibrationSpin(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		acc := uint64(0x9e3779b97f4a7c15)
-		for j := 0; j < 4096; j++ {
-			acc ^= acc << 13
-			acc ^= acc >> 7
-			acc ^= acc << 17
-			acc += uint64(j)
-		}
-		benchSink += acc
-	}
-}

@@ -21,18 +21,6 @@ func (c *Collector) Count(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// SetGauge records the latest value of a point-in-time quantity (e.g.
-// worker utilization). Gauges are last-write-wins and are considered
-// nondeterministic: Snapshot.Deterministic drops them.
-func (c *Collector) SetGauge(name string, v float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.gauges[name] = v
-	c.mu.Unlock()
-}
-
 // Observe records v (an integer quantity, conventionally nanoseconds)
 // into the named histogram. Sums, counts, extrema and bucket counts are
 // all integers, so concurrent observation order cannot change the
@@ -103,12 +91,6 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one gauge in a Snapshot.
-type GaugeValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
 // Bucket is one occupied power-of-two histogram bucket: observations v
 // with Lo <= v <= Hi.
 type Bucket struct {
@@ -126,9 +108,9 @@ type HistogramValue struct {
 	Max   int64  `json:"max"`
 	// P50/P95/P99 are bucket-interpolated quantile estimates (see
 	// quantile.go); Quantiled reports whether they are populated.
-	// Deterministic strips them alongside the gauges: the estimates
-	// derive from deterministic buckets, but their interpolation formula
-	// is not part of the byte-stability contract.
+	// Deterministic strips them: the estimates derive from deterministic
+	// buckets, but their interpolation formula is not part of the
+	// byte-stability contract.
 	P50       int64 `json:"p50,omitempty"`
 	P95       int64 `json:"p95,omitempty"`
 	P99       int64 `json:"p99,omitempty"`
@@ -150,7 +132,6 @@ func (h HistogramValue) Mean() int64 {
 // exported artifact of this repo must take.
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
-	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
 }
 
@@ -186,16 +167,6 @@ func (c *Collector) Snapshot() Snapshot {
 	}
 
 	names = names[:0]
-	for n := range c.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	s.Gauges = make([]GaugeValue, 0, len(names))
-	for _, n := range names {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: n, Value: c.gauges[n]})
-	}
-
-	names = names[:0]
 	for n := range c.hists {
 		names = append(names, n)
 	}
@@ -221,13 +192,12 @@ func (c *Collector) Snapshot() Snapshot {
 }
 
 // Deterministic returns the subset of the snapshot that is guaranteed
-// byte-identical run to run and across worker counts: all gauges are
-// dropped (they summarize host timing), as is any counter or histogram
-// named with the WallSuffix convention, and the surviving histograms
-// lose their quantile estimates (the interpolation formula is not part
-// of the stability contract; see quantile.go). What remains — cache hit
-// counts, ledger charges, simulated-duration histograms — is the part
-// the determinism tests assert on.
+// byte-identical run to run and across worker counts: any counter or
+// histogram named with the WallSuffix convention is dropped, and the
+// surviving histograms lose their quantile estimates (the interpolation
+// formula is not part of the stability contract; see quantile.go).
+// What remains — cache hit counts, ledger charges, simulated-duration
+// histograms — is the part the determinism tests assert on.
 func (s Snapshot) Deterministic() Snapshot {
 	var out Snapshot
 	for _, cv := range s.Counters {
@@ -247,15 +217,10 @@ func (s Snapshot) Deterministic() Snapshot {
 // WriteMetrics renders the snapshot as a sorted, line-oriented text
 // dump (the cmd/twocs -metrics format). The output is deterministic
 // for a deterministic snapshot: ordering is fixed by Snapshot, and all
-// values are integers except gauges.
+// values are integers.
 func (s Snapshot) WriteMetrics(w io.Writer) error {
 	for _, cv := range s.Counters {
 		if _, err := fmt.Fprintf(w, "counter %-44s %d\n", cv.Name, cv.Value); err != nil {
-			return err
-		}
-	}
-	for _, gv := range s.Gauges {
-		if _, err := fmt.Fprintf(w, "gauge   %-44s %.3f\n", gv.Name, gv.Value); err != nil {
 			return err
 		}
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // Prometheus text-exposition rendering of the live metrics — the
-// /metrics endpoint of the debug server. Counters and gauges map
-// directly; the pow2 histograms render as Prometheus histograms
-// (cumulative le buckets + _sum/_count) with the p50/p95/p99 estimates
-// alongside as gauges. Output order follows the snapshot's sorted
+// /metrics endpoint of the debug server. Counters map directly; the
+// pow2 histograms render as Prometheus histograms (cumulative le
+// buckets + _sum/_count) with the p50/p95/p99 estimates alongside as
+// gauges. Output order follows the snapshot's sorted
 // sections, so a scrape is deterministic for deterministic metrics.
 
 // PromName converts a dotted metric name to a Prometheus-legal one:
@@ -39,12 +39,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	for _, cv := range s.Counters {
 		name := PromName(cv.Name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, cv.Value); err != nil {
-			return err
-		}
-	}
-	for _, gv := range s.Gauges {
-		name := PromName(gv.Name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", name, name, gv.Value); err != nil {
 			return err
 		}
 	}

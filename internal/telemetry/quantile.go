@@ -5,9 +5,9 @@ package telemetry
 // quantile read off them is an *estimate*: within a bucket the
 // distribution is assumed uniform and the value is linearly
 // interpolated. The interpolation formula is an implementation detail
-// the repo does not promise to keep stable, so quantiles are treated
-// like gauges by Snapshot.Deterministic: stripped, keeping the golden
-// deterministic dumps pinned to raw integers only.
+// the repo does not promise to keep stable, so Snapshot.Deterministic
+// strips quantiles, keeping the golden deterministic dumps pinned to
+// raw integers only.
 
 // Quantile returns the estimated q-quantile (0 < q < 1) of the
 // histogram's observations, derived from its power-of-two buckets and

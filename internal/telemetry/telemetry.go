@@ -29,7 +29,7 @@ import (
 )
 
 // WallSuffix marks metric names that record host wall-clock time.
-// Metrics so named (and all gauges) are dropped by
+// Metrics so named are dropped by
 // Snapshot.Deterministic, since scheduling makes them vary run to run;
 // everything else a Collector records must be deterministic.
 const WallSuffix = ".wall_ns"
@@ -43,7 +43,6 @@ type Collector struct {
 
 	mu       sync.Mutex
 	counters map[string]int64      // guarded by mu
-	gauges   map[string]float64    // guarded by mu
 	hists    map[string]*histogram // guarded by mu
 	laneIDs  map[string]int        // guarded by mu
 	lanes    []string              // guarded by mu
@@ -56,7 +55,6 @@ func NewCollector() *Collector {
 	return &Collector{
 		epoch:    time.Now(),
 		counters: make(map[string]int64),
-		gauges:   make(map[string]float64),
 		hists:    make(map[string]*histogram),
 		laneIDs:  map[string]int{mainLaneName: 0},
 		lanes:    []string{mainLaneName},

@@ -14,7 +14,6 @@ func TestCountersAndSnapshotSorted(t *testing.T) {
 	c.Count("z.last", 2)
 	c.Count("a.first", 1)
 	c.Count("z.last", 3)
-	c.SetGauge("m.gauge", 0.5)
 	c.Observe("h.hist", 10)
 	c.Observe("h.hist", 30)
 
@@ -76,7 +75,6 @@ func TestDeterministicFiltersWallAndGauges(t *testing.T) {
 	c.Count("parallel.stream.emitwait.wall_ns", 123)
 	c.Observe("dist.op.gemm.sim_ns", 10)
 	c.Observe("parallel.stream.chunk.wall_ns", 99)
-	c.SetGauge("test.utilization", 0.8)
 
 	d := c.Snapshot().Deterministic()
 	if len(d.Counters) != 1 || d.Counters[0].Name != "core.cache.hit" {
@@ -84,9 +82,6 @@ func TestDeterministicFiltersWallAndGauges(t *testing.T) {
 	}
 	if len(d.Histograms) != 1 || d.Histograms[0].Name != "dist.op.gemm.sim_ns" {
 		t.Fatalf("deterministic histograms: %+v", d.Histograms)
-	}
-	if len(d.Gauges) != 0 {
-		t.Fatalf("gauges survived Deterministic: %+v", d.Gauges)
 	}
 }
 
@@ -173,14 +168,13 @@ func TestSpanLogBounded(t *testing.T) {
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.Count("x", 1)
-	c.SetGauge("g", 1)
 	c.Observe("h", 1)
 	lane := c.Lane("w")
 	sp := lane.Start("s")
 	if d := sp.End(); d != 0 {
 		t.Fatalf("nil-collector span duration %v, want 0", d)
 	}
-	if s := c.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+	if s := c.Snapshot(); len(s.Counters)+len(s.Histograms) != 0 {
 		t.Fatalf("nil snapshot not empty: %+v", s)
 	}
 	var buf bytes.Buffer
