@@ -53,7 +53,9 @@ func TestObservabilityShutdownHygiene(t *testing.T) {
 		"-sample", "20ms",
 		"-progress", "20ms",
 		"-trace", trace,
-		"sweep-stream", "-scenarios", "4000", "-out", os.DevNull,
+		// 40000 scenarios (6.24M rows) outlast the 300ms timeout many
+		// times over; 4000 (624k rows) could finish inside it on 2 vCPU.
+		"sweep-stream", "-scenarios", "40000", "-out", os.DevNull,
 	}, &out)
 	if exitCode(err) != 3 {
 		t.Fatalf("want partial-results exit 3, got %v", err)
@@ -106,7 +108,8 @@ func TestDebugServerServesLiveRun(t *testing.T) {
 			"-timeout", "10s",
 			"-http", "127.0.0.1:0",
 			"-sample", "10ms",
-			"sweep-stream", "-scenarios", "4000", "-out", os.DevNull,
+			// Large enough to still be running while the test scrapes.
+			"sweep-stream", "-scenarios", "12000", "-out", os.DevNull,
 		}, &out)
 	}()
 

@@ -151,6 +151,34 @@ func TestCSVCanceledRows(t *testing.T) {
 	}
 }
 
+// TestCSVNonFiniteFlopBW: a non-finite flopbw, which no producer emits,
+// follows the same contract as the objectives — an empty field, never
+// Go's "NaN" or "+Inf" — as NDJSON writes it as null.
+func TestCSVNonFiniteFlopBW(t *testing.T) {
+	var buf bytes.Buffer
+	s := NewCSV(&buf)
+	for i, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		r := sampleRows()[0]
+		r.Index, r.FlopVsBW = int64(i), v
+		if err := s.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(Trailer{Rows: 3, Total: 3, Complete: true}); err != nil {
+		t.Fatal(err)
+	}
+	body := strings.Join(strings.Split(buf.String(), "\n")[:4], "\n") + "\n"
+	recs, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+	if err != nil {
+		t.Fatalf("CSV with non-finite flopbw does not parse: %v", err)
+	}
+	for _, rec := range recs[1:] {
+		if rec[2] != "" {
+			t.Errorf("row %s: flopbw = %q, want empty", rec[0], rec[2])
+		}
+	}
+}
+
 // withCanceled interleaves n canceled rows into a finite grid at
 // deterministic pseudo-random positions, reindexing so Index stays the
 // emit order.

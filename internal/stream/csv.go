@@ -21,7 +21,10 @@ const csvHeader = "i,evo,flopbw,h,sl,b,tp,iter_s,comm_frac,mem_bytes\n"
 // A canceled (back-filled) grid point therefore writes its non-finite
 // iter_s/comm_frac/mem_bytes as empty fields — the CSV convention for
 // "missing" — keeping its coordinate columns, and the trailer comment
-// carries `canceled=N` so the truncation is counted, not silent.
+// carries `canceled=N` so the truncation is counted, not silent. Every
+// float column goes through appendCSVFloat, so a non-finite flopbw,
+// which no producer emits, is an empty field too; finite values are in
+// appendFloat's shortest form, the bytes of strconv's 'g', -1.
 type CSV struct {
 	w         *bufio.Writer
 	buf       []byte
@@ -55,7 +58,7 @@ func (c *CSV) Emit(r Row) error {
 	b = append(b, ',')
 	b = appendCSVField(b, r.Evo)
 	b = append(b, ',')
-	b = strconv.AppendFloat(b, r.FlopVsBW, 'g', -1, 64)
+	b = appendCSVFloat(b, r.FlopVsBW)
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(r.H), 10)
 	b = append(b, ',')
@@ -108,14 +111,14 @@ func (c *CSV) Close(t Trailer) error {
 	return c.w.Flush()
 }
 
-// appendCSVFloat appends v in strconv shortest-float form, or nothing —
-// an empty field, the CSV convention for a missing value — when v is
-// NaN or ±Inf (a canceled, back-filled grid point).
+// appendCSVFloat appends v in shortest-float form (appendFloat), or
+// nothing — an empty field, the CSV convention for a missing value —
+// when v is NaN or ±Inf (a canceled, back-filled grid point).
 func appendCSVFloat(b []byte, v float64) []byte {
 	if nonFinite(v) {
 		return b
 	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return appendFloat(b, v)
 }
 
 // appendCSVField appends s, quoting per RFC 4180 (doubled quotes) when

@@ -12,8 +12,9 @@ import (
 // buffer, so the steady-state emit path performs no allocations —
 // streaming 10⁷ rows costs the same heap as streaming 10².
 //
-// Output is byte-deterministic: fixed key order, strconv shortest-float
-// formatting, no map iteration anywhere.
+// Output is byte-deterministic: fixed key order, every float in
+// shortest form by appendFloat (the bytes of strconv's 'g', -1), no map
+// iteration anywhere.
 //
 // Canceled-row contract: JSON has no NaN/Inf literal, so a back-filled
 // canceled grid point (coordinates with NaN objectives) serializes its
@@ -151,14 +152,15 @@ func (n *NDJSON) Close(t Trailer) error {
 	return n.w.Flush()
 }
 
-// appendJSONFloat appends v in strconv shortest-float form, or the JSON
-// null literal when v is NaN or ±Inf — which JSON cannot represent, and
-// which the streaming layer defines as a canceled (back-filled) value.
+// appendJSONFloat appends v in shortest-float form (appendFloat), or
+// the JSON null literal when v is NaN or ±Inf — which JSON cannot
+// represent, and which the streaming layer defines as a canceled
+// (back-filled) value.
 func appendJSONFloat(b []byte, v float64) []byte {
 	if nonFinite(v) {
 		return append(b, "null"...)
 	}
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
+	return appendFloat(b, v)
 }
 
 // appendJSONString appends s as a JSON string literal, escaping quotes,

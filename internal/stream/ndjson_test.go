@@ -13,16 +13,26 @@ import (
 	"twocs/internal/units"
 )
 
+// refJSONFloat is the reference float encoding: strconv's shortest 'g'
+// form, or null for NaN and ±Inf. It calls strconv directly, so the
+// reference stays independent of the encoder under test.
+func refJSONFloat(b []byte, v float64) []byte {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return append(b, "null"...)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
 // referenceRow is the straight-line row encoder NDJSON.Emit memoizes:
-// every field encoded afresh on every row. The memoized encoder must
-// write the same bytes for every row sequence.
+// every field encoded afresh on every row, every float by strconv. The
+// memoized encoder must write the same bytes for every row sequence.
 func referenceRow(b []byte, r Row) []byte {
 	b = append(b, `{"i":`...)
 	b = strconv.AppendInt(b, r.Index, 10)
 	b = append(b, `,"evo":`...)
 	b = appendJSONString(b, r.Evo)
 	b = append(b, `,"flopbw":`...)
-	b = appendJSONFloat(b, r.FlopVsBW)
+	b = refJSONFloat(b, r.FlopVsBW)
 	b = append(b, `,"h":`...)
 	b = strconv.AppendInt(b, int64(r.H), 10)
 	b = append(b, `,"sl":`...)
@@ -32,11 +42,11 @@ func referenceRow(b []byte, r Row) []byte {
 	b = append(b, `,"tp":`...)
 	b = strconv.AppendInt(b, int64(r.TP), 10)
 	b = append(b, `,"iter_s":`...)
-	b = appendJSONFloat(b, float64(r.IterTime))
+	b = refJSONFloat(b, float64(r.IterTime))
 	b = append(b, `,"comm_frac":`...)
-	b = appendJSONFloat(b, r.CommFrac)
+	b = refJSONFloat(b, r.CommFrac)
 	b = append(b, `,"mem_bytes":`...)
-	b = appendJSONFloat(b, float64(r.MemBytes))
+	b = refJSONFloat(b, float64(r.MemBytes))
 	if !r.Finite() {
 		b = append(b, `,"canceled":true`...)
 	}
