@@ -192,7 +192,8 @@ func renderPareto(w io.Writer, front *stream.Pareto) error {
 func renderMarginals(w io.Writer, marg *stream.Marginals) error {
 	t := report.NewTable("Per-axis comm-fraction marginals (mean over all grid rows sharing the value)",
 		"axis", "value", "rows", "mean comm (%)", "min (%)", "max (%)", "mean iter time")
-	for _, ax := range marg.Axes() {
+	axes := marg.Axes()
+	for _, ax := range axes {
 		for _, v := range ax.Values {
 			t.AddRow(ax.Axis, v.Value, fmt.Sprint(v.Count), report.Pct(v.MeanCommFrac),
 				report.Pct(v.MinCommFrac), report.Pct(v.MaxCommFrac), v.MeanIterTime.String())
@@ -201,7 +202,7 @@ func renderMarginals(w io.Writer, marg *stream.Marginals) error {
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	for _, ax := range marg.Axes() {
+	for _, ax := range axes {
 		fmt.Fprintf(w, "  %s spread of per-value means: %s\n", ax.Axis, report.Pct(ax.Spread()))
 	}
 	renderCanceled(w, marg.Canceled())

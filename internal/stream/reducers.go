@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"twocs/internal/units"
 )
@@ -46,34 +47,71 @@ import (
 // within one class when it joins the frontier; with every MemBytes
 // distinct each class holds one row and the cost is an O(F) scan, as a
 // flat frontier slice would pay on every grid.
+//
+// The staircases hold pointer-free points (the two objectives they
+// order and the row's index in a row store), so the searches, inserts
+// and cuts move 24-byte points and never an 88-byte Row with a string
+// pointer in it. Each class also keeps its staircase's ends, so the
+// walks over the other classes read one contiguous array and open a
+// staircase only when its ends say it may matter. The rows live in one
+// append-only store; a row that leaves the frontier stays there, dead,
+// until the dead rows outnumber the live ones by more than paretoSlack,
+// when the live rows are compacted in class order into a spare buffer
+// that the next compaction reuses. The store thus never holds more than
+// 2·Size()+paretoSlack rows, and Emit allocates only to grow the store
+// (by doubling), a staircase or the class list. Close packs the
+// frontier into one array of exactly Size() rows in class order and
+// drops the points; an Emit after Close rebuilds them from that array.
 type Pareto struct {
-	// classes holds the frontier by memory class, ascending MemBytes.
-	// No class is empty.
-	classes  []paretoClass
-	canceled int64
+	// classes holds the staircases by memory class, ascending MemBytes.
+	// No class is empty. Nil after Close: store alone is the frontier.
+	classes []paretoClass
+	// store holds every row a point refers to, and the dead rows since
+	// the last compaction; spare is the next compaction's target.
+	store, spare []Row
+	// size counts the frontier's rows, dead the store's other rows.
+	size, dead int
+	canceled   int64
 }
 
-// paretoClass is the frontier rows sharing one MemBytes value. Rows of
-// one class never dominate each other, so they form a staircase:
-// IterTime ascending and CommFrac non-increasing, a strictly longer
-// IterTime coming with a strictly smaller CommFrac. Rows with equal
-// IterTime are exact ties, equal on all three objectives.
+// paretoSlack is how many more dead rows than live ones the store may
+// hold before it is compacted. Small, so that compaction runs on small
+// streams too.
+const paretoSlack = 8
+
+// paretoPoint is one frontier row in its class's staircase: the two
+// objectives the staircase orders, and ref, the row's index in the
+// store.
+type paretoPoint struct {
+	iter units.Seconds
+	comm float64
+	ref  int
+}
+
+// paretoClass is the staircase of frontier rows sharing one MemBytes
+// value. Rows of one class never dominate each other: IterTime
+// ascends and CommFrac does not increase, a strictly longer IterTime
+// coming with a strictly smaller CommFrac. Points with equal IterTime
+// are exact ties, equal on all three objectives.
 type paretoClass struct {
-	mem  units.Bytes
-	rows []Row
+	mem units.Bytes
+	// The staircase's ends: pts[0] has the least IterTime and the
+	// greatest CommFrac, pts[len-1] the greatest IterTime and the least
+	// CommFrac.
+	minIter, maxIter units.Seconds
+	minComm, maxComm float64
+	pts              []paretoPoint
+}
+
+// setEnds refreshes the class's ends after its points changed.
+func (c *paretoClass) setEnds() {
+	first, last := &c.pts[0], &c.pts[len(c.pts)-1]
+	c.minIter, c.maxComm = first.iter, first.comm
+	c.maxIter, c.minComm = last.iter, last.comm
 }
 
 // NewPareto returns an empty frontier reducer.
 func NewPareto() *Pareto { return &Pareto{} }
-
-// dominates reports whether a is no worse than b on every objective and
-// strictly better on at least one.
-func dominates(a, b Row) bool {
-	if a.IterTime > b.IterTime || a.CommFrac > b.CommFrac || a.MemBytes > b.MemBytes {
-		return false
-	}
-	return a.IterTime < b.IterTime || a.CommFrac < b.CommFrac || a.MemBytes < b.MemBytes
-}
 
 // Emit implements Sink.
 //
@@ -85,58 +123,85 @@ func (p *Pareto) Emit(r Row) error {
 		p.canceled++
 		return nil
 	}
+	if p.classes == nil && len(p.store) > 0 {
+		p.reindex()
+	}
+	t, comm := r.IterTime, r.CommFrac
 	at := p.classAt(r.MemBytes)
 	// Classes below r's footprint dominate r with any staircase point no
 	// worse on both other objectives; the last point with IterTime <=
 	// r's has the smallest CommFrac of those, so it alone decides.
 	for i := 0; i < at; i++ {
-		rows := p.classes[i].rows
-		if rows[0].IterTime > r.IterTime || rows[len(rows)-1].CommFrac > r.CommFrac {
-			continue // every row is worse than r on one of the two
+		c := &p.classes[i]
+		if c.minIter > t || c.minComm > comm {
+			continue // every point is worse than r on one of the two
 		}
-		if j := itersAtMost(rows, r.IterTime); j > 0 && rows[j-1].CommFrac <= r.CommFrac {
+		if j := itersAtMost(c.pts, t); j > 0 && c.pts[j-1].comm <= comm {
 			return nil
 		}
 	}
+	var c *paretoClass
+	var a, b int
+	tie := false
 	if at < len(p.classes) && p.classes[at].mem <= r.MemBytes {
-		c := &p.classes[at]
-		j := itersAtMost(c.rows, r.IterTime)
-		if j > 0 && c.rows[j-1].CommFrac <= r.CommFrac {
-			if c.rows[j-1].CommFrac < r.CommFrac || c.rows[j-1].IterTime < r.IterTime {
+		c = &p.classes[at]
+		j := itersAtMost(c.pts, t)
+		if j > 0 && c.pts[j-1].comm <= comm {
+			if c.pts[j-1].comm < comm || c.pts[j-1].iter < t {
 				return nil
 			}
 			// An exact tie: r dominates just what its twin dominates —
 			// nothing on the frontier. Keep both, the twin first.
-			c.rows = insertRow(c.rows, j, j, r)
-			return nil
+			a, b, tie = j, j, true
+		} else {
+			a, b = c.dominatedRange(t, comm)
 		}
-		a, b := dominatedRange(c.rows, r)
-		c.rows = insertRow(c.rows, a, b, r)
 	} else {
 		p.classes = append(p.classes, paretoClass{})
 		copy(p.classes[at+1:], p.classes[at:])
-		//lint:ignore hotalloc one allocation per memory footprint entering the frontier, not per row
-		p.classes[at] = paretoClass{mem: r.MemBytes, rows: []Row{r}}
+		p.classes[at] = paretoClass{mem: r.MemBytes}
+		c = &p.classes[at]
+	}
+	p.dead += b - a
+	p.size += 1 - (b - a)
+	c.pts = insertPoint(c.pts, a, b, paretoPoint{iter: t, comm: comm, ref: len(p.store)})
+	c.setEnds()
+	if len(p.store) == cap(p.store) {
+		// Double the store: append grows a large slice by 1.25x, which
+		// would allocate, clear and copy it about three times as often.
+		p.store = append(make([]Row, 0, 2*len(p.store)+paretoSlack), p.store...)
+	}
+	p.store = append(p.store, r)
+	if tie {
+		return nil
 	}
 	// Every row r dominates in a class above its footprint is no worse
 	// than r on both other objectives: one contiguous staircase range.
 	// Classes the cut empties are dropped.
 	keep := at + 1
 	for i := at + 1; i < len(p.classes); i++ {
-		c := p.classes[i]
-		if a, b := dominatedRange(c.rows, r); a < b {
-			if a == 0 && b == len(c.rows) {
+		c := &p.classes[i]
+		if a, b := c.dominatedRange(t, comm); a < b {
+			p.dead += b - a
+			p.size -= b - a
+			if a == 0 && b == len(c.pts) {
 				continue
 			}
-			c.rows = append(c.rows[:a], c.rows[b:]...)
+			c.pts = append(c.pts[:a], c.pts[b:]...)
+			c.setEnds()
 		}
-		p.classes[keep] = c
+		if keep < i {
+			p.classes[keep] = *c
+		}
 		keep++
 	}
-	for i := keep; i < len(p.classes); i++ {
-		p.classes[i] = paretoClass{}
+	if keep < len(p.classes) {
+		clear(p.classes[keep:])
+		p.classes = p.classes[:keep]
 	}
-	p.classes = p.classes[:keep]
+	if p.dead > p.size+paretoSlack {
+		p.compact()
+	}
 	return nil
 }
 
@@ -155,12 +220,12 @@ func (p *Pareto) classAt(m units.Bytes) int {
 	return lo
 }
 
-// itersAtMost returns how many staircase rows have IterTime <= t.
-func itersAtMost(rows []Row, t units.Seconds) int {
-	lo, hi := 0, len(rows)
+// itersAtMost returns how many staircase points have IterTime <= t.
+func itersAtMost(pts []paretoPoint, t units.Seconds) int {
+	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if rows[mid].IterTime <= t {
+		if pts[mid].iter <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -169,33 +234,36 @@ func itersAtMost(rows []Row, t units.Seconds) int {
 	return lo
 }
 
-// dominatedRange returns the staircase range [a, b) of rows no better
-// than r on IterTime and CommFrac: IterTime >= r's from a on, CommFrac
-// >= r's up to b. The caller knows r is no tie of any of them. When r
-// is not dominated by the class, a is also where r belongs in it.
-func dominatedRange(rows []Row, r Row) (a, b int) {
-	// Two O(1) answers for a range that is empty: every row is faster
-	// than r, or every row communicates less.
-	if n := len(rows); n == 0 || rows[n-1].IterTime < r.IterTime {
+// dominatedRange returns the staircase range [a, b) of points no better
+// than (t, comm) on IterTime and CommFrac: IterTime >= t from a on,
+// CommFrac >= comm up to b. The caller knows the row is no tie of any
+// of them. When the row is not dominated by the class, a is also where
+// it belongs in it.
+func (c *paretoClass) dominatedRange(t units.Seconds, comm float64) (a, b int) {
+	// Two O(1) answers for a range that is empty: every point is faster
+	// than the row, or every point communicates less.
+	n := len(c.pts)
+	if c.maxIter < t {
 		return n, n
 	}
-	if rows[0].CommFrac < r.CommFrac {
+	if c.maxComm < comm {
 		return 0, 0
 	}
-	lo, hi := 0, len(rows)
+	pts := c.pts
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if rows[mid].IterTime < r.IterTime {
+		if pts[mid].iter < t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	a = lo
-	hi = len(rows)
+	hi = n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if rows[mid].CommFrac >= r.CommFrac {
+		if pts[mid].comm >= comm {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -204,45 +272,81 @@ func dominatedRange(rows []Row, r Row) (a, b int) {
 	return a, lo
 }
 
-// insertRow replaces rows[a:b] with r, shifting the tail in place.
-func insertRow(rows []Row, a, b int, r Row) []Row {
+// insertPoint replaces pts[a:b] with pt, shifting the tail in place.
+func insertPoint(pts []paretoPoint, a, b int, pt paretoPoint) []paretoPoint {
 	if a == b {
 		// The append grows the class's backing array only when it is
 		// full — amortized over the class's size, not paid per row.
-		rows = append(rows, Row{})
-		copy(rows[a+1:], rows[a:])
-		rows[a] = r
-		return rows
+		pts = append(pts, paretoPoint{})
+		copy(pts[a+1:], pts[a:])
+		pts[a] = pt
+		return pts
 	}
-	rows[a] = r
-	return append(rows[:a+1], rows[b:]...)
+	pts[a] = pt
+	return append(pts[:a+1], pts[b:]...)
 }
 
-// Close implements Sink. It packs the classes into one array, each
-// class clipped to its length, so the frontier the reducer keeps holds
-// no spare capacity from the stream's growth and no per-class
-// allocation rounding. An Emit after Close still works: a class that
-// grows reallocates on its own, and one that shrinks stays inside its
-// own part of the array.
-func (p *Pareto) Close(Trailer) error {
-	all := make([]Row, 0, p.Size())
+// compact moves the live rows into the spare buffer, which becomes the
+// store; the old store becomes the spare. A spare is made at the
+// store's capacity, so later compactions allocate nothing until the
+// frontier outgrows it.
+func (p *Pareto) compact() {
+	if cap(p.spare) < p.size {
+		p.spare = make([]Row, 0, cap(p.store))
+	}
+	p.store, p.spare = p.pack(p.spare[:0]), p.store[:0]
+	p.dead = 0
+}
+
+// pack appends the frontier's rows to dst in class order, each class
+// in staircase order, and points every point at its row's new index.
+func (p *Pareto) pack(dst []Row) []Row {
 	for i := range p.classes {
-		c := &p.classes[i]
-		start := len(all)
-		all = append(all, c.rows...)
-		c.rows = all[start:len(all):len(all)]
+		pts := p.classes[i].pts
+		for j := range pts {
+			dst = append(dst, p.store[pts[j].ref])
+			pts[j].ref = len(dst) - 1
+		}
+	}
+	return dst
+}
+
+// reindex rebuilds the points from the store Close packed: each class
+// is a run of equal MemBytes, already in staircase order. The classes
+// share one array, each clipped to its length, so a class that grows
+// reallocates on its own.
+func (p *Pareto) reindex() {
+	pts := make([]paretoPoint, len(p.store))
+	for i := range p.store {
+		pts[i] = paretoPoint{iter: p.store[i].IterTime, comm: p.store[i].CommFrac, ref: i}
+	}
+	for a := 0; a < len(pts); {
+		mem := p.store[a].MemBytes
+		b := a + 1
+		for b < len(pts) && p.store[b].MemBytes <= mem {
+			b++
+		}
+		c := paretoClass{mem: mem, pts: pts[a:b:b]}
+		c.setEnds()
+		p.classes = append(p.classes, c)
+		a = b
+	}
+}
+
+// Close implements Sink. It packs the frontier into one array of
+// exactly Size() rows in class order and drops the points and the
+// spare buffer, so the frontier the reducer keeps carries no index and
+// no spare capacity.
+func (p *Pareto) Close(Trailer) error {
+	if p.classes != nil {
+		p.store = p.pack(make([]Row, 0, p.size))
+		p.classes, p.spare, p.dead = nil, nil, 0
 	}
 	return nil
 }
 
 // Size returns the current frontier cardinality.
-func (p *Pareto) Size() int {
-	n := 0
-	for _, c := range p.classes {
-		n += len(c.rows)
-	}
-	return n
-}
+func (p *Pareto) Size() int { return p.size }
 
 // Canceled returns the number of canceled (non-finite) rows skipped.
 func (p *Pareto) Canceled() int64 { return p.canceled }
@@ -251,9 +355,14 @@ func (p *Pareto) Canceled() int64 { return p.canceled }
 // a deterministic order independent of arrival interleaving. The slice
 // is a copy; the reducer keeps streaming.
 func (p *Pareto) Frontier() []Row {
-	out := make([]Row, 0, p.Size())
+	out := make([]Row, 0, p.size)
+	if p.classes == nil {
+		out = append(out, p.store...)
+	}
 	for _, c := range p.classes {
-		out = append(out, c.rows...)
+		for _, pt := range c.pts {
+			out = append(out, p.store[pt.ref])
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return betterRow(out[i], out[j]) })
 	return out
@@ -374,20 +483,91 @@ type marginalAcc struct {
 	sumIter          float64
 }
 
-func (a *marginalAcc) add(r Row) {
+func (a *marginalAcc) add(comm float64, iter units.Seconds) {
 	if a.count == 0 {
-		a.minComm, a.maxComm = r.CommFrac, r.CommFrac
+		a.minComm, a.maxComm = comm, comm
 	} else {
-		if r.CommFrac < a.minComm {
-			a.minComm = r.CommFrac
+		if comm < a.minComm {
+			a.minComm = comm
 		}
-		if r.CommFrac > a.maxComm {
-			a.maxComm = r.CommFrac
+		if comm > a.maxComm {
+			a.maxComm = comm
 		}
 	}
 	a.count++
-	a.sumComm += r.CommFrac
-	a.sumIter += float64(r.IterTime)
+	a.sumComm += comm
+	a.sumIter += float64(iter)
+}
+
+// axisKey is the type of an axis value: an integer coordinate or a
+// scenario name.
+type axisKey interface{ ~int | ~string }
+
+// marginalAxis accumulates one axis: accs[i] holds the statistics of
+// the value keys[i], values in first-seen order. A lookup tries the
+// value the previous row hit first — a grid streams evolution-major,
+// so the scenario changes once per shape sweep and the outer shape
+// axes rarely — then scans the values, or, once there are more than
+// marginalScan of them, asks a map.
+type marginalAxis[K axisKey] struct {
+	keys  []K
+	accs  []marginalAcc
+	last  int
+	index map[K]int
+}
+
+// marginalScan is the most values an axis finds by a linear scan.
+const marginalScan = 16
+
+// at returns the accumulator of value k, adding one on first sight.
+func (ax *marginalAxis[K]) at(k K) *marginalAcc {
+	if i := ax.last; i < len(ax.keys) && ax.keys[i] == k {
+		return &ax.accs[i]
+	}
+	ax.last = ax.find(k)
+	return &ax.accs[ax.last]
+}
+
+// find returns the index of value k, adding it on first sight.
+func (ax *marginalAxis[K]) find(k K) int {
+	if ax.index == nil && len(ax.keys) > marginalScan {
+		ax.index = make(map[K]int, 2*len(ax.keys))
+		for i, key := range ax.keys {
+			ax.index[key] = i
+		}
+	}
+	if ax.index != nil {
+		if i, ok := ax.index[k]; ok {
+			return i
+		}
+	} else {
+		for i, key := range ax.keys {
+			if key == k {
+				return i
+			}
+		}
+	}
+	i := len(ax.keys)
+	ax.keys = append(ax.keys, k)
+	ax.accs = append(ax.accs, marginalAcc{})
+	if ax.index != nil {
+		ax.index[k] = i
+	}
+	return i
+}
+
+// digest renders the axis with its values in ascending order.
+func (ax *marginalAxis[K]) digest(name string, label func(K) string) AxisMarginal {
+	order := make([]int, len(ax.keys))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return ax.keys[order[a]] < ax.keys[order[b]] })
+	out := AxisMarginal{Axis: name}
+	for _, i := range order {
+		out.Values = append(out.Values, value(label(ax.keys[i]), &ax.accs[i]))
+	}
+	return out
 }
 
 // Marginals accumulates per-axis marginal statistics of the comm
@@ -397,31 +577,21 @@ func (a *marginalAcc) add(r Row) {
 // the per-value means answers "which knob moves the comm fraction
 // most" without storing a single grid row. Memory is bounded by the
 // number of distinct axis values, not the grid size.
+//
+// Each axis keeps its accumulators in one slice and finds a row's
+// value by the previous row's hit, a short scan or a map (see
+// marginalAxis): on an evolution-major grid a row pays one compare per
+// slow axis, a scan of a few values on the fastest one, and hashes
+// only when a new scenario begins. Every accumulator sums its rows in
+// stream order, so the means do not depend on how the values are found.
 type Marginals struct {
-	byH, bySL, byB, byTP map[int]*marginalAcc
-	byEvo                map[string]*marginalAcc
+	byH, bySL, byB, byTP marginalAxis[int]
+	byEvo                marginalAxis[string]
 	canceled             int64
 }
 
 // NewMarginals returns an empty marginals reducer.
-func NewMarginals() *Marginals {
-	return &Marginals{
-		byH:   make(map[int]*marginalAcc),
-		bySL:  make(map[int]*marginalAcc),
-		byB:   make(map[int]*marginalAcc),
-		byTP:  make(map[int]*marginalAcc),
-		byEvo: make(map[string]*marginalAcc),
-	}
-}
-
-func addTo[K comparable](m map[K]*marginalAcc, k K, r Row) {
-	a := m[k]
-	if a == nil {
-		a = &marginalAcc{}
-		m[k] = a
-	}
-	a.add(r)
-}
+func NewMarginals() *Marginals { return &Marginals{} }
 
 // Emit implements Sink.
 //
@@ -433,16 +603,22 @@ func (m *Marginals) Emit(r Row) error {
 		m.canceled++
 		return nil
 	}
-	addTo(m.byH, r.H, r)
-	addTo(m.bySL, r.SL, r)
-	addTo(m.byB, r.B, r)
-	addTo(m.byTP, r.TP, r)
-	addTo(m.byEvo, r.Evo, r)
+	comm, iter := r.CommFrac, r.IterTime
+	m.byH.at(r.H).add(comm, iter)
+	m.bySL.at(r.SL).add(comm, iter)
+	m.byB.at(r.B).add(comm, iter)
+	m.byTP.at(r.TP).add(comm, iter)
+	m.byEvo.at(r.Evo).add(comm, iter)
 	return nil
 }
 
-// Close implements Sink.
-func (m *Marginals) Close(Trailer) error { return nil }
+// Close implements Sink. It drops the axes' lookup maps, which the
+// digest does not need; an Emit after Close rebuilds them.
+func (m *Marginals) Close(Trailer) error {
+	m.byH.index, m.bySL.index, m.byB.index, m.byTP.index = nil, nil, nil, nil
+	m.byEvo.index = nil
+	return nil
+}
 
 // Canceled returns the number of canceled (non-finite) rows skipped.
 func (m *Marginals) Canceled() int64 { return m.canceled }
@@ -483,19 +659,6 @@ func (a AxisMarginal) Spread() float64 {
 	return hi - lo
 }
 
-func intAxis(name string, m map[int]*marginalAcc) AxisMarginal {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	out := AxisMarginal{Axis: name}
-	for _, k := range keys {
-		out.Values = append(out.Values, value(fmt.Sprint(k), m[k]))
-	}
-	return out
-}
-
 func value(label string, a *marginalAcc) MarginalValue {
 	return MarginalValue{
 		Value:        label,
@@ -511,20 +674,12 @@ func value(label string, a *marginalAcc) MarginalValue {
 // each axis' values sorted ascending — deterministic regardless of
 // arrival order.
 func (m *Marginals) Axes() []AxisMarginal {
-	evoKeys := make([]string, 0, len(m.byEvo))
-	for k := range m.byEvo {
-		evoKeys = append(evoKeys, k)
-	}
-	sort.Strings(evoKeys)
-	evo := AxisMarginal{Axis: "evo"}
-	for _, k := range evoKeys {
-		evo.Values = append(evo.Values, value(k, m.byEvo[k]))
-	}
+	name := func(s string) string { return s }
 	return []AxisMarginal{
-		evo,
-		intAxis("H", m.byH),
-		intAxis("SL", m.bySL),
-		intAxis("B", m.byB),
-		intAxis("TP", m.byTP),
+		m.byEvo.digest("evo", name),
+		m.byH.digest("H", strconv.Itoa),
+		m.bySL.digest("SL", strconv.Itoa),
+		m.byB.digest("B", strconv.Itoa),
+		m.byTP.digest("TP", strconv.Itoa),
 	}
 }

@@ -1,10 +1,12 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"twocs/internal/units"
@@ -38,6 +40,15 @@ func randomGrid(rng *rand.Rand, n int) []Row {
 		}
 	}
 	return rows
+}
+
+// dominates reports whether a is no worse than b on every objective and
+// strictly better on at least one: the definition the oracle applies.
+func dominates(a, b Row) bool {
+	if a.IterTime > b.IterTime || a.CommFrac > b.CommFrac || a.MemBytes > b.MemBytes {
+		return false
+	}
+	return a.IterTime < b.IterTime || a.CommFrac < b.CommFrac || a.MemBytes < b.MemBytes
 }
 
 // bruteFrontier is the O(n²) oracle: a row is on the frontier iff no
@@ -127,7 +138,9 @@ func TestParetoFrontierInternalConsistency(t *testing.T) {
 // compute shortens the iteration and raises the comm fraction, so each
 // class is a long staircase and most rows land on the frontier — the
 // regime where a per-row frontier scan goes quadratic. Rows are
-// scenario-major, as the grid streams them.
+// scenario-major, as the grid streams them, and carry Table-3-like
+// coordinates: a named scenario, and a shape whose TP changes every
+// row, SL every 7 rows and H every 28.
 func frontierGrid(rng *rand.Rand, shapes, scenarios int) []Row {
 	type shape struct {
 		comp, comm float64
@@ -145,11 +158,17 @@ func frontierGrid(rng *rand.Rand, shapes, scenarios int) []Row {
 	rows := make([]Row, 0, shapes*scenarios)
 	for e := 0; e < scenarios; e++ {
 		speed := 1 + 15*rng.Float64()
-		for _, sh := range ss {
+		evo := strconv.FormatFloat(speed, 'f', 6, 64) + "x"
+		for i, sh := range ss {
 			iter := sh.comp/speed + sh.comm
 			rows = append(rows, Row{
 				Index:    int64(len(rows)),
+				Evo:      evo,
 				FlopVsBW: speed,
+				H:        1024 << (i / 28 % 6),
+				SL:       1024 << (i / 7 % 4),
+				B:        1,
+				TP:       4 << (i % 7),
 				IterTime: units.Seconds(iter),
 				CommFrac: sh.comm / iter,
 				MemBytes: sh.mem,
@@ -170,6 +189,7 @@ func checkFrontier(t *testing.T, label string, p *Pareto, rows []Row) {
 	if p.Size() != len(want) {
 		t.Fatalf("%s: Size() = %d, oracle %d", label, p.Size(), len(want))
 	}
+	checkStoreBound(t, label, p)
 	for i := range got {
 		for j := range got {
 			if i != j && dominates(got[i], got[j]) {
@@ -179,6 +199,16 @@ func checkFrontier(t *testing.T, label string, p *Pareto, rows []Row) {
 	}
 	if n := int64(len(rows) - len(finite)); p.Canceled() != n {
 		t.Fatalf("%s: Canceled() = %d, want %d", label, p.Canceled(), n)
+	}
+}
+
+// checkStoreBound holds the row store to its bound: the dead rows it
+// keeps never outnumber the live ones by more than paretoSlack.
+func checkStoreBound(t *testing.T, label string, p *Pareto) {
+	t.Helper()
+	if len(p.store) > 2*p.Size()+paretoSlack {
+		t.Fatalf("%s: row store holds %d rows for a %d-row frontier, bound 2·Size()+%d",
+			label, len(p.store), p.Size(), paretoSlack)
 	}
 }
 
@@ -195,6 +225,37 @@ func TestParetoOracleLargeFrontier(t *testing.T) {
 		t.Fatalf("frontier spans %d memory classes, want ~150", n)
 	}
 	checkFrontier(t, "large frontier", p, rows)
+}
+
+// TestParetoOracleCompaction: a large frontier that a second, faster
+// wave of the same shapes sweeps away, so dead rows pile up and the
+// store is compacted mid-stream, repeatedly and while thousands of rows
+// are live.
+func TestParetoOracleCompaction(t *testing.T) {
+	rows := frontierGrid(rand.New(rand.NewSource(23)), 150, 40)
+	n := len(rows)
+	for _, r := range rows[:n] {
+		r.Index = int64(len(rows))
+		r.IterTime /= 2
+		r.CommFrac /= 2
+		rows = append(rows, r)
+	}
+	p := NewPareto()
+	compactions := 0
+	for _, r := range rows {
+		before := len(p.store)
+		if err := p.Emit(r); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.store) < before {
+			compactions++
+		}
+		checkStoreBound(t, fmt.Sprintf("row %d", r.Index), p)
+	}
+	if compactions < 2 {
+		t.Fatalf("the store was compacted %d times, want several", compactions)
+	}
+	checkFrontier(t, "compaction", p, rows)
 }
 
 // TestParetoOracleDistinctMem: with every MemBytes distinct each class
@@ -237,8 +298,8 @@ func TestParetoOracleTiesAndSpecials(t *testing.T) {
 	}
 }
 
-// TestParetoEmitAfterClose: a reducer that is closed (its classes
-// clipped) mid-stream keeps reducing correctly.
+// TestParetoEmitAfterClose: a reducer that is closed (its frontier
+// packed, its points dropped) mid-stream keeps reducing correctly.
 func TestParetoEmitAfterClose(t *testing.T) {
 	rows := frontierGrid(rand.New(rand.NewSource(19)), 150, 30)
 	p := NewPareto()
@@ -247,10 +308,9 @@ func TestParetoEmitAfterClose(t *testing.T) {
 	if err := p.Close(Trailer{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range p.classes {
-		if cap(c.rows) != len(c.rows) {
-			t.Fatalf("class %g kept capacity %d for %d rows after Close", float64(c.mem), cap(c.rows), len(c.rows))
-		}
+	if len(p.store) != p.Size() || cap(p.store) != len(p.store) {
+		t.Fatalf("after Close the store holds %d rows (capacity %d), want exactly Size() = %d",
+			len(p.store), cap(p.store), p.Size())
 	}
 	emitAll(t, p, rows[half:])
 	checkFrontier(t, "emit after close", p, rows)
@@ -270,11 +330,15 @@ func emitAll(t *testing.T, s Sink, rows []Row) {
 // ties and dominance are frequent) and a few signed-zero and non-finite
 // values, then holds the reducer to the brute-force oracle. A second
 // reducer sees the same rows with memory classes arriving in the
-// reverse order and must keep the same frontier.
+// reverse order, is closed halfway (its frontier packed, its points
+// rebuilt by the next Emit), and must keep the same frontier.
 func FuzzParetoOracle(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2})
 	f.Add([]byte{5, 1, 3, 5, 1, 3, 0, 4, 4, 4, 0, 0})
 	f.Add([]byte{250, 3, 1, 2, 251, 4, 3, 2, 252, 253, 254, 255})
+	// 40 exact ties, then a row that dominates them all: the dead rows
+	// outnumber the live one and the store is compacted.
+	f.Add(append(bytes.Repeat([]byte{5, 5, 5}, 40), 0, 0, 0))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		negZero := math.Copysign(0, -1)
 		decode := func(b byte, scale float64) float64 {
@@ -310,7 +374,12 @@ func FuzzParetoOracle(f *testing.F) {
 		reversed := append([]Row(nil), rows...)
 		sort.SliceStable(reversed, func(i, j int) bool { return reversed[i].MemBytes > reversed[j].MemBytes })
 		q := NewPareto()
-		emitAll(t, q, reversed)
+		half := len(reversed) / 2
+		emitAll(t, q, reversed[:half])
+		if err := q.Close(Trailer{}); err != nil {
+			t.Fatal(err)
+		}
+		emitAll(t, q, reversed[half:])
 		diffRows(t, "classes in reverse order", q.Frontier(), p.Frontier())
 	})
 }
@@ -350,17 +419,54 @@ func TestTopKRejectsBadK(t *testing.T) {
 	}
 }
 
+// interleavedGrid builds rows whose every axis takes 24 values, more
+// than marginalScan, revisited out of order: each row keeps an axis'
+// previous value three times in four and otherwise jumps to a random
+// one, so the last-hit, scan and map lookups all run.
+func interleavedGrid(rng *rand.Rand, n int) []Row {
+	const values = 24
+	pick := func(prev, unit int) int {
+		if prev != 0 && rng.Intn(4) > 0 {
+			return prev
+		}
+		return unit * (1 + rng.Intn(values))
+	}
+	rows := make([]Row, n)
+	var r Row
+	for i := range rows {
+		if r.Evo == "" || rng.Intn(4) == 0 {
+			r.Evo = fmt.Sprintf("scenario-%02d", rng.Intn(values))
+		}
+		r.H, r.SL, r.B, r.TP = pick(r.H, 256), pick(r.SL, 512), pick(r.B, 1), pick(r.TP, 2)
+		r.Index = int64(i)
+		r.IterTime = units.Seconds(rng.Float64())
+		r.CommFrac = rng.Float64()
+		r.MemBytes = units.Bytes(1e9 * (1 + rng.Float64()))
+		rows[i] = r
+	}
+	return rows
+}
+
 // TestMarginalsOracle checks the online accumulators against a
-// materialized group-by over the same rows.
+// materialized group-by over the same rows. Both sum each group in row
+// order, so the means must agree to the bit.
 func TestMarginalsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	rows := randomGrid(rng, 400)
+	t.Run("random", func(t *testing.T) { checkMarginals(t, randomGrid(rng, 400)) })
+	t.Run("interleaved", func(t *testing.T) { checkMarginals(t, interleavedGrid(rng, 3000)) })
+}
+
+// checkMarginals closes the reducer halfway through rows, so the
+// lookups it drops on Close are rebuilt by the Emits after it.
+func checkMarginals(t *testing.T, rows []Row) {
+	t.Helper()
 	m := NewMarginals()
-	for _, r := range rows {
-		if err := m.Emit(r); err != nil {
-			t.Fatal(err)
-		}
+	half := len(rows) / 2
+	emitAll(t, m, rows[:half])
+	if err := m.Close(Trailer{}); err != nil {
+		t.Fatal(err)
 	}
+	emitAll(t, m, rows[half:])
 
 	// Materialized oracle: group rows by each axis, compute the stats
 	// from the full slices.
@@ -420,7 +526,7 @@ func TestMarginalsOracle(t *testing.T) {
 				maxComm = math.Max(maxComm, r.CommFrac)
 			}
 			wantMean := sumComm / float64(len(group))
-			if math.Abs(v.MeanCommFrac-wantMean) > 1e-12 {
+			if math.Float64bits(v.MeanCommFrac) != math.Float64bits(wantMean) {
 				t.Fatalf("axis %s value %s: mean comm %g, oracle %g", ax.Axis, v.Value, v.MeanCommFrac, wantMean)
 			}
 			if math.Abs(v.MinCommFrac-minComm) > 0 || math.Abs(v.MaxCommFrac-maxComm) > 0 {
@@ -428,7 +534,7 @@ func TestMarginalsOracle(t *testing.T) {
 					ax.Axis, v.Value, v.MinCommFrac, v.MaxCommFrac, minComm, maxComm)
 			}
 			wantIter := sumIter / float64(len(group))
-			if math.Abs(float64(v.MeanIterTime)-wantIter) > 1e-12 {
+			if math.Float64bits(float64(v.MeanIterTime)) != math.Float64bits(wantIter) {
 				t.Fatalf("axis %s value %s: mean iter %g, oracle %g", ax.Axis, v.Value, float64(v.MeanIterTime), wantIter)
 			}
 		}
@@ -496,6 +602,7 @@ func TestReducersBoundedMemory(t *testing.T) {
 		if err := sink.Emit(r); err != nil {
 			t.Fatal(err)
 		}
+		checkStoreBound(t, fmt.Sprintf("row %d", r.Index), p)
 	}
 	if len(tk.heap) != 10 {
 		t.Fatalf("top-k retained %d rows", len(tk.heap))
@@ -524,6 +631,7 @@ func TestReducerEmitAllocFree(t *testing.T) {
 		{"ParetoEmit", NewPareto(), randomGrid(rand.New(rand.NewSource(1)), 4096)},
 		{"ParetoEmitFrontier", NewPareto(), frontierGrid(rand.New(rand.NewSource(1)), 150, 55)},
 		{"TopKEmit", tk, randomGrid(rand.New(rand.NewSource(2)), 4096)},
+		{"MarginalsEmit", NewMarginals(), frontierGrid(rand.New(rand.NewSource(1)), 150, 55)},
 	} {
 		i := 0
 		// One pass over the stream: AllocsPerRun's warm-up call emits
@@ -572,6 +680,47 @@ func BenchmarkParetoEmitFrontier(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMarginalsEmit measures Emit over the same correlated stream:
+// 55 named scenarios, evolution-major, and 150 shapes whose TP changes
+// every row.
+func BenchmarkMarginalsEmit(b *testing.B) {
+	rows := frontierGrid(rand.New(rand.NewSource(1)), 150, 55)
+	m := NewMarginals()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Emit(rows[i%len(rows)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchReducers is the search workload's reducer stage: one
+// op is a pass of the correlated stream through Multi(TopK(10), Pareto,
+// Marginals), fresh reducers each pass and Close at its end. ns/row is
+// the cost a streamed row pays for the three digests.
+func BenchmarkSearchReducers(b *testing.B) {
+	rows := frontierGrid(rand.New(rand.NewSource(1)), 150, 55)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk, err := NewTopK(10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sink := Multi(tk, NewPareto(), NewMarginals())
+		for _, r := range rows {
+			if err := sink.Emit(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := sink.Close(Trailer{Rows: int64(len(rows)), Total: int64(len(rows)), Complete: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }
 
 func BenchmarkTopKEmit(b *testing.B) {
