@@ -270,44 +270,6 @@ func BenchmarkAblationFusedAttention(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHierarchicalAllReduce compares flat vs hierarchical
-// (intra-node RS, inter-node AR, intra-node AG) all-reduce across node
-// counts — the structure multi-node DP deployments rely on (§4.3.7).
-func BenchmarkAblationHierarchicalAllReduce(b *testing.B) {
-	bytes := units.Bytes(256 * units.MiB)
-	printOnce(b, "abl-hier", func() {
-		t := report.NewTable("Ablation: hierarchical vs flat all-reduce (256 MiB, inter-node bw = intra/8)",
-			"nodes", "flat ring", "hierarchical", "speedup")
-		for _, nodes := range []int{2, 4, 8, 16} {
-			h, err := collective.NewHierarchicalModel(hw.MI210Cluster(nodes, 1.0/8), collective.Ring)
-			if err != nil {
-				b.Fatal(err)
-			}
-			flat, err := h.FlatAllReduce(nodes, bytes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			hier, err := h.AllReduce(nodes, bytes)
-			if err != nil {
-				b.Fatal(err)
-			}
-			t.AddRow(fmt.Sprint(nodes), flat.String(), hier.String(),
-				fmt.Sprintf("%.2fx", float64(flat)/float64(hier)))
-		}
-		t.Render(os.Stdout)
-	})
-	h, err := collective.NewHierarchicalModel(hw.MI210Cluster(8, 1.0/8), collective.Ring)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.AllReduce(8, bytes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAblationBaselineSize tests the paper's own remedy for
 // projection error (§4.3.8: "this error may improve by using a larger
 // baseline model"): calibrate the operator model from baselines of

@@ -371,3 +371,75 @@ func TestAllReduceMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestRingReduceScatterCorrectness(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 3, 5, 8} {
+		for _, width := range []int{1, 8, 23} {
+			inputs := make([][]float64, n)
+			want := make([]float64, width)
+			for r := range inputs {
+				inputs[r] = make([]float64, width)
+				for i := range inputs[r] {
+					inputs[r][i] = float64(rng.Intn(20))
+					want[i] += inputs[r][i]
+				}
+			}
+			shards, st, err := RingReduceScatter(inputs)
+			if err != nil {
+				t.Fatalf("n=%d width=%d: %v", n, width, err)
+			}
+			if n > 1 && st.Steps != n-1 {
+				t.Errorf("n=%d: %d steps, want %d", n, st.Steps, n-1)
+			}
+			// Reassemble: rank r owns chunk (r+1) mod n.
+			got := make([]float64, width)
+			for r := 0; r < n; r++ {
+				ci := (r + 1) % n
+				lo, hi := chunkBounds(width, n, ci)
+				if hi-lo != len(shards[r]) {
+					t.Fatalf("rank %d shard length %d, want %d", r, len(shards[r]), hi-lo)
+				}
+				copy(got[lo:hi], shards[r])
+			}
+			for i := range want {
+				if math.Abs(got[i]-want[i]) > 1e-9 {
+					t.Fatalf("n=%d width=%d elem %d: got %v want %v", n, width, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestRingReduceScatterErrors(t *testing.T) {
+	if _, _, err := RingReduceScatter(nil); err == nil {
+		t.Error("no ranks accepted")
+	}
+	if _, _, err := RingReduceScatter([][]float64{{1}, {1, 2}}); err == nil {
+		t.Error("ragged inputs accepted")
+	}
+}
+
+func TestBroadcastFunctional(t *testing.T) {
+	data := []float64{1, 2, 3}
+	out, st, err := Broadcast(1, data, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range out {
+		for i := range data {
+			if out[r][i] != data[i] {
+				t.Errorf("rank %d elem %d = %v", r, i, out[r][i])
+			}
+		}
+	}
+	if st.Steps != 3 {
+		t.Errorf("steps = %d, want 3", st.Steps)
+	}
+	if _, _, err := Broadcast(5, data, 4); err == nil {
+		t.Error("out-of-range root accepted")
+	}
+	if _, _, err := Broadcast(0, data, 0); err == nil {
+		t.Error("zero ranks accepted")
+	}
+}

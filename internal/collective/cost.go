@@ -3,11 +3,10 @@
 // reduce-scatter, all-gather, all-to-all (for the MoE extension) and
 // broadcast.
 //
-// The package has two halves. This file holds the analytical cost models
-// the simulator and projections use. functional.go holds executable
-// implementations over in-process ranks (goroutines connected by
-// channels); tests use those to pin the cost models' step counts and
-// per-rank volumes to a real algorithm.
+// This file holds the analytical cost models the simulator and
+// projections use. Their step counts and per-rank volumes are checked
+// against executable ring implementations over in-process ranks
+// (goroutines connected by channels), which live in functional_test.go.
 package collective
 
 import (

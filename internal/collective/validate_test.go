@@ -27,16 +27,6 @@ func TestRingReduceScatterRejectsRaggedInputs(t *testing.T) {
 	}
 }
 
-func TestHierarchicalAllReduceRejectsRaggedInputs(t *testing.T) {
-	// The ragged rank sits in the second group; validation must still
-	// catch it up front, before the first group's ring has run.
-	in := [][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4, 4}}
-	_, err := HierarchicalAllReduce(in, 2)
-	if err == nil || !strings.Contains(err.Error(), "rank 3 has length 3, want 2") {
-		t.Fatalf("ragged hierarchical all-reduce: err = %v", err)
-	}
-}
-
 func TestRingAllGatherEmptyShard(t *testing.T) {
 	// A zero-length shard is a legal value — ranks can own empty
 	// partitions when the payload does not divide evenly. The gather

@@ -3,7 +3,6 @@ package dist
 import (
 	"math"
 	"testing"
-	"twocs/internal/sim"
 )
 
 func pipelinePlan(stages, micro int) PipelinePlan {
@@ -158,108 +157,5 @@ func TestBuildPipelineScheduleWellFormed(t *testing.T) {
 	}
 	if _, err := BuildPipelineSchedule(pp, nil); err == nil {
 		t.Error("nil timer accepted")
-	}
-}
-
-func Test1F1BScheduleExecutes(t *testing.T) {
-	pp := pipelinePlan(4, 8)
-	tm := newTimer(t, pp.Plan)
-	ops, err := Build1F1BSchedule(pp, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := sim.Run(ops, sim.Config{})
-	if err != nil {
-		t.Fatalf("1F1B schedule deadlocked or failed: %v", err)
-	}
-	// Every stage must run M forwards and M backwards.
-	var fwd, bwd int
-	for _, s := range trace.Spans {
-		switch s.Op.Label {
-		case LabelStageFwd:
-			fwd++
-		case LabelStageBwd:
-			bwd++
-		}
-	}
-	if fwd != 4*8 || bwd != 4*8 {
-		t.Errorf("fwd=%d bwd=%d, want 32 each", fwd, bwd)
-	}
-}
-
-func Test1F1BMatchesGPipeMakespan(t *testing.T) {
-	// 1F1B and GPipe share the same bubble; their makespans agree to
-	// within a few percent (ordering differences only shift transfers).
-	pp := pipelinePlan(4, 8)
-	tm := newTimer(t, pp.Plan)
-	g, _, err := SimulatePipeline(pp, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops, err := Build1F1BSchedule(pp, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sim.Run(ops, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(f.Makespan) / float64(g.Makespan)
-	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("1F1B %v vs GPipe %v (ratio %.3f)", f.Makespan, g.Makespan, ratio)
-	}
-}
-
-func Test1F1BBoundsInFlightActivations(t *testing.T) {
-	// The whole point of 1F1B: stage s retains at most min(P-s, M)
-	// activations, while GPipe retains all M.
-	pp := pipelinePlan(4, 8)
-	tm := newTimer(t, pp.Plan)
-
-	gOps, err := BuildPipelineSchedule(pp, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gTrace, err := sim.Run(gOps, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gPeak := MaxInFlight(gTrace, pp.Stages)
-
-	fOps, err := Build1F1BSchedule(pp, tm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fTrace, err := sim.Run(fOps, sim.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fPeak := MaxInFlight(fTrace, pp.Stages)
-
-	for s := 0; s < pp.Stages; s++ {
-		bound := pp.Stages - s
-		if pp.MicroBatches < bound {
-			bound = pp.MicroBatches
-		}
-		if fPeak[s] > bound {
-			t.Errorf("1F1B stage %d holds %d activations, bound %d", s, fPeak[s], bound)
-		}
-	}
-	// GPipe's first stage must hold all M; 1F1B's must hold only P.
-	if gPeak[0] != pp.MicroBatches {
-		t.Errorf("GPipe stage 0 peak = %d, want %d", gPeak[0], pp.MicroBatches)
-	}
-	if fPeak[0] != pp.Stages {
-		t.Errorf("1F1B stage 0 peak = %d, want %d", fPeak[0], pp.Stages)
-	}
-}
-
-func Test1F1BValidation(t *testing.T) {
-	pp := pipelinePlan(4, 8)
-	if _, err := Build1F1BSchedule(pp, nil); err == nil {
-		t.Error("nil timer accepted")
-	}
-	if _, err := Build1F1BSchedule(pipelinePlan(3, 8), newTimer(t, pp.Plan)); err == nil {
-		t.Error("invalid plan accepted")
 	}
 }

@@ -266,59 +266,3 @@ func TestEvolutionCompositionProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestFutureDevice(t *testing.T) {
-	g := PaperGenerationScaling()
-	d1, err := FutureDevice(MI210, 1, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1.Year != 2024 {
-		t.Errorf("year = %d, want 2024", d1.Year)
-	}
-	wantPeak := float64(MI210.PeakFor(tensor.FP16)) * g.Compute
-	if math.Abs(float64(d1.PeakFor(tensor.FP16))-wantPeak) > 1e-6*wantPeak {
-		t.Errorf("gen+1 peak = %v, want %v", d1.PeakFor(tensor.FP16), wantPeak)
-	}
-	// Two generations compound.
-	d2, err := FutureDevice(MI210, 2, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := float64(d2.PeakFor(tensor.FP16)) / float64(MI210.PeakFor(tensor.FP16)); math.Abs(r-25) > 1e-6 {
-		t.Errorf("gen+2 compute scaling = %v, want 25", r)
-	}
-	if err := d2.Validate(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFutureDeviceErrors(t *testing.T) {
-	if _, err := FutureDevice(DeviceSpec{}, 1, PaperGenerationScaling()); err == nil {
-		t.Error("invalid base accepted")
-	}
-	if _, err := FutureDevice(MI210, -1, PaperGenerationScaling()); err == nil {
-		t.Error("negative generations accepted")
-	}
-	if _, err := FutureDevice(MI210, 1, GenerationScaling{}); err == nil {
-		t.Error("zero scaling accepted")
-	}
-}
-
-func TestFutureNodeFlopVsBWWidens(t *testing.T) {
-	// The whole point: each generation widens the compute:bandwidth gap
-	// by Compute/Network.
-	g := PaperGenerationScaling()
-	n1, err := FutureNode(MI210Node(), 1, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseBalance := float64(MI210.PeakFor(tensor.FP16)) / float64(MI210Node().EffectiveRingBW())
-	newBalance := float64(n1.Device.PeakFor(tensor.FP16)) / float64(n1.EffectiveRingBW())
-	if r := newBalance / baseBalance; math.Abs(r-g.Compute/g.Network) > 1e-9 {
-		t.Errorf("balance widened %vx, want %v", r, g.Compute/g.Network)
-	}
-	if err := n1.Validate(); err != nil {
-		t.Error(err)
-	}
-}

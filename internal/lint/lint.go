@@ -301,6 +301,37 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 }
 
 // All returns the full analyzer suite in stable order.
+//
+// Production targets, the non-test code in which each analyzer has
+// something to check (paths relative to the module root):
+//
+//   - unitcheck: arithmetic on internal/units quantities in every package
+//     that imports them except units itself: cmd/twocs, perfbench and
+//     internal/{collective,core,dist,hw,kernels,memsim,model,opmodel,
+//     profile,sim,stream,tensor}.
+//   - floatcmp: ==/!= on float64-backed values anywhere outside the
+//     approved comparison helpers.
+//   - detrange: every map range in internal/{report,telemetry,stream},
+//     opmodel/serialize.go, sim/chrometrace.go and
+//     telemetry/chrometrace.go; elsewhere, map ranges that print.
+//   - lockcheck: the "guarded by" fields of telemetry.Collector,
+//     telemetry.Progress, telemetry.Sampler, profile.Ledger,
+//     parallel.sequencer, core.Analyzer and perfbench's tracer and
+//     timingMiddleware.
+//   - sweeppure: the task closures passed to parallel.Collect or
+//     StreamCtx in internal/core/{casestudy,degradation,exhaustive,
+//     scaling,stream,sweep,zoostudy}.go and perfbench/sweep.go.
+//   - simscratch: the same closures; none of them holds a sim.RunState
+//     today (dist/compile.go runs programs through the pooled
+//     Program.Run).
+//   - hotalloc: the //lint:hotpath Emit methods of stream.NDJSON, CSV,
+//     Pareto, TopK and Marginals, opmodel.LayerProjection.Scale and
+//     sim.Program.RunReuse, with their call closures.
+//   - ctxflow: every function that takes a context.Context: internal/
+//     {core,parallel,serve,telemetry}, cmd/twocs, cmd/twocsd, perfbench.
+//   - sinkclose: the stream sinks, files and pprof handles opened in
+//     cmd/twocs, perfbench/sweep.go, examples/calibration and
+//     internal/serve/handlers.go.
 func All() []*Analyzer {
 	return []*Analyzer{
 		UnitCheck,

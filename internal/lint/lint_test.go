@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// fixtureLoader builds a loader rooted at this module with the fixture
-// tree mounted, so fixture packages can import real repo packages
+// newFixtureLoader builds a loader rooted at this module with the
+// fixture tree mounted, so fixture packages can import real repo packages
 // (twocs/internal/units, twocs/internal/parallel).
-func fixtureLoader(t *testing.T) *Loader {
+func newFixtureLoader(t *testing.T) *Loader {
 	t.Helper()
 	root, modPath, err := ModuleRoot(".")
 	if err != nil {
@@ -27,6 +27,22 @@ func fixtureLoader(t *testing.T) *Loader {
 		FixtureRoot:  filepath.Join(wd, "testdata", "src"),
 		IncludeTests: true,
 	}
+}
+
+// sharedFixtureLoader is the one loader the fixture tests share, so the
+// stdlib and the repo packages the fixtures import are type-checked once
+// per test binary instead of once per fixture. The Loader is not safe for
+// concurrent use; these tests do not call t.Parallel.
+var sharedFixtureLoader *Loader
+
+// fixtureLoader returns the shared fixture loader. A test that changes
+// the loader's settings must take its own from newFixtureLoader.
+func fixtureLoader(t *testing.T) *Loader {
+	t.Helper()
+	if sharedFixtureLoader == nil {
+		sharedFixtureLoader = newFixtureLoader(t)
+	}
+	return sharedFixtureLoader
 }
 
 var wantRE = regexp.MustCompile(`// want (.+)$`)
@@ -138,7 +154,7 @@ func TestSuiteOnOwnModule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader := fixtureLoader(t)
+	loader := newFixtureLoader(t)
 	loader.FixtureRoot = "" // real tree only
 	pkgs, err := loader.Load("./...")
 	if err != nil {

@@ -33,7 +33,7 @@ func TestLoadTestOnlyImportCycle(t *testing.T) {
 // TestLoadTestOnlyCycleWithoutTests pins the IncludeTests toggle: the
 // same directory without tests yields only the compile package.
 func TestLoadTestOnlyCycleWithoutTests(t *testing.T) {
-	loader := fixtureLoader(t)
+	loader := newFixtureLoader(t)
 	loader.IncludeTests = false
 	pkgs, err := loader.Load(filepath.Join(loader.FixtureRoot, "cyclea"))
 	if err != nil {

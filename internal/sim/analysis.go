@@ -7,7 +7,7 @@ import (
 )
 
 // This file provides trace analytics: busy-time accounting, per-label
-// breakdowns, and the exposed-vs-hidden communication split that the
+// breakdowns, and the exposed communication time per comm stream that the
 // paper's end-to-end case study (Fig 14) reports.
 
 // interval is a half-open busy interval [lo, hi).
@@ -90,40 +90,6 @@ func (t *Trace) BusyTime(device int, stream Stream) units.Seconds {
 	return units.Seconds(totalLen(t.streamIntervals(device, stream)))
 }
 
-// CommBreakdown is the exposed/hidden communication split for one device.
-type CommBreakdown struct {
-	ComputeBusy units.Seconds
-	CommBusy    units.Seconds
-	// HiddenComm is comm time overlapped by concurrent compute.
-	HiddenComm units.Seconds
-	// ExposedComm is comm time during which the compute stream idled —
-	// the portion that lands on the critical path.
-	ExposedComm units.Seconds
-}
-
-// ExposedFraction returns exposed comm as a fraction of the makespan-like
-// total (compute busy + exposed comm). Zero when the device did nothing.
-func (b CommBreakdown) ExposedFraction() float64 {
-	total := float64(b.ComputeBusy) + float64(b.ExposedComm)
-	return units.Ratio(float64(b.ExposedComm), total)
-}
-
-// DeviceCommBreakdown computes the split for one device, over the union
-// of both communication streams.
-func (t *Trace) DeviceCommBreakdown(device int) CommBreakdown {
-	comp := t.streamIntervals(device, ComputeStream)
-	comm := mergeIntervals(append(t.streamIntervals(device, CommStream),
-		t.streamIntervals(device, DPCommStream)...))
-	hidden := intersect(comp, comm)
-	commTotal := totalLen(comm)
-	return CommBreakdown{
-		ComputeBusy: units.Seconds(totalLen(comp)),
-		CommBusy:    units.Seconds(commTotal),
-		HiddenComm:  units.Seconds(hidden),
-		ExposedComm: units.Seconds(commTotal - hidden),
-	}
-}
-
 // ExposedCommOn returns the time one comm stream spent transferring while
 // the device's compute stream idled — the per-stream exposure that lets
 // callers separate serialized (TP) from overlapped (DP) communication.
@@ -159,18 +125,4 @@ func (t *Trace) LabelTime() map[string]units.Seconds {
 	m := t.labels
 	t.mu.Unlock()
 	return m
-}
-
-// Devices returns the sorted distinct device indices in the trace.
-func (t *Trace) Devices() []int {
-	seen := make(map[int]bool)
-	for _, s := range t.Spans {
-		seen[s.Op.Device] = true
-	}
-	out := make([]int, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -1,15 +1,14 @@
 // Package stats provides the small numeric toolkit the operator-level
-// models are built on: least-squares fits of the scaling laws identified
-// by the algorithmic analysis (linear, affine, quadratic, power-law),
-// interpolation over measured sweeps, and the error metrics (relative
-// error, geometric-mean error) the paper reports for model validation.
+// models are built on: the affine least-squares fit of the scaling laws
+// identified by the algorithmic analysis, normalization, and the error
+// metrics (relative error, geometric-mean error) the paper reports for
+// model validation.
 package stats
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrInsufficientData is returned by fitting routines that need more
@@ -17,7 +16,7 @@ import (
 var ErrInsufficientData = errors.New("stats: insufficient data points for fit")
 
 // ErrBadDomain is returned when inputs fall outside a fit's domain
-// (e.g. non-positive values for a power-law fit).
+// (e.g. degenerate x values for an affine fit).
 var ErrBadDomain = errors.New("stats: input outside fit domain")
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
@@ -96,32 +95,6 @@ func MaxRelErr(got, want []float64) (float64, error) {
 	return m, nil
 }
 
-// Linear is a proportional fit y = Slope*x, the form the operator model
-// uses for quantities the algorithmic analysis proves pass through the
-// origin (e.g. all-reduce time vs bytes in the bandwidth-bound regime).
-type Linear struct {
-	Slope float64
-}
-
-// FitLinear computes the least-squares proportional fit through the origin.
-func FitLinear(xs, ys []float64) (Linear, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return Linear{}, ErrInsufficientData
-	}
-	var sxx, sxy float64
-	for i := range xs {
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-	}
-	if sxx == 0 {
-		return Linear{}, fmt.Errorf("%w: all x are zero", ErrBadDomain)
-	}
-	return Linear{Slope: sxy / sxx}, nil
-}
-
-// Eval returns Slope*x.
-func (l Linear) Eval(x float64) float64 { return l.Slope * x }
-
 // Affine is a fit y = Slope*x + Intercept. The intercept absorbs
 // size-independent costs such as kernel-launch overhead and per-hop
 // network latency.
@@ -152,95 +125,6 @@ func FitAffine(xs, ys []float64) (Affine, error) {
 
 // Eval returns Slope*x + Intercept.
 func (a Affine) Eval(x float64) float64 { return a.Slope*x + a.Intercept }
-
-// PowerLaw is a fit y = Coeff * x^Exponent, fit in log-log space. It is
-// used where the scaling exponent itself is the question (e.g. verifying
-// that GEMM runtime grows quadratically in H).
-type PowerLaw struct {
-	Coeff, Exponent float64
-}
-
-// FitPowerLaw fits y = c*x^p by linear regression on (ln x, ln y).
-// All observations must be strictly positive.
-func FitPowerLaw(xs, ys []float64) (PowerLaw, error) {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return PowerLaw{}, ErrInsufficientData
-	}
-	lx := make([]float64, len(xs))
-	ly := make([]float64, len(ys))
-	for i := range xs {
-		if xs[i] <= 0 || ys[i] <= 0 {
-			return PowerLaw{}, fmt.Errorf("%w: power-law fit requires positive data", ErrBadDomain)
-		}
-		lx[i] = math.Log(xs[i])
-		ly[i] = math.Log(ys[i])
-	}
-	a, err := FitAffine(lx, ly)
-	if err != nil {
-		return PowerLaw{}, err
-	}
-	return PowerLaw{Coeff: math.Exp(a.Intercept), Exponent: a.Slope}, nil
-}
-
-// Eval returns Coeff * x^Exponent.
-func (p PowerLaw) Eval(x float64) float64 { return p.Coeff * math.Pow(x, p.Exponent) }
-
-// Interpolator performs monotone piecewise-linear interpolation over a
-// measured sweep, with linear extrapolation beyond the endpoints. The
-// operator model uses it to carry measured efficiency curves (which have
-// no simple closed form) into projections.
-type Interpolator struct {
-	xs, ys []float64
-}
-
-// NewInterpolator builds an interpolator over the given points, which are
-// sorted by x. At least one point is required; duplicate x values are an
-// error because they make the function multivalued.
-func NewInterpolator(xs, ys []float64) (*Interpolator, error) {
-	if len(xs) != len(ys) || len(xs) == 0 {
-		return nil, ErrInsufficientData
-	}
-	type pt struct{ x, y float64 }
-	pts := make([]pt, len(xs))
-	for i := range xs {
-		pts[i] = pt{xs[i], ys[i]}
-	}
-	sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
-	in := &Interpolator{xs: make([]float64, len(pts)), ys: make([]float64, len(pts))}
-	for i, p := range pts {
-		// pts is sorted ascending, so <= can only mean an exact duplicate.
-		if i > 0 && p.x <= pts[i-1].x {
-			return nil, fmt.Errorf("%w: duplicate x=%g", ErrBadDomain, p.x)
-		}
-		in.xs[i], in.ys[i] = p.x, p.y
-	}
-	return in, nil
-}
-
-// Eval evaluates the interpolant at x. Outside the data range the nearest
-// segment is extended linearly (or the single point's y is returned when
-// only one point exists).
-func (in *Interpolator) Eval(x float64) float64 {
-	n := len(in.xs)
-	if n == 1 {
-		return in.ys[0]
-	}
-	// Locate the segment: first index with xs[i] >= x.
-	i := sort.SearchFloat64s(in.xs, x)
-	switch {
-	case i == 0:
-		i = 1
-	case i >= n:
-		i = n - 1
-	}
-	x0, x1 := in.xs[i-1], in.xs[i]
-	y0, y1 := in.ys[i-1], in.ys[i]
-	t := (x - x0) / (x1 - x0)
-	return y0 + t*(y1-y0)
-}
-
-// Domain returns the [min,max] x range covered by measured points.
-func (in *Interpolator) Domain() (lo, hi float64) { return in.xs[0], in.xs[len(in.xs)-1] }
 
 // Normalize returns xs scaled so the element at index ref equals 1.
 // It is used to produce the paper's "normalized to BERT" figures.

@@ -68,28 +68,6 @@ func TestMaxRelErr(t *testing.T) {
 	}
 }
 
-func TestFitLinearExact(t *testing.T) {
-	l, err := FitLinear([]float64{1, 2, 3}, []float64{2, 4, 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(l.Slope, 2, 1e-12) {
-		t.Errorf("Slope = %v", l.Slope)
-	}
-	if !almostEq(l.Eval(10), 20, 1e-12) {
-		t.Errorf("Eval = %v", l.Eval(10))
-	}
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear(nil, nil); !errors.Is(err, ErrInsufficientData) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := FitLinear([]float64{0, 0}, []float64{1, 2}); !errors.Is(err, ErrBadDomain) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestFitAffineExact(t *testing.T) {
 	a, err := FitAffine([]float64{0, 1, 2}, []float64{3, 5, 7})
 	if err != nil {
@@ -106,78 +84,6 @@ func TestFitAffineErrors(t *testing.T) {
 	}
 	if _, err := FitAffine([]float64{2, 2}, []float64{1, 5}); !errors.Is(err, ErrBadDomain) {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestFitPowerLawExact(t *testing.T) {
-	// y = 3 x^2
-	xs := []float64{1, 2, 4, 8}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = 3 * x * x
-	}
-	p, err := FitPowerLaw(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(p.Exponent, 2, 1e-9) || !almostEq(p.Coeff, 3, 1e-9) {
-		t.Errorf("fit = %+v", p)
-	}
-}
-
-func TestFitPowerLawDomain(t *testing.T) {
-	if _, err := FitPowerLaw([]float64{1, -2}, []float64{1, 2}); !errors.Is(err, ErrBadDomain) {
-		t.Errorf("err = %v", err)
-	}
-}
-
-func TestInterpolator(t *testing.T) {
-	in, err := NewInterpolator([]float64{0, 10}, []float64{0, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Eval(5); !almostEq(got, 50, 1e-12) {
-		t.Errorf("Eval(5) = %v", got)
-	}
-	// Extrapolation continues the end segments.
-	if got := in.Eval(20); !almostEq(got, 200, 1e-12) {
-		t.Errorf("Eval(20) = %v", got)
-	}
-	if got := in.Eval(-10); !almostEq(got, -100, 1e-12) {
-		t.Errorf("Eval(-10) = %v", got)
-	}
-	lo, hi := in.Domain()
-	if lo != 0 || hi != 10 {
-		t.Errorf("Domain = %v,%v", lo, hi)
-	}
-}
-
-func TestInterpolatorSortsInput(t *testing.T) {
-	in, err := NewInterpolator([]float64{10, 0}, []float64{100, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Eval(5); !almostEq(got, 50, 1e-12) {
-		t.Errorf("Eval(5) = %v", got)
-	}
-}
-
-func TestInterpolatorErrors(t *testing.T) {
-	if _, err := NewInterpolator(nil, nil); !errors.Is(err, ErrInsufficientData) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := NewInterpolator([]float64{1, 1}, []float64{1, 2}); !errors.Is(err, ErrBadDomain) {
-		t.Errorf("duplicate x err = %v", err)
-	}
-}
-
-func TestInterpolatorSinglePoint(t *testing.T) {
-	in, err := NewInterpolator([]float64{3}, []float64{7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Eval(-100) != 7 || in.Eval(100) != 7 {
-		t.Error("single-point interpolator must be constant")
 	}
 }
 
@@ -217,29 +123,6 @@ func TestFitAffineRecoveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: interpolation at the sample points reproduces the samples.
-func TestInterpolatorPassesThroughPoints(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(10)
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		for i := range xs {
-			xs[i] = float64(i) + rng.Float64()*0.5
-			ys[i] = rng.NormFloat64() * 100
-		}
-		in, err := NewInterpolator(xs, ys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range xs {
-			if got := in.Eval(xs[i]); !almostEq(got, ys[i], 1e-9) {
-				t.Fatalf("trial %d: Eval(%v) = %v, want %v", trial, xs[i], got, ys[i])
-			}
-		}
 	}
 }
 

@@ -1,10 +1,16 @@
 // Tests for the public facade: every re-exported entry point must be
-// usable exactly as the README shows.
+// usable exactly as the README shows. The last test guards the line
+// between production code and test-only code under internal/.
 package twocs_test
 
 import (
 	"bytes"
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -176,4 +182,111 @@ func TestFacadeStreaming(t *testing.T) {
 	if len(top.Best()) != 3 || pareto.Size() == 0 || len(marg.Axes()) == 0 {
 		t.Fatal("reducers saw no rows")
 	}
+}
+
+// testOnlySymbols lists, per package directory, the declarations that
+// production code does not run. Each is either a test oracle that lives
+// in a _test.go file of its package, or an extension that was deleted
+// because nothing but its own tests reached it. Methods are written
+// Recv.Name.
+var testOnlySymbols = map[string][]string{
+	"internal/collective": {
+		// Functional ring collectives: oracles for the cost model.
+		"RingAllReduce", "RingAllGather", "RingReduceScatter", "AllToAll",
+		"Broadcast", "Stats", "chunkBounds", "validateUniform",
+		// Deleted multi-node extension.
+		"HierarchicalAllReduce", "HierarchicalModel", "NewHierarchicalModel",
+		"HierarchicalModel.AllReduce", "HierarchicalModel.FlatAllReduce",
+	},
+	"internal/dist": {
+		// Oracles for AnalyzePipeline and the folded all-reduce.
+		"BuildPipelineSchedule", "SimulatePipeline",
+		"LabelStageFwd", "LabelStageBwd", "LabelP2P",
+		"BuildTPGroupForward", "SimulateTPGroupForward", "TPGroupOptions", "TPGroupReport",
+		// Deleted 1F1B schedule.
+		"Build1F1BSchedule", "MaxInFlight", "stageTimes",
+	},
+	"internal/model": {"EncDecLayerOps", "CrossAttentionForwardOps", "CrossAttentionBackwardOps"},
+	"internal/hw":    {"FutureDevice", "FutureNode", "GenerationScaling", "PaperGenerationScaling"},
+	"internal/stats": {"Linear", "FitLinear", "PowerLaw", "FitPowerLaw", "Interpolator", "NewInterpolator"},
+	"internal/sim": {
+		"CommBreakdown", "CommBreakdown.ExposedFraction",
+		"Trace.DeviceCommBreakdown", "Trace.Devices",
+	},
+	// Equations 4-6 in closed form: oracles for the op graph and EdgeComplexity.
+	"internal/core":   {"ComputeOps", "CommBytes", "AmdahlEdge"},
+	"internal/tensor": {"RefGEMM", "RefLayerNorm", "OpCounter"},
+}
+
+// TestTestOnlySymbolsStayOutOfProduction fails if a symbol in
+// testOnlySymbols is declared again in a non-test file under internal/.
+func TestTestOnlySymbolsStayOutOfProduction(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		banned := testOnlySymbols[filepath.ToSlash(filepath.Dir(path))]
+		if len(banned) == 0 {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, name := range declaredNames(f) {
+			for _, b := range banned {
+				if name == b {
+					t.Errorf("%s declares %s, which no production code runs (see testOnlySymbols)", path, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// declaredNames returns a file's top-level names, with methods written
+// Recv.Name.
+func declaredNames(f *ast.File) []string {
+	var names []string
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			name := d.Name.Name
+			if d.Recv != nil && len(d.Recv.List) == 1 {
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			names = append(names, name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					names = append(names, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
 }
