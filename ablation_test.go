@@ -183,8 +183,8 @@ func BenchmarkAblationBucketSize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(bucket int) *dist.IterationReport {
-		rep, _, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{DPBucketLayers: bucket})
+	run := func(bucket int) dist.IterationReport {
+		rep, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{DPBucketLayers: bucket})
 		if err != nil {
 			b.Fatal(err)
 		}

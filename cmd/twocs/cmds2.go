@@ -11,6 +11,7 @@ import (
 	"twocs/internal/hw"
 	"twocs/internal/kernels"
 	"twocs/internal/report"
+	"twocs/internal/sim"
 	"twocs/internal/tensor"
 	"twocs/internal/units"
 )
@@ -309,7 +310,11 @@ func cmdGantt(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rep, trace, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{})
+	c, err := dist.CompileIteration(plan, timer, dist.ScheduleOptions{})
+	if err != nil {
+		return err
+	}
+	rep, trace, err := c.Run(timer, sim.Config{})
 	if err != nil {
 		return err
 	}

@@ -102,11 +102,11 @@ func degradationSim(cfg model.Config, tp int, straggler float64, w io.Writer) er
 	if err != nil {
 		return err
 	}
-	healthy, _, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{})
+	healthy, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{})
 	if err != nil {
 		return err
 	}
-	faulted, _, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{
+	faulted, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{
 		Faults: sim.Faults{StragglerDevice: 0, StragglerSlowdown: straggler},
 	})
 	if err != nil {

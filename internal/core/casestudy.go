@@ -100,7 +100,7 @@ func (a *Analyzer) CaseStudyCtx(ctx context.Context, cfg model.Config, tp, dp in
 		}
 		timer := &dist.Timer{Calc: calc, TPModel: tpModel, DPModel: dpModel, TP: tp, DP: dp}
 		plan := dist.Plan{Model: cfg, TP: tp, DP: dp, Cluster: planCluster, Algo: collective.Ring}
-		rep, _, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{
+		rep, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{
 			InterferenceSlowdown: sc.Interference,
 		})
 		if err != nil {

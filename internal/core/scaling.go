@@ -80,7 +80,7 @@ func (a *Analyzer) ScalingStudyCtx(ctx context.Context, cfg model.Config, device
 		dp := devices / tp
 		timer := &dist.Timer{Calc: sub.calc, TPModel: sub.ring, DPModel: sub.ring, TP: tp, DP: dp}
 		plan := dist.Plan{Model: cfg, TP: tp, DP: dp, Cluster: planCluster, Algo: collective.Ring}
-		rep, _, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{})
+		rep, err := dist.RunIteration(plan, timer, dist.ScheduleOptions{})
 		if err != nil {
 			return ScalingRow{}, err
 		}

@@ -19,16 +19,25 @@ import (
 // compile-once/re-time-many design (see internal/sim/program.go).
 
 // CompiledIteration pairs the compiled simulator Program of one
-// iteration-schedule shape with the pricing specs that refill its
+// iteration-schedule shape with the price classes that refill its
 // durations under any Timer of the same TP degree. Instances are
 // immutable and safe for concurrent use; sweep workers share one.
 type CompiledIteration struct {
-	prog  *sim.Program
-	specs []iterOpSpec
+	prog    *sim.Program
+	pricing iterPricing
 	// shape (Name-normalized model config) and tp reproduce the
 	// optimizer-step pricing inputs at refill time.
 	shape model.Config
 	tp    int
+
+	scratch sync.Pool // *iterScratch
+}
+
+// iterScratch is the reusable memory of one re-time: the refilled
+// durations and the engine's run state.
+type iterScratch struct {
+	durs []units.Seconds
+	st   *sim.RunState
 }
 
 // Program returns the compiled schedule. Callers must treat it (and
@@ -37,9 +46,12 @@ func (c *CompiledIteration) Program() *sim.Program { return c.prog }
 
 // Refill prices every op of the compiled schedule under timer, writing
 // into dst (grown if needed) and returning the filled slice — the
-// duration-refill hook of the compile-once/re-time-many loop. The
-// timer must have the TP degree the schedule was compiled for; its
-// hardware (Calculator, cost models) and DP degree are free to differ.
+// duration-refill hook of the compile-once/re-time-many loop. Each
+// price class is priced once. The timer must have the TP degree the
+// schedule was compiled for; its hardware (Calculator, cost models)
+// and DP degree are free to differ. With telemetry on, every op still
+// feeds its dist.op.*.sim_ns histogram, in op order, as Timer.Time
+// would.
 func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.Seconds, error) {
 	if timer == nil {
 		return nil, fmt.Errorf("dist: nil timer")
@@ -47,39 +59,76 @@ func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.S
 	if timer.TP != c.tp {
 		return nil, fmt.Errorf("dist: timer TP %d does not match compiled TP %d", timer.TP, c.tp)
 	}
-	n := c.prog.NumOps()
+	classes, opClass := c.pricing.classes, c.pricing.opClass
+	n := len(opClass)
 	if cap(dst) < n {
 		dst = make([]units.Seconds, n)
 	}
 	dst = dst[:n]
-	for i, s := range c.specs {
+	for k, s := range classes {
 		var d units.Seconds
 		var err error
 		if s.optimizer {
 			d, err = timer.Calc.OptimizerStep(c.shape.Params()/float64(c.tp), c.shape.DT, 6)
 		} else {
-			d, err = timer.Time(s.desc)
+			d, err = timer.timeOp(s.desc)
 		}
 		if err != nil {
 			return nil, err
 		}
-		dst[i] = d
+		dst[k] = d
+	}
+	// Classes are numbered in order of first use, so op i's class is
+	// at most i: scattering from the last op back reads every class
+	// price in dst[:len(classes)] before a write reaches its slot.
+	for i := n - 1; i >= 0; i-- {
+		dst[i] = dst[opClass[i]]
+	}
+	if tel := telemetry.Active(); tel != nil {
+		for i, k := range opClass {
+			if s := classes[k]; !s.optimizer {
+				tel.Observe(opSimMetric(s.desc.Kind), telemetry.SimNanos(float64(dst[i])))
+			}
+		}
 	}
 	return dst, nil
 }
 
-// Run refills durations under timer and executes the compiled program,
-// returning the same report and trace RunIteration produces.
+// Report refills durations under timer, re-times the compiled program
+// and returns the iteration's report, read from the run's summary
+// without building a trace. Its scratch memory is pooled: steady state
+// is zero allocs per call.
+//
+//lint:hotpath
+func (c *CompiledIteration) Report(timer *Timer, cfg sim.Config) (IterationReport, error) {
+	sc := c.scratch.Get().(*iterScratch)
+	defer c.scratch.Put(sc)
+	durs, err := c.Refill(timer, sc.durs)
+	if err != nil {
+		return IterationReport{}, err
+	}
+	sum, err := c.prog.Summarize(sc.st, durs, cfg)
+	if err != nil {
+		return IterationReport{}, err
+	}
+	return reportOf(sum), nil
+}
+
+// Run is Report plus the run's trace, for the callers that draw or
+// export the iteration (gantt, its Chrome trace, CriticalPath).
 func (c *CompiledIteration) Run(timer *Timer, cfg sim.Config) (*IterationReport, *sim.Trace, error) {
-	durs, err := c.Refill(timer, nil)
+	sc := c.scratch.Get().(*iterScratch)
+	defer c.scratch.Put(sc)
+	durs, err := c.Refill(timer, sc.durs)
 	if err != nil {
 		return nil, nil, err
 	}
-	trace, err := c.prog.Run(durs, cfg)
-	if err != nil {
+	trace := &sim.Trace{}
+	if err := c.prog.RunReuse(sc.st, durs, cfg, trace); err != nil {
 		return nil, nil, err
 	}
-	return reportFrom(trace), trace, nil
+	rep := reportOf(sc.st.Summary())
+	return &rep, trace, nil
 }
 
 // iterKey identifies an iteration-schedule shape: the model config
@@ -132,7 +181,7 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 		return c.(*CompiledIteration), nil
 	}
 	telemetry.Active().Count("dist.programcache.miss", 1)
-	ops, specs, err := buildIteration(p, timer, opts)
+	ops, pricing, err := buildIteration(p, timer, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +189,10 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 	if err != nil {
 		return nil, err
 	}
-	c := &CompiledIteration{prog: prog, specs: specs, shape: iterShape(p.Model), tp: p.TP}
+	c := &CompiledIteration{prog: prog, pricing: pricing, shape: iterShape(p.Model), tp: p.TP}
+	c.scratch.New = func() any {
+		return &iterScratch{durs: make([]units.Seconds, len(ops)), st: prog.NewState()}
+	}
 	if prev, loaded := iterCache.LoadOrStore(key, c); loaded {
 		// A racing builder won; share its copy so every caller sees one
 		// instance per shape.

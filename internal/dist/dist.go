@@ -93,12 +93,12 @@ func NewTimer(p Plan, calc *kernels.Calculator) (*Timer, error) {
 	return &Timer{Calc: calc, TPModel: tpModel, DPModel: dpModel, TP: p.TP, DP: p.DP}, nil
 }
 
-// opSimMetric maps each operator kind to its histogram name, indexed by
-// model.OpKind. Precomputing the names keeps the telemetry-enabled path
-// allocation-free too: the old "dist.op."+kind+".sim_ns" concatenation
-// allocated a fresh string per priced operator, millions of times per
-// instrumented sweep.
-var opSimMetric = [...]string{
+// opSimMetrics maps each operator kind to its histogram name, indexed
+// by model.OpKind. Precomputing the names keeps the telemetry-enabled
+// path allocation-free too: the old "dist.op."+kind+".sim_ns"
+// concatenation allocated a fresh string per priced operator, millions
+// of times per instrumented sweep.
+var opSimMetrics = [...]string{
 	model.GEMM:        "dist.op.gemm.sim_ns",
 	model.LayerNorm:   "dist.op.layernorm.sim_ns",
 	model.Softmax:     "dist.op.softmax.sim_ns",
@@ -106,6 +106,15 @@ var opSimMetric = [...]string{
 	model.TPAllReduce: "dist.op.tp-allreduce.sim_ns",
 	model.DPAllReduce: "dist.op.dp-allreduce.sim_ns",
 	model.FusedAttn:   "dist.op.fused-attention.sim_ns",
+}
+
+// opSimMetric names the histogram of simulated nanoseconds an operator
+// kind feeds.
+func opSimMetric(k model.OpKind) string {
+	if int(k) < len(opSimMetrics) && opSimMetrics[k] != "" {
+		return opSimMetrics[k]
+	}
+	return "dist.op.unknown.sim_ns"
 }
 
 // Time returns the standalone duration of one operator. When a
@@ -118,11 +127,7 @@ func (t *Timer) Time(op model.OpDesc) (units.Seconds, error) {
 		return 0, err
 	}
 	if tel := telemetry.Active(); tel != nil {
-		name := "dist.op.unknown.sim_ns"
-		if int(op.Kind) < len(opSimMetric) && opSimMetric[op.Kind] != "" {
-			name = opSimMetric[op.Kind]
-		}
-		tel.Observe(name, telemetry.SimNanos(float64(d)))
+		tel.Observe(opSimMetric(op.Kind), telemetry.SimNanos(float64(d)))
 	}
 	return d, nil
 }

@@ -138,7 +138,15 @@ func TestBuildIterationWellFormed(t *testing.T) {
 func TestRunIterationBreakdown(t *testing.T) {
 	p := testPlan(4, 2)
 	tm := newTimer(t, p)
-	rep, trace, err := RunIteration(p, tm, ScheduleOptions{})
+	rep, err := RunIteration(p, tm, ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := CompileIteration(p, tm, ScheduleOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, trace, err := c.Run(tm, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +177,7 @@ func TestDPCommMostlyOverlapped(t *testing.T) {
 	p := testPlan(4, 2)
 	p.Model.Layers = 8
 	tm := newTimer(t, p)
-	rep, _, err := RunIteration(p, tm, ScheduleOptions{})
+	rep, err := RunIteration(p, tm, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +189,7 @@ func TestDPCommMostlyOverlapped(t *testing.T) {
 func TestTPOneHasNoSerializedComm(t *testing.T) {
 	p := testPlan(1, 4)
 	tm := newTimer(t, p)
-	rep, _, err := RunIteration(p, tm, ScheduleOptions{})
+	rep, err := RunIteration(p, tm, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +205,7 @@ func TestSerializedFractionGrowsWithTP(t *testing.T) {
 	for _, tp := range []int{2, 8, 16} {
 		p := testPlan(tp, 1)
 		tm := newTimer(t, p)
-		rep, _, err := RunIteration(p, tm, ScheduleOptions{})
+		rep, err := RunIteration(p, tm, ScheduleOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,11 +219,11 @@ func TestSerializedFractionGrowsWithTP(t *testing.T) {
 func TestIncludeOptimizer(t *testing.T) {
 	p := testPlan(4, 2)
 	tm := newTimer(t, p)
-	without, _, err := RunIteration(p, tm, ScheduleOptions{})
+	without, err := RunIteration(p, tm, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	with, _, err := RunIteration(p, tm, ScheduleOptions{IncludeOptimizer: true})
+	with, err := RunIteration(p, tm, ScheduleOptions{IncludeOptimizer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +235,11 @@ func TestIncludeOptimizer(t *testing.T) {
 func TestInterferenceLengthensIteration(t *testing.T) {
 	p := testPlan(4, 2)
 	tm := newTimer(t, p)
-	clean, _, err := RunIteration(p, tm, ScheduleOptions{})
+	clean, err := RunIteration(p, tm, ScheduleOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowed, _, err := RunIteration(p, tm, ScheduleOptions{InterferenceSlowdown: 1.5})
+	slowed, err := RunIteration(p, tm, ScheduleOptions{InterferenceSlowdown: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}

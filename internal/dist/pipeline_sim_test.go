@@ -134,7 +134,7 @@ func SimulatePipeline(pp PipelinePlan, timer *Timer) (*sim.Trace, float64, error
 	if err != nil {
 		return nil, 0, err
 	}
-	busy := trace.BusyTime(0, sim.ComputeStream)
+	busy := busyTime(trace, 0, sim.ComputeStream)
 	bubble := units.Ratio(float64(trace.Makespan-busy), float64(trace.Makespan))
 	return trace, bubble, nil
 }

@@ -35,16 +35,6 @@ const (
 	LabelDPComm  = "dp-allreduce"
 )
 
-// BuildIteration builds the simulator schedule of one full training
-// iteration (all layers, forward and backward) as observed by one
-// representative device. Cross-device effects are already folded into
-// each collective's duration by the Timer, which is exactly the paper's
-// single-device-plus-models methodology (§4.3.3).
-func BuildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, error) {
-	ops, _, err := buildIteration(p, timer, opts)
-	return ops, err
-}
-
 // iterOpSpec records how one schedule op is priced, so a compiled
 // iteration can refill durations under a different Timer without
 // rebuilding the op graph.
@@ -55,18 +45,42 @@ type iterOpSpec struct {
 	optimizer bool
 }
 
-// buildIteration is BuildIteration plus a parallel pricing-spec slice
-// (specs[i] prices ops[i]); the spec capture is the only difference.
-func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []iterOpSpec, error) {
+// iterPricing is how a schedule's ops are priced. Every layer repeats
+// the same descriptors, so the thousands of ops of an iteration share
+// a few dozen distinct specs, its price classes.
+type iterPricing struct {
+	// classes are the distinct specs, numbered in order of first use.
+	classes []iterOpSpec
+	// opClass[i] is the class of op i.
+	opClass []int32
+}
+
+// buildIteration builds the simulator schedule of one full training
+// iteration (all layers, forward and backward) as observed by one
+// representative device, plus how each op is priced. Cross-device
+// effects are already folded into each collective's duration by the
+// Timer, which is exactly the paper's single-device-plus-models
+// methodology (§4.3.3).
+func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterPricing, error) {
+	var pr iterPricing
 	if err := p.Validate(); err != nil {
-		return nil, nil, err
+		return nil, pr, err
 	}
 	if timer == nil {
-		return nil, nil, fmt.Errorf("dist: nil timer")
+		return nil, pr, fmt.Errorf("dist: nil timer")
 	}
 
 	var ops []sim.Op
-	var specs []iterOpSpec
+	classOf := map[iterOpSpec]int32{}
+	classify := func(s iterOpSpec) {
+		k, ok := classOf[s]
+		if !ok {
+			k = int32(len(pr.classes))
+			classOf[s] = k
+			pr.classes = append(pr.classes, s)
+		}
+		pr.opClass = append(pr.opClass, k)
+	}
 	var prevBarrier string // last op the next compute op must wait for
 
 	emit := func(name string, stream sim.Stream, dur units.Seconds, label string, deps ...string) string {
@@ -104,7 +118,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 					deps = append(deps, prevBarrier)
 				}
 				id := emit(name, sim.CommStream, dur, LabelTPComm, deps...)
-				specs = append(specs, iterOpSpec{desc: d})
+				classify(iterOpSpec{desc: d})
 				prevBarrier = id
 				lastOp = id
 			default:
@@ -114,7 +128,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 					prevBarrier = ""
 				}
 				id := emit(name, sim.ComputeStream, dur, LabelCompute, deps...)
-				specs = append(specs, iterOpSpec{desc: d})
+				classify(iterOpSpec{desc: d})
 				lastOp = id
 			}
 		}
@@ -125,10 +139,10 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 	for l := 0; l < p.Model.Layers; l++ {
 		descs, err := model.LayerForwardOps(p.Model, p.TP)
 		if err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 		if _, err := addLayerOps(l, descs); err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 	}
 
@@ -137,7 +151,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 	// except the optimizer.
 	gradBytes, err := model.DPGradientBytes(p.Model, p.TP)
 	if err != nil {
-		return nil, nil, err
+		return nil, pr, err
 	}
 	bucket := opts.DPBucketLayers
 	if bucket < 1 {
@@ -148,11 +162,11 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 	for l := p.Model.Layers - 1; l >= 0; l-- {
 		descs, err := model.LayerBackwardOps(p.Model, p.TP)
 		if err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 		last, err := addLayerOps(l, descs)
 		if err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 		if p.DP == 1 {
 			continue
@@ -168,11 +182,11 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 		}
 		dur, err := timer.Time(dpDesc)
 		if err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 		id := emit(fmt.Sprintf("l%d.bwd.dp.allreduce", l), sim.DPCommStream,
 			dur, LabelDPComm, last)
-		specs = append(specs, iterOpSpec{desc: dpDesc})
+		classify(iterOpSpec{desc: dpDesc})
 		dpOps = append(dpOps, id)
 		pending = 0
 	}
@@ -181,16 +195,16 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, []ite
 		dur, err := timer.Calc.OptimizerStep(
 			p.Model.Params()/float64(p.TP), p.Model.DT, 6)
 		if err != nil {
-			return nil, nil, err
+			return nil, pr, err
 		}
 		deps := dpOps
 		if len(deps) == 0 && len(ops) > 0 {
 			deps = []string{ops[len(ops)-1].ID}
 		}
 		emit("optimizer.step", sim.ComputeStream, dur, LabelCompute, deps...)
-		specs = append(specs, iterOpSpec{optimizer: true})
+		classify(iterOpSpec{optimizer: true})
 	}
-	return ops, specs, nil
+	return ops, pr, nil
 }
 
 // IterationReport summarizes one simulated iteration.
@@ -201,16 +215,11 @@ type IterationReport struct {
 	ComputeTime units.Seconds
 	TPCommTime  units.Seconds
 	DPCommTime  units.Seconds
-	// ExposedTPComm and ExposedDPComm are the portions of each comm
-	// stream's busy time during which compute idled.
+	// ExposedTPComm is the TP all-reduce time during which compute
+	// idled; ExposedDPComm the DP all-reduce time covered by neither
+	// compute nor a TP all-reduce.
 	ExposedTPComm units.Seconds
 	ExposedDPComm units.Seconds
-}
-
-// SerializedCommFraction is exposed TP communication over the makespan —
-// the paper's Figure 10/12 metric.
-func (r IterationReport) SerializedCommFraction() float64 {
-	return units.Ratio(float64(r.ExposedTPComm), float64(r.Makespan))
 }
 
 // TotalCommFraction is all exposed communication over the makespan.
@@ -218,29 +227,35 @@ func (r IterationReport) TotalCommFraction() float64 {
 	return units.Ratio(float64(r.ExposedTPComm+r.ExposedDPComm), float64(r.Makespan))
 }
 
-// reportFrom summarizes a simulated iteration trace.
-func reportFrom(trace *sim.Trace) *IterationReport {
-	labels := trace.LabelTime()
-	return &IterationReport{
-		Makespan:      trace.Makespan,
-		ComputeTime:   labels[LabelCompute],
-		TPCommTime:    labels[LabelTPComm],
-		DPCommTime:    labels[LabelDPComm],
-		ExposedTPComm: trace.ExposedCommOn(0, sim.CommStream),
-		ExposedDPComm: trace.ExposedDPComm(0),
+// reportOf reads an iteration report off a run summary. The schedule
+// runs on device 0, one label per stream: compute on the compute
+// stream, TP all-reduces on the comm stream, DP all-reduces on the DP
+// comm stream.
+func reportOf(s *sim.Summary) IterationReport {
+	comp := s.Lane(0, sim.ComputeStream)
+	tp := s.Lane(0, sim.CommStream)
+	dp := s.Lane(0, sim.DPCommStream)
+	return IterationReport{
+		Makespan:      s.Makespan,
+		ComputeTime:   comp.Executed,
+		TPCommTime:    tp.Executed,
+		DPCommTime:    dp.Executed,
+		ExposedTPComm: tp.Exposed,
+		ExposedDPComm: dp.Exposed,
 	}
 }
 
 // RunIteration builds, simulates and summarizes one training iteration.
 // The schedule shape is compiled once per (model, TP, schedule options)
 // and cached process-wide; each call re-prices the ops under its timer
-// and re-times the compiled program (see CompileIteration).
-func RunIteration(p Plan, timer *Timer, opts ScheduleOptions) (*IterationReport, *sim.Trace, error) {
+// and re-times the compiled program (see CompileIteration). No trace is
+// kept: CompiledIteration.Run is the path that returns one.
+func RunIteration(p Plan, timer *Timer, opts ScheduleOptions) (IterationReport, error) {
 	c, err := CompileIteration(p, timer, opts)
 	if err != nil {
-		return nil, nil, err
+		return IterationReport{}, err
 	}
-	return c.Run(timer, sim.Config{
+	return c.Report(timer, sim.Config{
 		InterferenceSlowdown: opts.InterferenceSlowdown,
 		Faults:               opts.Faults,
 	})

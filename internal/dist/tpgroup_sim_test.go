@@ -160,8 +160,8 @@ func SimulateTPGroupForward(p Plan, timer *Timer, opts TPGroupOptions) (*TPGroup
 	}
 	rep := &TPGroupReport{Makespan: trace.Makespan}
 	for r := 0; r < p.TP; r++ {
-		rep.PerRankCompute = append(rep.PerRankCompute, trace.BusyTime(r, sim.ComputeStream))
+		rep.PerRankCompute = append(rep.PerRankCompute, busyTime(trace, r, sim.ComputeStream))
 	}
-	rep.ExposedComm = trace.ExposedCommOn(0, sim.CommStream)
+	rep.ExposedComm = exposedCommOn(trace, 0, sim.CommStream)
 	return rep, nil
 }

@@ -105,7 +105,7 @@ func TestTPGroupScheduleExecutes(t *testing.T) {
 	}
 	// Every rank must do identical compute work.
 	for r := 1; r < p.TP; r++ {
-		if trace.BusyTime(r, sim.ComputeStream) != trace.BusyTime(0, sim.ComputeStream) {
+		if busyTime(trace, r, sim.ComputeStream) != busyTime(trace, 0, sim.ComputeStream) {
 			t.Errorf("rank %d compute differs from rank 0", r)
 		}
 	}

@@ -20,8 +20,9 @@ import (
 // validation, string interning and queue construction exactly once,
 // lowering the schedule to dense int32 form; Program.Run then replays
 // the event loop over pooled scratch buffers with near-zero steady-state
-// allocations. sim.Run remains the convenience path (Compile + one Run)
-// with byte-identical results.
+// allocations, and Program.Summarize replays it without writing a trace
+// at all. sim.Run remains the convenience path (Compile + one Run) with
+// byte-identical results.
 
 // Program is a schedule compiled for repeated execution. The compiled
 // form is immutable; one Program may be Run concurrently from many
@@ -34,9 +35,13 @@ type Program struct {
 	baseDur []units.Seconds
 
 	// deps/depOff form CSR-style adjacency: op i depends on the op
-	// indices deps[depOff[i]:depOff[i+1]].
-	deps   []int32
-	depOff []int32
+	// indices deps[depOff[i]:depOff[i+1]]. users/userOff are the same
+	// edges reversed: the ops waiting on op i are
+	// users[userOff[i]:userOff[i+1]].
+	deps    []int32
+	depOff  []int32
+	users   []int32
+	userOff []int32
 
 	// queues are the per-(device,stream) in-order FIFO lanes, sorted by
 	// (device, stream); each holds op indices in submission order.
@@ -54,6 +59,10 @@ type progQueue struct {
 	// interferes with this lane (compute vs communication on one
 	// device, §4.3.7).
 	peers []int32
+	// compute and comm are the queue indices of the device's compute
+	// and serialized-comm lanes (-1 when the device has none), the
+	// lanes a comm lane's exposure is measured against.
+	compute, comm int32
 }
 
 // Compile validates the schedule once and lowers it to the dense form
@@ -98,6 +107,28 @@ func Compile(ops []Op) (*Program, error) {
 		}
 		p.depOff[i+1] = int32(len(p.deps))
 	}
+	// Reverse the edges into users/userOff (one allocation): count
+	// each op's users, prefix-sum the counts into block starts, fill
+	// the blocks using the starts as cursors (leaving each at the next
+	// block's start), then shift the starts back into place.
+	rev := make([]int32, n+1+len(p.deps))
+	p.userOff, p.users = rev[:n+1], rev[n+1:]
+	for _, d := range p.deps {
+		p.userOff[d+1]++
+	}
+	for i := 0; i < n; i++ {
+		p.userOff[i+1] += p.userOff[i]
+	}
+	for i := 0; i < n; i++ {
+		for _, d := range p.deps[p.depOff[i]:p.depOff[i+1]] {
+			p.users[p.userOff[d]] = int32(i)
+			p.userOff[d]++
+		}
+	}
+	if n > 0 {
+		copy(p.userOff[1:n], p.userOff[:n-1])
+		p.userOff[0] = 0
+	}
 
 	// Group ops into per-(device,stream) lanes, sorted by (device,
 	// stream) to fix the start-scan order the event loop uses.
@@ -124,8 +155,18 @@ func Compile(ops []Op) (*Program, error) {
 	})
 	for qi := range p.queues {
 		q := &p.queues[qi]
+		q.compute, q.comm = -1, -1
 		for pi := range p.queues {
-			if pi == qi || p.queues[pi].dev != q.dev {
+			if p.queues[pi].dev != q.dev {
+				continue
+			}
+			switch p.queues[pi].stream {
+			case ComputeStream:
+				q.compute = int32(pi)
+			case CommStream:
+				q.comm = int32(pi)
+			}
+			if pi == qi {
 				continue
 			}
 			// Compute interferes with any comm lane on the device and
@@ -165,11 +206,20 @@ type RunState struct {
 	remaining []float64
 	startAt   []float64
 	endAt     []float64
-	done      []bool
-	started   []bool
+	pending   []int32 // per op: dependencies not yet complete
 	qpos      []int32
 	running   []int32   // per queue: running op index, -1 when idle
 	rate      []float64 // per queue: healthy progress rate (1/fault factor)
+	// ok reports whether the last run completed; Summary reads it.
+	ok bool
+
+	// Summary scratch, allocated on first use: lane q's merged busy
+	// intervals are busy[busyOff[q]:busyOff[q+1]], and cover holds the
+	// union of two lanes.
+	busy    []interval
+	busyOff []int32
+	cover   []interval
+	summary Summary
 }
 
 func (p *Program) newState() *RunState {
@@ -179,8 +229,7 @@ func (p *Program) newState() *RunState {
 		remaining: make([]float64, n),
 		startAt:   make([]float64, n),
 		endAt:     make([]float64, n),
-		done:      make([]bool, n),
-		started:   make([]bool, n),
+		pending:   make([]int32, n),
 		qpos:      make([]int32, len(p.queues)),
 		running:   make([]int32, len(p.queues)),
 		rate:      make([]float64, len(p.queues)),
@@ -223,18 +272,49 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 	if tr == nil {
 		return fmt.Errorf("sim: nil trace")
 	}
+	if err := p.execute(st, durations, cfg); err != nil {
+		return err
+	}
+	tr.resize(len(p.ops))
+	for i, op := range p.ops {
+		op.Duration = durations[i]
+		tr.Spans[i] = Span{
+			Op:    op,
+			Start: units.Seconds(st.startAt[i]),
+			End:   units.Seconds(st.endAt[i]),
+		}
+		if units.Seconds(st.endAt[i]) > tr.Makespan {
+			tr.Makespan = units.Seconds(st.endAt[i])
+		}
+	}
+	sortSpans(tr.Spans)
+	return nil
+}
+
+// Summarize re-times the schedule like RunReuse but writes no trace:
+// it returns the run's Summary, read straight from st (see
+// RunState.Summary). Steady state is zero allocs per run.
+//
+//lint:hotpath
+func (p *Program) Summarize(st *RunState, durations []units.Seconds, cfg Config) (*Summary, error) {
+	if err := p.execute(st, durations, cfg); err != nil {
+		return nil, err
+	}
+	return st.Summary(), nil
+}
+
+// execute replays the event loop under durations and cfg, leaving
+// every op's start and end time in st.
+func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) error {
 	if st == nil || st.owner != p {
 		return fmt.Errorf("sim: run state does not belong to this program")
 	}
+	st.ok = false
 	if len(durations) != len(p.ops) {
 		return fmt.Errorf("sim: %d durations for %d ops", len(durations), len(p.ops))
 	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return err
-	}
-	if len(p.ops) == 0 {
-		tr.resize(0)
-		return nil
 	}
 	slow := cfg.InterferenceSlowdown
 	if slow < 1 {
@@ -245,8 +325,7 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 			return fmt.Errorf("sim: op %q has invalid duration %v", p.ops[i].ID, d)
 		}
 		st.remaining[i] = float64(d)
-		st.done[i] = false
-		st.started[i] = false
+		st.pending[i] = p.depOff[i+1] - p.depOff[i]
 	}
 	for q := range p.queues {
 		st.qpos[q] = 0
@@ -269,38 +348,26 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 		}
 		return r
 	}
-	depsDone := func(op int32) bool {
-		for _, d := range p.deps[p.depOff[op]:p.depOff[op+1]] {
-			if !st.done[d] {
-				return false
-			}
-		}
-		return true
-	}
 
 	now := 0.0
 	remainingOps := len(p.ops)
 	nRunning := 0
 	for remainingOps > 0 {
-		// Start every lane head whose dependencies are complete.
-		progressed := true
-		for progressed {
-			progressed = false
-			for q := range p.queues {
-				if st.running[q] >= 0 || int(st.qpos[q]) >= len(p.queues[q].ops) {
-					continue
-				}
-				head := p.queues[q].ops[st.qpos[q]]
-				if !depsDone(head) {
-					continue
-				}
-				st.started[head] = true
-				st.startAt[head] = now
-				st.running[q] = head
-				st.qpos[q]++
-				nRunning++
-				progressed = true
+		// Start every idle lane's head whose dependencies are complete.
+		// Starting an op completes nothing, so one pass finds them all.
+		for q := range p.queues {
+			lane := p.queues[q].ops
+			if st.running[q] >= 0 || int(st.qpos[q]) >= len(lane) {
+				continue
 			}
+			head := lane[st.qpos[q]]
+			if st.pending[head] > 0 {
+				continue
+			}
+			st.startAt[head] = now
+			st.running[q] = head
+			st.qpos[q]++
+			nRunning++
 		}
 
 		if nRunning == 0 {
@@ -344,28 +411,17 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 			}
 			if st.remaining[i] <= 1e-18 {
 				st.remaining[i] = 0
-				st.done[i] = true
 				st.endAt[i] = now
 				st.running[q] = -1
 				nRunning--
 				remainingOps--
+				for _, u := range p.users[p.userOff[i]:p.userOff[i+1]] {
+					st.pending[u]--
+				}
 			}
 		}
 	}
-
-	tr.resize(len(p.ops))
-	for i, op := range p.ops {
-		op.Duration = durations[i]
-		tr.Spans[i] = Span{
-			Op:    op,
-			Start: units.Seconds(st.startAt[i]),
-			End:   units.Seconds(st.endAt[i]),
-		}
-		if units.Seconds(st.endAt[i]) > tr.Makespan {
-			tr.Makespan = units.Seconds(st.endAt[i])
-		}
-	}
-	sortSpans(tr.Spans)
+	st.ok = true
 	return nil
 }
 

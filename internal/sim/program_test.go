@@ -371,7 +371,7 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 		if !reflect.DeepEqual(want.Spans, reused.Spans) || want.Makespan != reused.Makespan {
 			t.Fatalf("n=%d: RunReuse diverged from RunWith", n)
 		}
-		// The lazy analysis indexes must rebuild against the new spans.
+		// Analyses must read the new spans, not the old ones.
 		if !reflect.DeepEqual(want.LabelTime(), reused.LabelTime()) {
 			t.Fatalf("n=%d: reused trace serves stale label sums", n)
 		}
@@ -433,27 +433,6 @@ func TestCriticalPathUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(gotPath, againPath) || !reflect.DeepEqual(gotLabels, againLabels) {
 			t.Fatalf("trace %d: repeated CriticalPath diverged", ti)
 		}
-	}
-}
-
-// TestLabelTimeCached checks LabelTime computes once and keeps serving
-// the same (correct) map.
-func TestLabelTimeCached(t *testing.T) {
-	tr, err := Run(iterationOps(4), Config{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	fresh := make(map[string]units.Seconds)
-	for _, s := range tr.Spans {
-		fresh[s.Op.Label] += s.Duration()
-	}
-	first := tr.LabelTime()
-	if !reflect.DeepEqual(fresh, first) {
-		t.Fatalf("LabelTime diverged from direct sum: %v vs %v", first, fresh)
-	}
-	second := tr.LabelTime()
-	if reflect.ValueOf(first).Pointer() != reflect.ValueOf(second).Pointer() {
-		t.Fatal("LabelTime rebuilt its map on the second call")
 	}
 }
 

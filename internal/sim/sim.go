@@ -90,23 +90,21 @@ type Config struct {
 }
 
 // Trace is the result of running a schedule. A Trace must not be
-// copied after first use: the analysis passes (LabelTime, CriticalPath)
-// lazily build shared indexes guarded by an internal mutex.
+// copied after first use: CriticalPath lazily builds a shared index
+// guarded by an internal mutex.
 type Trace struct {
 	Spans []Span
 	// Makespan is the completion time of the last op.
 	Makespan units.Seconds
 
-	// mu guards the lazily built analysis indexes below. A mutex with
-	// nil-map sentinels (rather than sync.Once fields) lets
-	// Program.RunReuse clear them for the next re-time without copying a
-	// used lock, which `go vet` rightly rejects.
+	// mu guards the lazily built index below. A mutex with a nil-map
+	// sentinel (rather than a sync.Once field) lets Program.RunReuse
+	// clear it for the next re-time without copying a used lock, which
+	// `go vet` rightly rejects.
 	mu sync.Mutex
 	// byID is the span-by-op-ID index every backward walk needs; built
 	// once per trace instead of once per call.
 	byID map[string]Span
-	// labels holds the executed-duration-per-label sums.
-	labels map[string]units.Seconds
 }
 
 // index returns the span-by-op-ID map, built on first use and shared
@@ -128,8 +126,8 @@ func (t *Trace) index() map[string]Span {
 
 // resize prepares the trace for reuse by Program.RunReuse: Spans is
 // re-sliced to n ops (reusing its backing array whenever it is large
-// enough), the makespan is cleared, and the lazy analysis indexes are
-// dropped so they rebuild against the new spans.
+// enough), the makespan is cleared, and the lazy index is dropped so
+// it rebuilds against the new spans.
 func (t *Trace) resize(n int) {
 	if cap(t.Spans) < n {
 		t.Spans = make([]Span, n)
@@ -139,7 +137,6 @@ func (t *Trace) resize(n int) {
 	t.Makespan = 0
 	t.mu.Lock()
 	t.byID = nil
-	t.labels = nil
 	t.mu.Unlock()
 }
 

@@ -205,6 +205,9 @@ var testOnlySymbols = map[string][]string{
 		"BuildTPGroupForward", "SimulateTPGroupForward", "TPGroupOptions", "TPGroupReport",
 		// Deleted 1F1B schedule.
 		"Build1F1BSchedule", "MaxInFlight", "stageTimes",
+		// The uncompiled schedule and the trace-read report: oracles
+		// for CompileIteration and the run summary.
+		"BuildIteration", "IterationReport.SerializedCommFraction", "reportFrom",
 	},
 	"internal/model": {"EncDecLayerOps", "CrossAttentionForwardOps", "CrossAttentionBackwardOps"},
 	"internal/hw":    {"FutureDevice", "FutureNode", "GenerationScaling", "PaperGenerationScaling"},
@@ -212,6 +215,9 @@ var testOnlySymbols = map[string][]string{
 	"internal/sim": {
 		"CommBreakdown", "CommBreakdown.ExposedFraction",
 		"Trace.DeviceCommBreakdown", "Trace.Devices",
+		// Trace analytics: oracles for the run summary.
+		"Trace.LabelTime", "Trace.BusyTime", "Trace.ExposedCommOn",
+		"Trace.ExposedDPComm", "Trace.streamIntervals", "mergeIntervals",
 	},
 	// Equations 4-6 in closed form: oracles for the op graph and EdgeComplexity.
 	"internal/core":   {"ComputeOps", "CommBytes", "AmdahlEdge"},
