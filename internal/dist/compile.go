@@ -59,31 +59,11 @@ func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.S
 	if timer.TP != c.tp {
 		return nil, fmt.Errorf("dist: timer TP %d does not match compiled TP %d", timer.TP, c.tp)
 	}
+	dst, err := c.pricing.prices(timer, c.shape, c.tp, dst)
+	if err != nil {
+		return nil, err
+	}
 	classes, opClass := c.pricing.classes, c.pricing.opClass
-	n := len(opClass)
-	if cap(dst) < n {
-		dst = make([]units.Seconds, n)
-	}
-	dst = dst[:n]
-	for k, s := range classes {
-		var d units.Seconds
-		var err error
-		if s.optimizer {
-			d, err = timer.Calc.OptimizerStep(c.shape.Params()/float64(c.tp), c.shape.DT, 6)
-		} else {
-			d, err = timer.timeOp(s.desc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		dst[k] = d
-	}
-	// Classes are numbered in order of first use, so op i's class is
-	// at most i: scattering from the last op back reads every class
-	// price in dst[:len(classes)] before a write reaches its slot.
-	for i := n - 1; i >= 0; i-- {
-		dst[i] = dst[opClass[i]]
-	}
 	if tel := telemetry.Active(); tel != nil {
 		for i, k := range opClass {
 			if s := classes[k]; !s.optimizer {
@@ -151,13 +131,24 @@ func iterShape(c model.Config) model.Config {
 	return c
 }
 
-var iterCache sync.Map // iterKey -> *CompiledIteration
+// iterCache maps an iterKey to its *iterEntry.
+var iterCache sync.Map
+
+// iterEntry is one shape's cache slot. It is stored before the shape
+// is built, so concurrent callers of a new shape find it and wait on
+// once for the single build instead of each building their own.
+type iterEntry struct {
+	once sync.Once
+	c    *CompiledIteration
+	err  error
+}
 
 // CompileIteration returns the compiled program for the plan's
-// iteration-schedule shape, building it on first use and serving every
-// later call (any hardware, any DP degree, any study) from a
+// iteration-schedule shape, building it once on first use and serving
+// every later call (any hardware, any DP degree, any study) from a
 // process-wide cache. The plan is validated per call, so invalid plans
-// never consult the cache.
+// never consult the cache. A failed build is dropped from the cache,
+// so a later call builds again.
 func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIteration, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -176,11 +167,27 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 		bucket:     bucket,
 		includeOpt: opts.IncludeOptimizer,
 	}
-	if c, ok := iterCache.Load(key); ok {
-		telemetry.Active().Count("dist.programcache.hit", 1)
-		return c.(*CompiledIteration), nil
+	v, ok := iterCache.Load(key)
+	if !ok {
+		v, ok = iterCache.LoadOrStore(key, &iterEntry{})
 	}
-	telemetry.Active().Count("dist.programcache.miss", 1)
+	if ok {
+		telemetry.Active().Count("dist.programcache.hit", 1)
+	} else {
+		telemetry.Active().Count("dist.programcache.miss", 1)
+	}
+	e := v.(*iterEntry)
+	e.once.Do(func() {
+		e.c, e.err = compileIteration(p, timer, opts)
+		if e.err != nil {
+			iterCache.CompareAndDelete(key, e)
+		}
+	})
+	return e.c, e.err
+}
+
+// compileIteration builds and compiles the plan's iteration schedule.
+func compileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIteration, error) {
 	ops, pricing, err := buildIteration(p, timer, opts)
 	if err != nil {
 		return nil, err
@@ -192,11 +199,6 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 	c := &CompiledIteration{prog: prog, pricing: pricing, shape: iterShape(p.Model), tp: p.TP}
 	c.scratch.New = func() any {
 		return &iterScratch{durs: make([]units.Seconds, len(ops)), st: prog.NewState()}
-	}
-	if prev, loaded := iterCache.LoadOrStore(key, c); loaded {
-		// A racing builder won; share its copy so every caller sees one
-		// instance per shape.
-		return prev.(*CompiledIteration), nil
 	}
 	return c, nil
 }

@@ -3,11 +3,14 @@ package dist
 import (
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"twocs/internal/hw"
 	"twocs/internal/kernels"
 	"twocs/internal/sim"
+	"twocs/internal/telemetry"
 	"twocs/internal/units"
 )
 
@@ -141,6 +144,65 @@ func TestCompileIterationCacheKey(t *testing.T) {
 	dp1 := testPlan(2, 1)
 	if c, _ := CompileIteration(dp1, newTimer(t, dp1), ScheduleOptions{}); c == c0 {
 		t.Error("DP=1 must not share a DP>1 compiled program")
+	}
+}
+
+// freshShapes numbers the shapes TestCompileIterationBuildsOnce
+// compiles, so that every run of it (-count) starts with a cold cache.
+var freshShapes atomic.Int32
+
+// TestCompileIterationBuildsOnce releases eight goroutines together on
+// a shape no other call has compiled: exactly one misses the cache and
+// compiles it, the rest wait for that build, and all share its result.
+func TestCompileIterationBuildsOnce(t *testing.T) {
+	p := testPlan(2, 2)
+	p.Model.Layers = 100 + int(freshShapes.Add(1))
+	timer := newTimer(t, p)
+	col := telemetry.NewCollector()
+	telemetry.Enable(col)
+	defer telemetry.Enable(nil)
+
+	const workers = 8
+	got := make([]*CompiledIteration, workers)
+	errs := make([]error, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			got[w], errs[w] = CompileIteration(p, timer, ScheduleOptions{})
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	telemetry.Enable(nil)
+
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if got[w] == nil || got[w] != got[0] {
+			t.Fatalf("worker %d got program %p, worker 0 got %p", w, got[w], got[0])
+		}
+	}
+	snap := col.Snapshot()
+	for name, want := range map[string]int64{
+		"sim.program.compile":    1,
+		"dist.programcache.miss": 1,
+		"dist.programcache.hit":  workers - 1,
+	} {
+		if n, _ := snap.Counter(name); n != want {
+			t.Errorf("%s = %d, want %d", name, n, want)
+		}
+	}
+	// Compiling prices each class once, outside Timer.Time: it records
+	// no per-op histograms.
+	for _, h := range snap.Histograms {
+		if strings.HasPrefix(h.Name, "dist.op.") {
+			t.Errorf("compile recorded %s (%d observations)", h.Name, h.Count)
+		}
 	}
 }
 

@@ -14,10 +14,23 @@ import (
 
 // BuildIteration builds the simulator schedule of one full training
 // iteration (all layers, forward and backward) as observed by one
-// representative device.
+// representative device, pricing every op on its own through
+// Timer.Time — the per-op pricing, and telemetry, that price classes
+// replaced. The optimizer step keeps its Calculator.OptimizerStep
+// price, which Timer.Time never recorded.
 func BuildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, error) {
-	ops, _, err := buildIteration(p, timer, opts)
-	return ops, err
+	ops, pr, err := buildIteration(p, timer, opts)
+	if err != nil {
+		return nil, err
+	}
+	for i, k := range pr.opClass {
+		if s := pr.classes[k]; !s.optimizer {
+			if ops[i].Duration, err = timer.Time(s.desc); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ops, nil
 }
 
 // SerializedCommFraction is exposed TP communication over the makespan —

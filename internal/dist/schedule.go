@@ -55,12 +55,46 @@ type iterPricing struct {
 	opClass []int32
 }
 
+// prices writes every op's price under timer into dst (grown if
+// needed) and returns the filled slice, pricing each class once. shape
+// and tp are the schedule's model and TP degree, the optimizer step's
+// pricing inputs.
+func (pr *iterPricing) prices(timer *Timer, shape model.Config, tp int, dst []units.Seconds) ([]units.Seconds, error) {
+	n := len(pr.opClass)
+	if cap(dst) < n {
+		dst = make([]units.Seconds, n)
+	}
+	dst = dst[:n]
+	for k, s := range pr.classes {
+		var d units.Seconds
+		var err error
+		if s.optimizer {
+			d, err = timer.Calc.OptimizerStep(shape.Params()/float64(tp), shape.DT, 6)
+		} else {
+			d, err = timer.timeOp(s.desc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		dst[k] = d
+	}
+	// Classes are numbered in order of first use, so op i's class is
+	// at most i: scattering from the last op back reads every class
+	// price in dst[:len(classes)] before a write reaches its slot.
+	for i := n - 1; i >= 0; i-- {
+		dst[i] = dst[pr.opClass[i]]
+	}
+	return dst, nil
+}
+
 // buildIteration builds the simulator schedule of one full training
 // iteration (all layers, forward and backward) as observed by one
 // representative device, plus how each op is priced. Cross-device
 // effects are already folded into each collective's duration by the
 // Timer, which is exactly the paper's single-device-plus-models
-// methodology (§4.3.3).
+// methodology (§4.3.3). Each price class is priced once, with no
+// telemetry: the durations are compile-time placeholders that every
+// re-time refills (see CompiledIteration.Refill).
 func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterPricing, error) {
 	var pr iterPricing
 	if err := p.Validate(); err != nil {
@@ -83,13 +117,12 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 	}
 	var prevBarrier string // last op the next compute op must wait for
 
-	emit := func(name string, stream sim.Stream, dur units.Seconds, label string, deps ...string) string {
+	emit := func(name string, stream sim.Stream, label string, deps ...string) string {
 		op := sim.Op{
-			ID:       name,
-			Device:   0,
-			Stream:   stream,
-			Duration: dur,
-			Label:    label,
+			ID:     name,
+			Device: 0,
+			Stream: stream,
+			Label:  label,
 		}
 		op.Deps = append(op.Deps, deps...)
 		ops = append(ops, op)
@@ -100,10 +133,6 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 	// all-reduces gate subsequent compute via prevBarrier.
 	addLayerOps := func(layer int, descs []model.OpDesc) (lastOp string, err error) {
 		for _, d := range descs {
-			dur, err := timer.Time(d)
-			if err != nil {
-				return "", err
-			}
 			name := fmt.Sprintf("l%d.%s", layer, d.Name)
 			switch {
 			case d.Kind == model.TPAllReduce:
@@ -117,7 +146,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 				} else if prevBarrier != "" {
 					deps = append(deps, prevBarrier)
 				}
-				id := emit(name, sim.CommStream, dur, LabelTPComm, deps...)
+				id := emit(name, sim.CommStream, LabelTPComm, deps...)
 				classify(iterOpSpec{desc: d})
 				prevBarrier = id
 				lastOp = id
@@ -127,7 +156,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 					deps = append(deps, prevBarrier)
 					prevBarrier = ""
 				}
-				id := emit(name, sim.ComputeStream, dur, LabelCompute, deps...)
+				id := emit(name, sim.ComputeStream, LabelCompute, deps...)
 				classify(iterOpSpec{desc: d})
 				lastOp = id
 			}
@@ -180,29 +209,27 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 			Bytes: units.Bytes(float64(gradBytes) * float64(pending)),
 			DT:    p.Model.DT,
 		}
-		dur, err := timer.Time(dpDesc)
-		if err != nil {
-			return nil, pr, err
-		}
 		id := emit(fmt.Sprintf("l%d.bwd.dp.allreduce", l), sim.DPCommStream,
-			dur, LabelDPComm, last)
+			LabelDPComm, last)
 		classify(iterOpSpec{desc: dpDesc})
 		dpOps = append(dpOps, id)
 		pending = 0
 	}
 
 	if opts.IncludeOptimizer {
-		dur, err := timer.Calc.OptimizerStep(
-			p.Model.Params()/float64(p.TP), p.Model.DT, 6)
-		if err != nil {
-			return nil, pr, err
-		}
 		deps := dpOps
 		if len(deps) == 0 && len(ops) > 0 {
 			deps = []string{ops[len(ops)-1].ID}
 		}
-		emit("optimizer.step", sim.ComputeStream, dur, LabelCompute, deps...)
+		emit("optimizer.step", sim.ComputeStream, LabelCompute, deps...)
 		classify(iterOpSpec{optimizer: true})
+	}
+	durs, err := pr.prices(timer, p.Model, p.TP, nil)
+	if err != nil {
+		return nil, pr, err
+	}
+	for i, d := range durs {
+		ops[i].Duration = d
 	}
 	return ops, pr, nil
 }

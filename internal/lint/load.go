@@ -241,14 +241,21 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		files = append(append([]*ast.File{}, compile...), inTest...)
 	}
 	if len(files) > 0 {
-		pkg, err := l.check(pkgPath, files)
+		pkg, err := l.check(l.imp, pkgPath, files)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, pkg)
 	}
 	if l.IncludeTests && len(extTest) > 0 {
-		pkg, err := l.check(pkgPath+"_test", extTest)
+		imp := l.imp
+		if len(inTest) > 0 && len(out) > 0 {
+			// As the go tool does, check the external test package
+			// against the package under test with its in-package test
+			// files, which may export test-only names (export_test.go).
+			imp = l.imp.variant(pkgPath, out[0].Types)
+		}
+		pkg, err := l.check(imp, pkgPath+"_test", extTest)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +265,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 }
 
 // check runs the type checker over one file set.
-func (l *Loader) check(pkgPath string, files []*ast.File) (*Package, error) {
+func (l *Loader) check(imp types.Importer, pkgPath string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -270,7 +277,7 @@ func (l *Loader) check(pkgPath string, files []*ast.File) (*Package, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: l.imp,
+		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
 	tpkg, _ := conf.Check(pkgPath, l.fset, files, info)
@@ -328,6 +335,42 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	}
 	m.cache[path] = pkg
 	return pkg, nil
+}
+
+// variant returns an importer that resolves path to pkg, a test
+// variant of that package, and re-checks against it every module
+// package that imports it, directly or not, so that the variant's
+// types are the only ones an external test package sees. Packages
+// that do not import path are shared with m.
+func (m *moduleImporter) variant(path string, pkg *types.Package) *moduleImporter {
+	v := &moduleImporter{
+		loader:     m.loader,
+		cache:      map[string]*types.Package{path: pkg},
+		inProgress: make(map[string]bool),
+		fallback:   m.fallback,
+	}
+	for p, cached := range m.cache {
+		if p != path && !importsPath(cached, path, map[*types.Package]bool{}) {
+			v.cache[p] = cached
+		}
+	}
+	return v
+}
+
+// importsPath reports whether pkg imports path, directly or not.
+func importsPath(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == path {
+			return true
+		}
+		if !seen[imp] {
+			seen[imp] = true
+			if importsPath(imp, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // dirFor maps an import path to a source directory, if it is one this

@@ -30,6 +30,27 @@ func TestLoadTestOnlyImportCycle(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestSeesExportTest: an external test package sees
+// the names an in-package export_test.go adds, with the same types
+// whether it reaches the package directly or through a dependency.
+func TestLoadExternalTestSeesExportTest(t *testing.T) {
+	loader := fixtureLoader(t)
+	pkgs, err := loader.Load(filepath.Join(loader.FixtureRoot, "exportvar"))
+	if err != nil {
+		t.Fatalf("loading exportvar: %v", err)
+	}
+	var paths []string
+	for _, pkg := range pkgs {
+		paths = append(paths, pkg.Path)
+		for _, terr := range pkg.TypeErrors {
+			t.Errorf("%s: unexpected type error: %v", pkg.Path, terr)
+		}
+	}
+	if want := "exportvar,exportvar_test"; strings.Join(paths, ",") != want {
+		t.Fatalf("loaded packages %v, want %s", paths, want)
+	}
+}
+
 // TestLoadTestOnlyCycleWithoutTests pins the IncludeTests toggle: the
 // same directory without tests yields only the compile package.
 func TestLoadTestOnlyCycleWithoutTests(t *testing.T) {

@@ -23,16 +23,23 @@ import (
 // allocations, and Program.Summarize replays it without writing a trace
 // at all. sim.Run remains the convenience path (Compile + one Run) with
 // byte-identical results.
+//
+// The event loop is completion-driven: an event costs the lanes it
+// changes, not every lane. The running lanes sit in a compact list,
+// each lane's rate is computed once per event, and an op can start
+// only when a completion frees its lane or readies it at a lane's
+// head, so only those lanes are checked. A lane running alone steps
+// through its ops with no min-search. The float arithmetic — dt =
+// remaining/rate, remaining -= dt*rate, now += dt, the 1e-18
+// completion threshold, ties completing in one event — is that of the
+// reference engine the tests compare against, so results are
+// bit-identical to it.
 
 // Program is a schedule compiled for repeated execution. The compiled
 // form is immutable; one Program may be Run concurrently from many
 // goroutines (each run draws its scratch state from an internal pool).
 type Program struct {
 	ops []Op
-	// baseDur is each op's compile-time duration, the durations sim.Run
-	// replays. Callers supplying their own per-run durations index them
-	// identically (Durations returns a mutable copy).
-	baseDur []units.Seconds
 
 	// deps/depOff form CSR-style adjacency: op i depends on the op
 	// indices deps[depOff[i]:depOff[i+1]]. users/userOff are the same
@@ -68,14 +75,14 @@ type progQueue struct {
 // Compile validates the schedule once and lowers it to the dense form
 // Program.Run executes. It fails on exactly the inputs Run rejects
 // statically: empty or duplicate IDs, negative devices, invalid
-// durations, unknown dependencies.
+// durations, unknown dependencies. The Program keeps ops, so the caller
+// must not modify them afterwards.
 func Compile(ops []Op) (*Program, error) {
 	telemetry.Active().Count("sim.program.compile", 1)
 	n := len(ops)
 	p := &Program{
-		ops:     ops,
-		baseDur: make([]units.Seconds, n),
-		depOff:  make([]int32, n+1),
+		ops:    ops,
+		depOff: make([]int32, n+1),
 	}
 	byID := make(map[string]int32, n)
 	nDeps := 0
@@ -93,7 +100,6 @@ func Compile(ops []Op) (*Program, error) {
 			return nil, fmt.Errorf("sim: duplicate op ID %q", op.ID)
 		}
 		byID[op.ID] = int32(i)
-		p.baseDur[i] = op.Duration
 		nDeps += len(op.Deps)
 	}
 	p.deps = make([]int32, 0, nDeps)
@@ -191,8 +197,10 @@ func (p *Program) Ops() []Op { return p.ops }
 // Durations returns a mutable copy of the compile-time durations,
 // indexed like Ops — the natural starting buffer for a re-time loop.
 func (p *Program) Durations() []units.Seconds {
-	out := make([]units.Seconds, len(p.baseDur))
-	copy(out, p.baseDur)
+	out := make([]units.Seconds, len(p.ops))
+	for i, op := range p.ops {
+		out[i] = op.Duration
+	}
 	return out
 }
 
@@ -206,10 +214,16 @@ type RunState struct {
 	remaining []float64
 	startAt   []float64
 	endAt     []float64
-	pending   []int32 // per op: dependencies not yet complete
-	qpos      []int32
-	running   []int32   // per queue: running op index, -1 when idle
-	rate      []float64 // per queue: healthy progress rate (1/fault factor)
+	pending   []int32   // per op: counts down to depOff[i] as its dependencies complete
+	lane      []int32   // per op: the index of its lane
+	qpos      []int32   // per lane: the next op to start
+	running   []int32   // per lane: running op index, -1 when idle
+	rate      []float64 // per lane: healthy progress rate (1/fault factor)
+	// run lists the running lanes and runRate their rates in the
+	// current event; wake lists the lanes the last event may let start.
+	run     []int32
+	runRate []float64
+	wake    []int32
 	// ok reports whether the last run completed; Summary reads it.
 	ok bool
 
@@ -223,17 +237,31 @@ type RunState struct {
 }
 
 func (p *Program) newState() *RunState {
-	n := len(p.ops)
-	return &RunState{
+	n, nq := len(p.ops), len(p.queues)
+	// The slices share one allocation per element type; each is capped,
+	// so wake, which can outgrow nq, reallocates on its own.
+	f := make([]float64, 3*n+2*nq)
+	k := make([]int32, 2*n+4*nq)
+	st := &RunState{
 		owner:     p,
-		remaining: make([]float64, n),
-		startAt:   make([]float64, n),
-		endAt:     make([]float64, n),
-		pending:   make([]int32, n),
-		qpos:      make([]int32, len(p.queues)),
-		running:   make([]int32, len(p.queues)),
-		rate:      make([]float64, len(p.queues)),
+		remaining: f[:n:n],
+		startAt:   f[n : 2*n : 2*n],
+		endAt:     f[2*n : 3*n : 3*n],
+		rate:      f[3*n : 3*n+nq : 3*n+nq],
+		runRate:   f[3*n+nq:],
+		pending:   k[:n:n],
+		lane:      k[n : 2*n : 2*n],
+		qpos:      k[2*n : 2*n+nq : 2*n+nq],
+		running:   k[2*n+nq : 2*n+2*nq : 2*n+2*nq],
+		run:       k[2*n+2*nq : 2*n+2*nq : 2*n+3*nq],
+		wake:      k[2*n+3*nq : 2*n+3*nq],
 	}
+	for q := range p.queues {
+		for _, i := range p.queues[q].ops {
+			st.lane[i] = int32(q)
+		}
+	}
+	return st
 }
 
 // NewState allocates a fresh scratch state for RunWith. Use one state
@@ -305,6 +333,13 @@ func (p *Program) Summarize(st *RunState, durations []units.Seconds, cfg Config)
 
 // execute replays the event loop under durations and cfg, leaving
 // every op's start and end time in st.
+//
+// Each event advances the running lanes to the earliest completion
+// under their current rates and retires every op that finishes then.
+// Only a completion can start an op — it frees its own lane and may
+// ready users queued at the head of other lanes — so an event wakes
+// just those lanes instead of rescanning all of them, and a lane that
+// runs alone steps op by op with no min-search.
 func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) error {
 	if st == nil || st.owner != p {
 		return fmt.Errorf("sim: run state does not belong to this program")
@@ -325,52 +360,44 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 			return fmt.Errorf("sim: op %q has invalid duration %v", p.ops[i].ID, d)
 		}
 		st.remaining[i] = float64(d)
-		st.pending[i] = p.depOff[i+1] - p.depOff[i]
 	}
+	// pending[i] counts down from depOff[i+1] as op i's dependencies
+	// complete; the op is ready when it reaches depOff[i].
+	copy(st.pending, p.depOff[1:])
+	wake := st.wake[:0]
 	for q := range p.queues {
 		st.qpos[q] = 0
 		st.running[q] = -1
 		st.rate[q] = 1 / cfg.Faults.factor(p.queues[q].dev, p.queues[q].stream)
+		wake = append(wake, int32(q))
 	}
 
-	// rateOf mirrors the uncompiled engine's rate closure: injected
-	// faults throttle unconditionally; interference halves progress (by
-	// 1/slow) while a peer lane is busy.
-	rateOf := func(q int) float64 {
-		r := st.rate[q]
-		if slow <= 1 {
-			return r
-		}
-		for _, pi := range p.queues[q].peers {
-			if st.running[pi] >= 0 {
-				return r / slow
-			}
-		}
-		return r
-	}
-
+	run := st.run[:0] // the running lanes, in no particular order
 	now := 0.0
-	remainingOps := len(p.ops)
-	nRunning := 0
-	for remainingOps > 0 {
-		// Start every idle lane's head whose dependencies are complete.
-		// Starting an op completes nothing, so one pass finds them all.
-		for q := range p.queues {
+	left := len(p.ops)
+	for left > 0 {
+		// Start the ready head of every woken idle lane. A lane not
+		// woken since it last failed to start still cannot.
+		for _, q := range wake {
+			if st.running[q] >= 0 {
+				continue
+			}
 			lane := p.queues[q].ops
-			if st.running[q] >= 0 || int(st.qpos[q]) >= len(lane) {
+			if int(st.qpos[q]) >= len(lane) {
 				continue
 			}
 			head := lane[st.qpos[q]]
-			if st.pending[head] > 0 {
+			if st.pending[head] != p.depOff[head] {
 				continue
 			}
 			st.startAt[head] = now
 			st.running[q] = head
 			st.qpos[q]++
-			nRunning++
+			run = append(run, q)
 		}
+		wake = wake[:0]
 
-		if nRunning == 0 {
+		if len(run) == 0 {
 			// Nothing runnable but work remains: circular dependency
 			// (possibly through stream ordering).
 			var stuck []string
@@ -383,14 +410,61 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 			return fmt.Errorf("sim: deadlock, %d ops blocked: %v", len(stuck), stuck)
 		}
 
-		// Advance to the earliest completion under current rates.
-		dt := math.Inf(1)
-		for q := range p.queues {
+		if len(run) == 1 {
+			// A lane running alone has no busy peer, so it progresses
+			// at its fault rate; it steps op by op while its next
+			// head is ready and no other lane wakes.
+			q := run[0]
+			r := st.rate[q]
+			lane := p.queues[q].ops
 			i := st.running[q]
-			if i < 0 {
-				continue
+			for {
+				dt := st.remaining[i] / r
+				if !(dt < math.Inf(1)) {
+					// No finite step (x/0 or 0/0 at a zero rate):
+					// take none, as a general event does.
+					dt = 0
+				}
+				st.remaining[i] -= dt * r
+				now += dt
+				if st.remaining[i] > 1e-18 {
+					continue
+				}
+				st.remaining[i] = 0
+				st.endAt[i] = now
+				left--
+				wake = st.release(i, wake)
+				next := st.qpos[q]
+				if len(wake) > 0 || int(next) >= len(lane) || st.pending[lane[next]] != p.depOff[lane[next]] {
+					st.running[q] = -1
+					wake = append(wake, q)
+					break
+				}
+				i = lane[next]
+				st.startAt[i] = now
+				st.running[q] = i
+				st.qpos[q]++
 			}
-			if need := st.remaining[i] / rateOf(q); need < dt {
+			run = run[:0]
+			continue
+		}
+
+		// Advance to the earliest completion under current rates:
+		// injected faults throttle unconditionally; interference
+		// slows a lane (by 1/slow) while a peer lane is busy.
+		dt := math.Inf(1)
+		for k, q := range run {
+			r := st.rate[q]
+			if slow > 1 {
+				for _, pi := range p.queues[q].peers {
+					if st.running[pi] >= 0 {
+						r /= slow
+						break
+					}
+				}
+			}
+			st.runRate[k] = r
+			if need := st.remaining[st.running[q]] / r; need < dt {
 				dt = need
 			}
 		}
@@ -398,31 +472,44 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 			// All running ops have zero remaining work; they complete now.
 			dt = 0
 		}
-		for q := range p.queues {
-			if i := st.running[q]; i >= 0 {
-				st.remaining[i] -= dt * rateOf(q)
-			}
+		for k, q := range run {
+			st.remaining[st.running[q]] -= dt * st.runRate[k]
 		}
 		now += dt
-		for q := range p.queues {
-			i := st.running[q]
-			if i < 0 {
-				continue
-			}
-			if st.remaining[i] <= 1e-18 {
+		kept := 0
+		for _, q := range run {
+			if i := st.running[q]; st.remaining[i] <= 1e-18 {
 				st.remaining[i] = 0
 				st.endAt[i] = now
+				left--
+				wake = st.release(i, wake)
 				st.running[q] = -1
-				nRunning--
-				remainingOps--
-				for _, u := range p.users[p.userOff[i]:p.userOff[i+1]] {
-					st.pending[u]--
-				}
+				wake = append(wake, q)
+			} else {
+				run[kept] = q
+				kept++
 			}
 		}
+		run = run[:kept]
 	}
+	st.run, st.wake = run, wake
 	st.ok = true
 	return nil
+}
+
+// release counts op i's completion against the ops that depend on it
+// and appends to wake the lane of every user it readies, if that lane
+// is idle. The caller still marks i's own lane busy, so that lane is
+// never appended: the caller decides what runs there next.
+func (st *RunState) release(i int32, wake []int32) []int32 {
+	p := st.owner
+	for _, u := range p.users[p.userOff[i]:p.userOff[i+1]] {
+		st.pending[u]--
+		if l := st.lane[u]; st.pending[u] == p.depOff[u] && st.running[l] < 0 {
+			wake = append(wake, l)
+		}
+	}
+	return wake
 }
 
 // sortSpans orders spans by (start time, op ID) — the trace's canonical

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -11,10 +12,25 @@ import (
 	"twocs/internal/units"
 )
 
+// fuzzMix selects how fuzzOps departs from its base schedule, whose
+// durations are dyadic ((i%7)+0.5, so every sum is exact) and whose ops
+// rotate round-robin over the streams (so a lane rarely runs alone).
+type fuzzMix uint8
+
+const (
+	// mixNonDyadic draws durations like 0.1k + 1/3, whose sums round.
+	mixNonDyadic fuzzMix = 1 << iota
+	// mixLaneRuns queues ops in runs of four on one lane, the engine's
+	// lone-lane path.
+	mixLaneRuns
+	// mixZeroLen gives every fifth op zero duration.
+	mixZeroLen
+)
+
 // fuzzOps builds a pseudo-random but always-acyclic schedule (deps point
 // strictly backwards), the same construction FuzzRunWellFormed uses,
-// optionally with a second dependency edge per op.
-func fuzzOps(count, devs, depStride uint8, twoDeps bool) []Op {
+// optionally with a second dependency edge per op, varied by mix.
+func fuzzOps(count, devs, depStride uint8, twoDeps bool, mix fuzzMix) []Op {
 	n := int(count)%24 + 1
 	d := int(devs)%3 + 1
 	ops := make([]Op, n)
@@ -25,6 +41,16 @@ func fuzzOps(count, devs, depStride uint8, twoDeps bool) []Op {
 			Stream:   Stream(i % 3),
 			Duration: units.Seconds(float64(i%7) + 0.5),
 			Label:    fmt.Sprintf("l%d", i%4),
+		}
+		if mix&mixNonDyadic != 0 {
+			ops[i].Duration = units.Seconds(0.1*float64(i%7+1) + 1.0/3)
+		}
+		if mix&mixLaneRuns != 0 {
+			run := i / 4
+			ops[i].Device, ops[i].Stream = run/3%d, Stream(run%3)
+		}
+		if mix&mixZeroLen != 0 && i%5 == 2 {
+			ops[i].Duration = 0
 		}
 		if depStride > 0 && i >= int(depStride) {
 			ops[i].Deps = []string{fmt.Sprintf("op%d", i-int(depStride))}
@@ -171,43 +197,66 @@ func TestProgramMatchesReferenceErrors(t *testing.T) {
 	}
 }
 
+// requireMatchesReference runs ops through the reference engine and
+// through Compile+Run and requires identical traces or identical
+// errors, then a second, deterministic run over recycled scratch.
+func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
+	t.Helper()
+	want, wantErr := referenceRun(ops, cfg)
+	p, err := Compile(ops)
+	if err != nil {
+		if wantErr == nil || wantErr.Error() != err.Error() {
+			t.Fatalf("compile error diverged: reference %v, compile %v", wantErr, err)
+		}
+		return
+	}
+	got, gotErr := p.Run(p.Durations(), cfg)
+	if (wantErr == nil) != (gotErr == nil) {
+		t.Fatalf("error presence diverged: reference %v, program %v", wantErr, gotErr)
+	}
+	if wantErr != nil {
+		if wantErr.Error() != gotErr.Error() {
+			t.Fatalf("error text diverged:\nreference %q\nprogram   %q", wantErr, gotErr)
+		}
+		return
+	}
+	requireSameTrace(t, want, got)
+	again, err := p.Run(p.Durations(), cfg)
+	if err != nil {
+		t.Fatalf("second run: %v", err)
+	}
+	requireSameTrace(t, got, again)
+}
+
 // FuzzProgramDifferential is the differential oracle: over randomized
-// acyclic DAGs and all config classes, sim.Run (now Compile+Run) and the
-// reference engine must produce identical traces or identical errors.
+// acyclic DAGs, every fuzzOps mix and all config classes, sim.Run (now
+// Compile+Run) and the reference engine must produce identical traces
+// or identical errors.
 func FuzzProgramDifferential(f *testing.F) {
-	f.Add(uint8(5), uint8(2), uint8(3), false, uint8(0))
-	f.Add(uint8(12), uint8(1), uint8(7), true, uint8(1))
-	f.Add(uint8(23), uint8(3), uint8(1), true, uint8(3))
-	f.Add(uint8(17), uint8(2), uint8(2), false, uint8(2))
-	f.Fuzz(func(t *testing.T, count, devs, depStride uint8, twoDeps bool, cfgSel uint8) {
-		ops := fuzzOps(count, devs, depStride, twoDeps)
-		cfg := differentialConfigs[int(cfgSel)%len(differentialConfigs)]
-		want, wantErr := referenceRun(ops, cfg)
-		p, err := Compile(ops)
-		if err != nil {
-			if wantErr == nil || wantErr.Error() != err.Error() {
-				t.Fatalf("compile error diverged: reference %v, compile %v", wantErr, err)
-			}
-			return
-		}
-		got, gotErr := p.Run(p.Durations(), cfg)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("error presence diverged: reference %v, program %v", wantErr, gotErr)
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Fatalf("error text diverged:\nreference %q\nprogram   %q", wantErr, gotErr)
-			}
-			return
-		}
-		requireSameTrace(t, want, got)
-		// A second run over recycled scratch must be deterministic.
-		again, err := p.Run(p.Durations(), cfg)
-		if err != nil {
-			t.Fatalf("second run: %v", err)
-		}
-		requireSameTrace(t, got, again)
+	f.Add(uint8(5), uint8(2), uint8(3), false, uint8(0), uint8(0))
+	f.Add(uint8(12), uint8(1), uint8(7), true, uint8(1), uint8(0))
+	f.Add(uint8(23), uint8(3), uint8(1), true, uint8(3), uint8(0))
+	f.Add(uint8(17), uint8(2), uint8(2), false, uint8(2), uint8(0))
+	f.Add(uint8(22), uint8(2), uint8(3), true, uint8(2), uint8(mixNonDyadic))
+	f.Add(uint8(23), uint8(1), uint8(1), false, uint8(1), uint8(mixLaneRuns))
+	f.Add(uint8(19), uint8(3), uint8(2), true, uint8(3), uint8(mixZeroLen))
+	f.Add(uint8(23), uint8(2), uint8(1), true, uint8(3), uint8(mixNonDyadic|mixLaneRuns|mixZeroLen))
+	f.Fuzz(func(t *testing.T, count, devs, depStride uint8, twoDeps bool, cfgSel, mix uint8) {
+		ops := fuzzOps(count, devs, depStride, twoDeps, fuzzMix(mix))
+		requireMatchesReference(t, ops, differentialConfigs[int(cfgSel)%len(differentialConfigs)])
 	})
+}
+
+// TestProgramMatchesReferenceRandom runs the differential oracle over
+// thousands of seeded schedules of every fuzzOps mix, the coverage the
+// fuzz seeds alone do not give a plain go test.
+func TestProgramMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 0xd1ff))
+	for c := 0; c < 3000; c++ {
+		ops := fuzzOps(uint8(rng.IntN(256)), uint8(rng.IntN(3)), uint8(rng.IntN(5)), rng.IntN(2) == 1,
+			fuzzMix(rng.IntN(8)))
+		requireMatchesReference(t, ops, differentialConfigs[c%len(differentialConfigs)])
+	}
 }
 
 // TestProgramConcurrentRun shares one compiled Program across sweep
@@ -403,7 +452,7 @@ func TestRunReuseValidation(t *testing.T) {
 // zero Span).
 func TestCriticalPathUnchanged(t *testing.T) {
 	traces := []*Trace{}
-	for _, ops := range [][]Op{iterationOps(6), fuzzOps(19, 3, 2, true), fuzzOps(9, 1, 4, false)} {
+	for _, ops := range [][]Op{iterationOps(6), fuzzOps(19, 3, 2, true, 0), fuzzOps(9, 1, 4, false, 0)} {
 		tr, err := Run(ops, Config{InterferenceSlowdown: 1.5})
 		if err != nil {
 			t.Fatalf("Run: %v", err)

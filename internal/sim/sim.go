@@ -160,5 +160,5 @@ func Run(ops []Op, cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(p.baseDur, cfg)
+	return p.Run(p.Durations(), cfg)
 }

@@ -27,7 +27,7 @@ func byLane(ops []Op) []Op {
 func summaryOps(count, devs, depStride uint8, twoDeps bool, seed uint64) []Op {
 	table := [...]units.Seconds{0, 0, 0.1, 0.2, 0.3, 1.0 / 3, 0.7, 1.5}
 	rng := rand.New(rand.NewPCG(seed, 0x5a11))
-	ops := fuzzOps(count, devs, depStride, twoDeps)
+	ops := fuzzOps(count, devs, depStride, twoDeps, 0)
 	for i := range ops {
 		ops[i].Duration = table[rng.IntN(len(table))]
 	}
@@ -110,7 +110,7 @@ func checkSummary(t *testing.T, ops []Op, cfg Config) bool {
 func TestSummaryMatchesTraceAnalytics(t *testing.T) {
 	shapes := map[string][]Op{
 		"iteration":   byLane(iterationOps(6)),
-		"multi-lane":  byLane(fuzzOps(23, 3, 1, true)),
+		"multi-lane":  byLane(fuzzOps(23, 3, 1, true, 0)),
 		"zero-length": summaryOps(19, 2, 2, true, 7),
 		"two-device":  summaryOps(24, 2, 3, false, 11),
 		"touching": {
