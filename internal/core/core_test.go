@@ -10,7 +10,7 @@ import (
 	"twocs/internal/tensor"
 )
 
-func newAnalyzer(t *testing.T) *Analyzer {
+func newAnalyzer(t testing.TB) *Analyzer {
 	t.Helper()
 	e, err := model.LookupZoo("BERT")
 	if err != nil {

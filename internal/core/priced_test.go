@@ -8,9 +8,11 @@ import (
 	"testing"
 
 	"twocs/internal/hw"
+	"twocs/internal/model"
 	"twocs/internal/parallel"
 	"twocs/internal/stream"
 	"twocs/internal/telemetry"
+	"twocs/internal/units"
 )
 
 // This file pins the priced serialized grids: each (H, SL, TP) task is
@@ -61,12 +63,30 @@ func oraclePoint(t *testing.T, a *Analyzer, h, sl, b, tp int, evo hw.Evolution) 
 	return float64(proj.Total()), proj.CommFraction()
 }
 
+// oracleMem is the per-device memory footprint of shape (h, sl, b, tp).
+func oracleMem(t *testing.T, h, sl, b, tp int) units.Bytes {
+	t.Helper()
+	cfg, err := FutureConfig(h, sl, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := model.DefaultMemoryModel().PerDevice(cfg, tp)
+	if err != nil {
+		t.Fatalf("oracle memory H=%d SL=%d B=%d TP=%d: %v", h, sl, b, tp, err)
+	}
+	return mem
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // TestPricedGridsMatchSerializedFraction is the differential oracle:
 // every point of the three serialized grids — the one-scenario sweep,
 // the evolution grid and the stream, strict and partial — carries
-// exactly SerializedFraction's bits for its (cfg, tp, evo).
+// exactly SerializedFraction's bits for its (cfg, tp, evo). A streamed
+// row must also carry its own index, its scenario's flop-vs-bandwidth
+// ratio and the memory footprint of its own shape: the stream builds
+// rows apart from the workers that project them, so every field is
+// checked against its own oracle.
 func TestPricedGridsMatchSerializedFraction(t *testing.T) {
 	a := newAnalyzer(t)
 	evos := pricedEvos()
@@ -122,9 +142,11 @@ func TestPricedGridsMatchSerializedFraction(t *testing.T) {
 				for i, r := range sink.rows {
 					evo := evos[i/n]
 					iter, frac := oraclePoint(t, a, r.H, r.SL, r.B, r.TP, evo)
-					if r.Evo != evo.Name || !sameBits(float64(r.IterTime), iter) || !sameBits(r.CommFrac, frac) {
-						t.Fatalf("%s: stream (partial=%v) row %d = %+v, oracle iter %v frac %v under %s",
-							name, partial, i, r, iter, frac, evo.Name)
+					mem := oracleMem(t, r.H, r.SL, r.B, r.TP)
+					if r.Index != int64(i) || r.Evo != evo.Name || !sameBits(r.FlopVsBW, evo.FlopVsBW()) ||
+						!sameBits(float64(r.IterTime), iter) || !sameBits(r.CommFrac, frac) || !sameBits(float64(r.MemBytes), float64(mem)) {
+						t.Fatalf("%s: stream (partial=%v) row %d = %+v, oracle iter %v frac %v mem %v under %s",
+							name, partial, i, r, iter, frac, mem, evo.Name)
 					}
 				}
 			}

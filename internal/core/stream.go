@@ -17,7 +17,7 @@ import (
 // This file is the streaming counterpart of the materializing grids in
 // sweep.go: the same (evolution × H × SL × TP) space, but rows flow
 // into a stream.Sink as chunks complete instead of accumulating in one
-// result slice. Peak memory is O(workers × chunk) grid points plus
+// result slice. Peak memory is O(workers × chunk) objective pairs plus
 // whatever the sink retains — independent of grid size — which is what
 // makes a 10⁶-10⁷ point design-space search practical. The ordering
 // contract is unchanged: rows arrive in grid order at any worker
@@ -40,16 +40,24 @@ func memFootprints(tasks []serializedTask) ([]units.Bytes, error) {
 	return out, nil
 }
 
-// streamRow is row g of the streamed grid, task t at batch b under evo,
-// with objectives iter, frac and mem — NaN for a point the workers
-// never computed.
-func streamRow(g int64, t *serializedTask, b int, evo *hw.Evolution, iter units.Seconds, frac float64, mem units.Bytes) stream.Row {
-	return stream.Row{
-		Index: g,
-		Evo:   evo.Name, FlopVsBW: evo.FlopVsBW(),
-		H: t.h, SL: t.sl, B: b, TP: t.tp,
-		IterTime: iter, CommFrac: frac, MemBytes: mem,
-	}
+// setRow makes *r row g of the streamed grid, task t at batch b under
+// evo, with objectives iter, frac and mem — NaN for a point the workers
+// never computed. It sets each field in place: a Row literal would be
+// zeroed and then copied, the struct being too large to build in
+// registers.
+func setRow(r *stream.Row, g int64, t *serializedTask, b int, evo *hw.Evolution, iter units.Seconds, frac float64, mem units.Bytes) {
+	r.Index = g
+	r.Evo, r.FlopVsBW = evo.Name, evo.FlopVsBW()
+	r.H, r.SL, r.B, r.TP = t.h, t.sl, b, t.tp
+	r.IterTime, r.CommFrac, r.MemBytes = iter, frac, mem
+}
+
+// objectives are what a stream worker computes for one grid point:
+// the two objectives its scenario sets. The third, the memory
+// footprint, depends on the task alone.
+type objectives struct {
+	iter units.Seconds
+	frac float64
 }
 
 // trailerReason renders a stream-ending error for the trailer row.
@@ -142,22 +150,23 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	pr.Begin("sweep-stream", total)
 	priced := a.priceTasks(ctx, tasks)
 	evoErrs := validateEvos(evos)
+	// Workers return only the two objectives a scenario sets, 16 bytes
+	// that travel in registers; the emitter builds each row once, from
+	// its index, straight into the sink.
 	var rows int64
 	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total), 0,
-		func(_ context.Context, i int) (stream.Row, error) {
-			g := int64(i)
-			e, t := g/nt, g%nt
-			p, evo := &priced[t], &evos[e]
-			iter, frac, err := p.project(evo, evoErrs[e])
-			if err != nil {
-				return stream.Row{}, err
-			}
-			return streamRow(g, p.serializedTask, b, evo, iter, frac, mem[t]), nil
+		func(_ context.Context, i int) (objectives, error) {
+			e, t := int64(i)/nt, int64(i)%nt
+			iter, frac, err := priced[t].project(&evos[e], evoErrs[e])
+			return objectives{iter, frac}, err
 		},
-		func(_ int, vals []stream.Row) error {
-			// Indexing, not ranging by value, spares each row a copy.
-			for i := range vals {
-				if err := sink.Emit(vals[i]); err != nil {
+		func(lo int, vals []objectives) error {
+			var r stream.Row
+			for k := range vals {
+				g := int64(lo + k)
+				e, t := g/nt, g%nt
+				setRow(&r, g, &tasks[t], b, &evos[e], vals[k].iter, vals[k].frac, mem[t])
+				if err := sink.Emit(r); err != nil {
 					return err
 				}
 			}
@@ -172,8 +181,9 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	var canceled int64
 	if partial && streamErr != nil {
 		nan := math.NaN()
+		var r stream.Row
 		for g := rows; g < total; g++ {
-			r := streamRow(g, &tasks[g%nt], b, &evos[g/nt], units.Seconds(nan), nan, units.Bytes(nan))
+			setRow(&r, g, &tasks[g%nt], b, &evos[g/nt], units.Seconds(nan), nan, units.Bytes(nan))
 			if err := sink.Emit(r); err != nil {
 				break
 			}

@@ -314,3 +314,31 @@ func TestStreamGridMillionPoints(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkStreamEvolutionGrid is the grid-engine rung of the stream
+// cost ladder: the Table-3 grid (B=1) under 1000 flop-vs-bw scenarios,
+// 156k rows, into Discard, with the projections already memoized. It
+// reports ns/row: claiming, projecting, building and emitting a row,
+// with no encoding or I/O behind the sink.
+func BenchmarkStreamEvolutionGrid(b *testing.B) {
+	a := newAnalyzer(b)
+	hs, sls, tps := Table3Hs(), Table3SLs(), Table3TPs()
+	evos := make([]hw.Evolution, 1000)
+	for i := range evos {
+		evos[i] = hw.RatioScenario(1 + 3*float64(i)/float64(len(evos)-1))
+	}
+	var sink stream.Discard
+	run := func() {
+		sink.Rows = 0
+		if err := a.StreamEvolutionGridCtx(context.Background(), hs, sls, tps, 1, evos, &sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run() // warm the projection memo
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sink.Rows*int64(b.N)), "ns/row")
+}

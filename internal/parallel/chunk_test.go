@@ -86,22 +86,34 @@ func TestMapChunkedLowestIndexAcrossChunks(t *testing.T) {
 	}
 }
 
-// TestMapChunkedPanicIndex checks a panic mid-chunk is attributed to
-// its own index, not the chunk boundary.
+// TestMapChunkedPanicIndex checks a panic anywhere in a chunk — its
+// first, middle or last index — is attributed to its own index, not
+// the chunk boundary, and that exactly the prefix before it is
+// returned.
 func TestMapChunkedPanicIndex(t *testing.T) {
+	const n = 1024
 	bothPaths(t, func(t *testing.T, workers int) {
-		out, err := collect(workers, 1024, func(i int) (int, error) {
-			if i == 37 {
-				panic("kaboom")
+		chunk := chunkSize(n, workers)
+		lo := 2 * chunk
+		for _, boom := range []int{lo, lo + chunk/2, lo + chunk - 1} {
+			out, err := collect(workers, n, func(i int) (int, error) {
+				if i == boom {
+					panic("kaboom")
+				}
+				return i, nil
+			})
+			pe, ok := err.(*PanicError)
+			if !ok {
+				t.Fatalf("boom=%d: err = %T (%v), want *PanicError", boom, err, err)
 			}
-			return i, nil
-		})
-		pe, ok := err.(*PanicError)
-		if !ok {
-			t.Fatalf("err = %T (%v), want *PanicError", err, err)
-		}
-		if pe.Index != 37 || len(out) != 37 {
-			t.Fatalf("panic attributed to index %d with %d results, want 37", pe.Index, len(out))
+			if pe.Index != boom || len(out) != boom {
+				t.Fatalf("panic at %d attributed to index %d with %d results", boom, pe.Index, len(out))
+			}
+			for i, v := range out {
+				if v != i {
+					t.Fatalf("boom=%d: out[%d] = %d", boom, i, v)
+				}
+			}
 		}
 	})
 }

@@ -86,17 +86,31 @@ func Collect[T any](ctx context.Context, workers, n int, fn func(context.Context
 	return out[:done], err
 }
 
-// runTask invokes fn(ctx, i) with panic containment: a panicking task
-// becomes a *PanicError naming the grid index, with the stack captured
-// for the report, instead of crashing the process.
-func runTask[T any](ctx context.Context, fn func(context.Context, int) (T, error), i int) (v T, err error) {
+// runChunk evaluates fn(ctx, lo+k) into vals[k] for each k in turn
+// and returns how many completed and the error that stopped it, if
+// any. One deferred recover contains a panic anywhere in the chunk: it
+// becomes a *PanicError naming the grid index lo+k of the task that
+// raised it, with the stack captured for the report, instead of
+// crashing the process. With poll set, ctx is consulted before every
+// task.
+func runChunk[T any](ctx context.Context, fn func(context.Context, int) (T, error), lo int, vals []T, poll bool) (k int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			telemetry.Active().Count("parallel.task.panics", 1)
-			err = newPanicError(i, r)
+			err = newPanicError(lo+k, r)
 		}
 	}()
-	return fn(ctx, i)
+	for ; k < len(vals); k++ {
+		if poll {
+			if err = ctx.Err(); err != nil {
+				return k, err
+			}
+		}
+		if vals[k], err = fn(ctx, lo+k); err != nil {
+			return k, err
+		}
+	}
+	return k, nil
 }
 
 // chunkSize picks how many consecutive indices one claim hands a
@@ -129,10 +143,10 @@ func chunkSize(n, workers int) int {
 // before the error err that stopped it — and returns false to stop the
 // run.
 //
-// A task error (panics contained per task) stops new claims at once.
-// A pool consults ctx per claim, so its claimed chunk always runs to
-// completion or to its own error; chunks are claimed monotonically, so
-// every index below the lowest failing one is complete. One worker
+// A task error, or a panic contained by runChunk, stops new claims at
+// once. A pool consults ctx per claim, so its claimed chunk always runs
+// to completion or to its own error; chunks are claimed monotonically,
+// so every index below the lowest failing one is complete. One worker
 // runs on the caller's goroutine and consults ctx before every task,
 // stopping at the next index.
 //
@@ -193,18 +207,7 @@ func run[T any](ctx context.Context, workers, n, chunk int, out []T, pr *telemet
 				vals = buf[:hi-lo]
 			}
 			sp := lane.StartIndexed("chunk", c)
-			var err error
-			k := 0
-			for ; k < len(vals); k++ {
-				if workers == 1 {
-					if err = ctx.Err(); err != nil {
-						break
-					}
-				}
-				if vals[k], err = runTask(ctx, fn, lo+k); err != nil {
-					break
-				}
-			}
+			k, err := runChunk(ctx, fn, lo, vals, workers == 1)
 			if err != nil {
 				st.mu.Lock()
 				if lo+k < st.errIdx {

@@ -81,27 +81,35 @@ func TestStreamCtxLowestIndexError(t *testing.T) {
 }
 
 func TestStreamCtxPanicAttribution(t *testing.T) {
-	const n, boom = 128, 41
-	fn := func(_ context.Context, i int) (int, error) {
-		if i == boom {
-			panic("stream boom")
+	// Chunk [40, 48) of 8: a panic at its first, middle and last index.
+	const n, chunk = 128, 8
+	for _, boom := range []int{40, 44, 47} {
+		fn := func(_ context.Context, i int) (int, error) {
+			if i == boom {
+				panic("stream boom")
+			}
+			return i, nil
 		}
-		return i, nil
-	}
-	for _, workers := range []int{1, 4} {
-		got, err := collectStream(t, context.Background(), workers, n, 8, fn)
-		var pe *PanicError
-		if !errors.As(err, &pe) {
-			t.Fatalf("w=%d: err = %v, want *PanicError", workers, err)
-		}
-		if pe.Index != boom {
-			t.Fatalf("w=%d: panic index %d, want %d", workers, pe.Index, boom)
-		}
-		if len(pe.Stack) == 0 {
-			t.Fatalf("w=%d: panic stack not captured", workers)
-		}
-		if len(got) != boom {
-			t.Fatalf("w=%d: emitted %d rows, want %d", workers, len(got), boom)
+		for _, workers := range []int{1, 4} {
+			got, err := collectStream(t, context.Background(), workers, n, chunk, fn)
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("boom=%d w=%d: err = %v, want *PanicError", boom, workers, err)
+			}
+			if pe.Index != boom {
+				t.Fatalf("boom=%d w=%d: panic index %d", boom, workers, pe.Index)
+			}
+			if len(pe.Stack) == 0 {
+				t.Fatalf("boom=%d w=%d: panic stack not captured", boom, workers)
+			}
+			if len(got) != boom {
+				t.Fatalf("boom=%d w=%d: emitted %d rows", boom, workers, len(got))
+			}
+			for i, v := range got {
+				if v != i {
+					t.Fatalf("boom=%d w=%d: row %d = %d", boom, workers, i, v)
+				}
+			}
 		}
 	}
 }

@@ -43,6 +43,10 @@ func (f Faults) Validate() error {
 	if bad(f.CommSlowdown) {
 		return fmt.Errorf("sim: comm slowdown %v invalid (want 0 or >= 1)", f.CommSlowdown)
 	}
+	if math.IsInf(max(f.StragglerSlowdown, 1)*max(f.CommSlowdown, 1), 0) {
+		// A comm op on the straggler would progress at rate 0.
+		return fmt.Errorf("sim: straggler %v x comm %v slowdown overflows", f.StragglerSlowdown, f.CommSlowdown)
+	}
 	if f.StragglerSlowdown > 1 && f.StragglerDevice < 0 {
 		return fmt.Errorf("sim: straggler device %d negative", f.StragglerDevice)
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"testing"
+	"time"
 
 	"twocs/internal/units"
 )
@@ -25,6 +26,8 @@ func TestFaultsValidate(t *testing.T) {
 		{StragglerSlowdown: math.NaN()},
 		{CommSlowdown: math.Inf(1)},
 		{StragglerDevice: -1, StragglerSlowdown: 2},
+		// Finite each, but their product overflows.
+		{StragglerDevice: 0, StragglerSlowdown: 1e200, CommSlowdown: 1e200},
 	}
 	for _, f := range bad {
 		if err := f.Validate(); err == nil {
@@ -33,11 +36,51 @@ func TestFaultsValidate(t *testing.T) {
 	}
 }
 
+// TestRunRejectsInvalidFaults checks every engine refuses a
+// configuration it cannot run. The overflow cases once made a lane's
+// rate 0 and the run spin forever, so each run is guarded by a timeout
+// that turns a regression into a failure instead of a hung suite.
 func TestRunRejectsInvalidFaults(t *testing.T) {
-	ops := []Op{{ID: "a", Duration: units.Seconds(1)}}
-	_, err := Run(ops, Config{Faults: Faults{StragglerSlowdown: 0.5}})
-	if err == nil {
-		t.Fatal("invalid faults accepted by Run")
+	// A comm op on device 0 overlapping a compute op there: every
+	// factor — straggler, comm derating, interference — applies to it.
+	ops := []Op{
+		{ID: "gemm", Device: 0, Stream: ComputeStream, Duration: units.Seconds(1)},
+		{ID: "ar", Device: 0, Stream: CommStream, Duration: units.Seconds(1)},
+	}
+	p, err := Compile(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"straggler below 1", Config{Faults: Faults{StragglerSlowdown: 0.5}}},
+		{"straggler x comm overflows", Config{Faults: Faults{StragglerDevice: 0, StragglerSlowdown: 1e200, CommSlowdown: 1e200}}},
+		{"infinite interference", Config{InterferenceSlowdown: math.Inf(1)}},
+		{"NaN interference", Config{InterferenceSlowdown: math.NaN()}},
+		{"interference x straggler overflows", Config{InterferenceSlowdown: 1e308, Faults: Faults{StragglerDevice: 0, StragglerSlowdown: 1e10}}},
+	} {
+		engines := []struct {
+			name string
+			run  func() error
+		}{
+			{"Run", func() error { _, err := Run(ops, tc.cfg); return err }},
+			{"referenceRun", func() error { _, err := referenceRun(ops, tc.cfg); return err }},
+			{"Program.Summarize", func() error { _, err := p.Summarize(p.NewState(), p.Durations(), tc.cfg); return err }},
+		}
+		for _, e := range engines {
+			done := make(chan error, 1)
+			go func() { done <- e.run() }()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s: %s accepted %+v", tc.name, e.name, tc.cfg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: %s did not return within 5 s", tc.name, e.name)
+			}
+		}
 	}
 }
 

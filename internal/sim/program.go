@@ -348,7 +348,7 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 	if len(durations) != len(p.ops) {
 		return fmt.Errorf("sim: %d durations for %d ops", len(durations), len(p.ops))
 	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return err
 	}
 	slow := cfg.InterferenceSlowdown

@@ -20,7 +20,7 @@ func referenceRun(ops []Op, cfg Config) (*Trace, error) {
 	if slow < 1 {
 		slow = 1
 	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 

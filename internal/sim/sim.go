@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"twocs/internal/units"
@@ -89,6 +90,27 @@ type Config struct {
 	Faults Faults
 }
 
+// validate rejects a configuration the engine cannot run: invalid
+// faults, a non-finite or NaN InterferenceSlowdown, or slowdowns whose
+// combined factor overflows. A lane's rate is 1 over the product of
+// the factors that apply to it; an infinite product makes the rate 0,
+// and a lane at rate 0 never finishes its op.
+func (c Config) validate() error {
+	if err := c.Faults.Validate(); err != nil {
+		return err
+	}
+	slow := c.InterferenceSlowdown
+	if math.IsNaN(slow) || math.IsInf(slow, 0) {
+		return fmt.Errorf("sim: interference slowdown %v invalid (want finite)", slow)
+	}
+	f := c.Faults
+	if p := max(f.StragglerSlowdown, 1) * max(f.CommSlowdown, 1) * max(slow, 1); math.IsInf(p, 0) {
+		return fmt.Errorf("sim: straggler %v x comm %v x interference %v slowdown overflows",
+			f.StragglerSlowdown, f.CommSlowdown, slow)
+	}
+	return nil
+}
+
 // Trace is the result of running a schedule. A Trace must not be
 // copied after first use: CriticalPath lazily builds a shared index
 // guarded by an internal mutex.
@@ -153,7 +175,7 @@ func Run(ops []Op, cfg Config) (*Trace, error) {
 	if len(ops) == 0 {
 		return &Trace{}, nil
 	}
-	if err := cfg.Faults.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	p, err := Compile(ops)

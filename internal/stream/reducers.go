@@ -386,13 +386,39 @@ func betterRow(a, b Row) bool {
 // TopK keeps the K best rows by iteration time (ties broken by grid
 // index) in a bounded max-heap: O(K) memory and O(log K) per emitted
 // row no matter how large the grid is.
+//
+// The heap orders pointer-free keys, not rows: each key holds the two
+// fields the ranking reads and the slot of its row in a fixed array of
+// K rows. A row that does not join costs one key comparison, and a row
+// that does is copied once, into the slot of the row it displaces.
 type TopK struct {
 	k int
-	// heap is a max-heap under betterRow: the *worst* retained row sits
-	// at heap[0], so one comparison decides whether a new row displaces
-	// anything.
-	heap     []Row
+	// rows holds the retained rows; a row never moves once in its slot.
+	rows []Row
+	// heap is a max-heap of keys under topKey.better: the key of the
+	// *worst* retained row sits at heap[0], so one comparison decides
+	// whether a new row displaces anything.
+	heap     []topKey
 	canceled int64
+}
+
+// topKey is a retained row's place in the TopK heap: its ranking
+// fields and the slot of the row in TopK.rows.
+type topKey struct {
+	iter  units.Seconds
+	index int64
+	slot  int
+}
+
+// better is betterRow on the keys' rows.
+func (a topKey) better(b topKey) bool {
+	if a.iter < b.iter {
+		return true
+	}
+	if a.iter > b.iter {
+		return false
+	}
+	return a.index < b.index
 }
 
 // NewTopK returns a reducer keeping the k best rows; k must be >= 1.
@@ -400,7 +426,7 @@ func NewTopK(k int) (*TopK, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("stream: top-k needs k >= 1, got %d", k)
 	}
-	return &TopK{k: k, heap: make([]Row, 0, k)}, nil
+	return &TopK{k: k, rows: make([]Row, 0, k), heap: make([]topKey, 0, k)}, nil
 }
 
 // Emit implements Sink.
@@ -414,13 +440,18 @@ func (t *TopK) Emit(r Row) error {
 		t.canceled++
 		return nil
 	}
+	key := topKey{iter: r.IterTime, index: r.Index}
 	if len(t.heap) < t.k {
-		t.heap = append(t.heap, r)
+		key.slot = len(t.rows)
+		t.rows = append(t.rows, r)
+		t.heap = append(t.heap, key)
 		t.siftUp(len(t.heap) - 1)
 		return nil
 	}
-	if betterRow(r, t.heap[0]) {
-		t.heap[0] = r
+	if key.better(t.heap[0]) {
+		key.slot = t.heap[0].slot
+		t.rows[key.slot] = r
+		t.heap[0] = key
 		t.siftDown(0)
 	}
 	return nil
@@ -434,14 +465,14 @@ func (t *TopK) Canceled() int64 { return t.canceled }
 
 // Best returns the retained rows, best first. The slice is a copy.
 func (t *TopK) Best() []Row {
-	out := make([]Row, len(t.heap))
-	copy(out, t.heap)
+	out := make([]Row, len(t.rows))
+	copy(out, t.rows)
 	sort.Slice(out, func(i, j int) bool { return betterRow(out[i], out[j]) })
 	return out
 }
 
 // worse orders the heap: parent is worse than (ranked after) children.
-func (t *TopK) worse(i, j int) bool { return betterRow(t.heap[j], t.heap[i]) }
+func (t *TopK) worse(i, j int) bool { return t.heap[j].better(t.heap[i]) }
 
 func (t *TopK) siftUp(i int) {
 	for i > 0 {

@@ -388,10 +388,8 @@ func FuzzParetoOracle(f *testing.F) {
 // materialized grid.
 func TestTopKOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 30; trial++ {
-		n := rng.Intn(300) + 1
-		k := rng.Intn(20) + 1
-		rows := randomGrid(rng, n)
+	check := func(label string, rows []Row, k int) {
+		t.Helper()
 		tk, err := NewTopK(k)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +404,26 @@ func TestTopKOracle(t *testing.T) {
 		if len(oracle) > k {
 			oracle = oracle[:k]
 		}
-		diffRows(t, fmt.Sprintf("trial %d (n=%d k=%d)", trial, n, k), tk.Best(), oracle)
+		diffRows(t, fmt.Sprintf("%s (n=%d k=%d)", label, len(rows), k), tk.Best(), oracle)
+	}
+	for trial := 0; trial < 30; trial++ {
+		n := rng.Intn(300) + 1
+		k := rng.Intn(20) + 1
+		check(fmt.Sprintf("trial %d", trial), randomGrid(rng, n), k)
+	}
+	// k >= n: every row is kept, none displaced.
+	for _, k := range []int{40, 41, 64} {
+		check("k>=n", randomGrid(rng, 40), k)
+	}
+	// One IterTime for the whole stream, arriving out of index order:
+	// the grid index alone decides which rows join and which leave.
+	same := randomGrid(rng, 200)
+	for i := range same {
+		same[i].IterTime = 0.25
+	}
+	rng.Shuffle(len(same), func(i, j int) { same[i], same[j] = same[j], same[i] })
+	for _, k := range []int{1, 7, 199, 200} {
+		check("equal IterTime", same, k)
 	}
 }
 
