@@ -1,12 +1,11 @@
 package core
 
 import (
-	"sync"
-
 	"twocs/internal/collective"
 	"twocs/internal/dist"
 	"twocs/internal/hw"
 	"twocs/internal/kernels"
+	"twocs/internal/memo"
 	"twocs/internal/model"
 	"twocs/internal/opmodel"
 	"twocs/internal/profile"
@@ -22,9 +21,9 @@ import (
 //
 // An Analyzer is safe for concurrent use after construction: OpModel and
 // Baseline are immutable, StrategyLedger is internally synchronized, and
-// the memoized timer substrates are built under a mutex. The grid sweeps
-// exploit this by fanning grid points out over Workers goroutines; the
-// Analyzer must not be copied once in use.
+// the timer substrates are built once per evolution in a memo. The grid
+// sweeps exploit this by fanning grid points out over Workers
+// goroutines; the Analyzer must not be copied once in use.
 type Analyzer struct {
 	Cluster hw.Cluster
 	BaseCfg model.Config
@@ -43,10 +42,14 @@ type Analyzer struct {
 	// actually spent (baseline profile + any ROIs).
 	StrategyLedger *profile.Ledger
 
-	mu sync.Mutex
-	// substrates memoizes the per-evolution timer stacks; guarded by mu.
-	substrates map[hw.Evolution]*substrate
+	// substrates memoizes the per-evolution timer stacks.
+	substrates *memo.Memo[hw.Evolution, *substrate]
 }
+
+// substrateMemoEntries bounds an analyzer's substrate memo. A command
+// touches at most three evolutions; a daemon's requests choose theirs,
+// so the bound caps what novel scenarios keep.
+const substrateMemoEntries = 16
 
 // substrate is the immutable, shareable core of a ground-truth timer
 // stack for one (cluster, evolution) pair: the evolved cluster, its
@@ -72,22 +75,7 @@ func (a *Analyzer) substrateFor(evo hw.Evolution) (*substrate, error) {
 	if err := evo.Validate(); err != nil {
 		return nil, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if s, ok := a.substrates[evo]; ok {
-		telemetry.Active().Count("core.substrate.hit", 1)
-		return s, nil
-	}
-	telemetry.Active().Count("core.substrate.miss", 1)
-	s, err := newSubstrate(a.Cluster, evo)
-	if err != nil {
-		return nil, err
-	}
-	if a.substrates == nil {
-		a.substrates = make(map[hw.Evolution]*substrate)
-	}
-	a.substrates[evo] = s
-	return s, nil
+	return a.substrates.Do(evo, func() (*substrate, error) { return newSubstrate(a.Cluster, evo) })
 }
 
 func newSubstrate(cluster hw.Cluster, evo hw.Evolution) (*substrate, error) {
@@ -146,7 +134,10 @@ func (a *Analyzer) timerOn(cfg model.Config, tp int, evo hw.Evolution) (*dist.Ti
 // calculators and collective cost models.
 func NewAnalyzer(cluster hw.Cluster, baseCfg model.Config, baseTP int) (*Analyzer, error) {
 	defer telemetry.Active().Start("core.NewAnalyzer").End()
-	a := &Analyzer{Cluster: cluster, BaseCfg: baseCfg, BaseTP: baseTP}
+	a := &Analyzer{
+		Cluster: cluster, BaseCfg: baseCfg, BaseTP: baseTP,
+		substrates: memo.New[hw.Evolution, *substrate]("core.substrate", nil, substrateMemoEntries, 0, nil),
+	}
 	timer, err := a.timerOn(baseCfg, baseTP, hw.Identity())
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"twocs/internal/memo"
 	"twocs/internal/model"
 	"twocs/internal/sim"
 	"twocs/internal/telemetry"
@@ -131,24 +132,21 @@ func iterShape(c model.Config) model.Config {
 	return c
 }
 
-// iterCache maps an iterKey to its *iterEntry.
-var iterCache sync.Map
+// programMemoEntries bounds the compiled-program memo. A twocs command
+// compiles at most 7 shapes and perfbench's simulate workload 41 (zoo
+// models × TP degrees plus the case-study plans); the bound sits six
+// times above that.
+const programMemoEntries = 256
 
-// iterEntry is one shape's cache slot. It is stored before the shape
-// is built, so concurrent callers of a new shape find it and wait on
-// once for the single build instead of each building their own.
-type iterEntry struct {
-	once sync.Once
-	c    *CompiledIteration
-	err  error
-}
+var programMemo = memo.New[iterKey, *CompiledIteration]("dist.programcache", nil, programMemoEntries, 0, nil)
 
 // CompileIteration returns the compiled program for the plan's
 // iteration-schedule shape, building it once on first use and serving
 // every later call (any hardware, any DP degree, any study) from a
-// process-wide cache. The plan is validated per call, so invalid plans
-// never consult the cache. A failed build is dropped from the cache,
-// so a later call builds again.
+// process-wide bounded memo. The plan is validated per call, so invalid
+// plans never consult the memo. Concurrent callers of a new shape wait
+// for its one build; a failed build is dropped, so a later call builds
+// again.
 func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIteration, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -167,23 +165,9 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 		bucket:     bucket,
 		includeOpt: opts.IncludeOptimizer,
 	}
-	v, ok := iterCache.Load(key)
-	if !ok {
-		v, ok = iterCache.LoadOrStore(key, &iterEntry{})
-	}
-	if ok {
-		telemetry.Active().Count("dist.programcache.hit", 1)
-	} else {
-		telemetry.Active().Count("dist.programcache.miss", 1)
-	}
-	e := v.(*iterEntry)
-	e.once.Do(func() {
-		e.c, e.err = compileIteration(p, timer, opts)
-		if e.err != nil {
-			iterCache.CompareAndDelete(key, e)
-		}
+	return programMemo.Do(key, func() (*CompiledIteration, error) {
+		return compileIteration(p, timer, opts)
 	})
-	return e.c, e.err
 }
 
 // compileIteration builds and compiles the plan's iteration schedule.

@@ -68,21 +68,6 @@ type Calculator struct {
 // Option configures a Calculator.
 type Option func(*Calculator)
 
-// WithTiles replaces the GEMM kernel library.
-func WithTiles(tiles []Tile) Option {
-	return func(c *Calculator) { c.tiles = tiles }
-}
-
-// WithComputeUnits sets the CU count used for wave quantization.
-func WithComputeUnits(n int) Option {
-	return func(c *Calculator) { c.cus = n }
-}
-
-// WithMemRamp overrides the memory-bandwidth saturation ramp.
-func WithMemRamp(r hw.SaturationRamp) Option {
-	return func(c *Calculator) { c.memRamp = r }
-}
-
 // WithoutWaveQuantization disables wave quantization (ablation).
 func WithoutWaveQuantization() Option {
 	return func(c *Calculator) { c.waveQuantization = false }
@@ -104,17 +89,6 @@ func NewCalculator(dev hw.DeviceSpec, opts ...Option) (*Calculator, error) {
 	}
 	for _, o := range opts {
 		o(c)
-	}
-	if len(c.tiles) == 0 {
-		return nil, fmt.Errorf("kernels: empty tile library")
-	}
-	for _, t := range c.tiles {
-		if t.M <= 0 || t.N <= 0 || t.Eff <= 0 || t.Eff > 1 {
-			return nil, fmt.Errorf("kernels: invalid tile %+v", t)
-		}
-	}
-	if c.cus < 1 {
-		return nil, fmt.Errorf("kernels: compute units must be >=1, got %d", c.cus)
 	}
 	return c, nil
 }

@@ -23,18 +23,6 @@ func TestNewCalculatorValidation(t *testing.T) {
 	if _, err := NewCalculator(hw.DeviceSpec{}); err == nil {
 		t.Error("invalid device accepted")
 	}
-	if _, err := NewCalculator(hw.MI210, WithTiles(nil)); err == nil {
-		t.Error("empty tile library accepted")
-	}
-	if _, err := NewCalculator(hw.MI210, WithTiles([]Tile{{0, 1, 0.5}})); err == nil {
-		t.Error("invalid tile accepted")
-	}
-	if _, err := NewCalculator(hw.MI210, WithTiles([]Tile{{64, 64, 1.5}})); err == nil {
-		t.Error("efficiency >1 accepted")
-	}
-	if _, err := NewCalculator(hw.MI210, WithComputeUnits(0)); err == nil {
-		t.Error("zero CUs accepted")
-	}
 }
 
 func TestGEMMInvalid(t *testing.T) {

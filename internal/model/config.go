@@ -160,11 +160,6 @@ func (c Config) Params() float64 {
 	return float64(c.Layers)*c.LayerParams() + float64(c.Vocab)*float64(c.Hidden)
 }
 
-// ParamBytes returns the storage of one weight copy in format DT.
-func (c Config) ParamBytes() units.Bytes {
-	return units.Bytes(c.Params() * float64(c.DT.Size()))
-}
-
 // ActivationElems returns the elements of one full-width activation
 // tensor [B, SL, H] — the unit the serialized TP all-reduces move.
 func (c Config) ActivationElems() float64 {

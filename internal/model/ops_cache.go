@@ -1,10 +1,6 @@
 package model
 
-import (
-	"sync"
-
-	"twocs/internal/telemetry"
-)
+import "twocs/internal/memo"
 
 // The grid sweeps evaluate the same layer operator graphs over and over:
 // a Figure 12/13 evolution grid visits each (H, SL, B, TP) shape once
@@ -35,30 +31,27 @@ func Shape(c Config) Config {
 	return c
 }
 
-var opsCache sync.Map // opsKey -> []OpDesc
+// opsMemoEntries bounds the op-graph memo. A Table-3 grid touches 157
+// shapes and perfbench's study workload about 310 with its audit; the
+// bound sits well above both, and caps what a daemon fed novel shapes
+// keeps.
+const opsMemoEntries = 1024
+
+var opsMemo = memo.New[opsKey, []OpDesc]("model.opscache", nil, opsMemoEntries, 0, nil)
 
 func cachedOps(c Config, tp int, phase Phase, build func(Config, int) ([]OpDesc, error)) ([]OpDesc, error) {
 	// Validate per call (cheap, allocation-free) so invalid
-	// configurations never consult or populate the cache.
+	// configurations never consult or populate the memo.
 	if err := c.ValidateTP(tp); err != nil {
 		return nil, err
 	}
-	key := opsKey{shape: Shape(c), tp: tp, phase: phase}
-	if ops, ok := opsCache.Load(key); ok {
-		telemetry.Active().Count("model.opscache.hit", 1)
-		return ops.([]OpDesc), nil
-	}
-	telemetry.Active().Count("model.opscache.miss", 1)
-	ops, err := build(c, tp)
-	if err != nil {
-		return nil, err
-	}
-	opsCache.Store(key, ops)
-	return ops, nil
+	return opsMemo.Do(opsKey{shape: Shape(c), tp: tp, phase: phase}, func() ([]OpDesc, error) {
+		return build(c, tp)
+	})
 }
 
-// CachedLayerOps is LayerOps behind a process-wide memo keyed by
-// configuration shape and TP degree. The returned slice is shared:
+// CachedLayerOps is LayerOps behind a process-wide bounded memo keyed
+// by configuration shape and TP degree. The returned slice is shared:
 // callers must treat it as read-only. Safe for concurrent use.
 func CachedLayerOps(c Config, tp int) ([]OpDesc, error) {
 	return cachedOps(c, tp, Backward, LayerOps)

@@ -17,13 +17,12 @@ package opmodel
 
 import (
 	"fmt"
-	"sync"
 
 	"twocs/internal/hw"
+	"twocs/internal/memo"
 	"twocs/internal/model"
 	"twocs/internal/profile"
 	"twocs/internal/stats"
-	"twocs/internal/telemetry"
 	"twocs/internal/tensor"
 	"twocs/internal/units"
 )
@@ -60,22 +59,31 @@ type Model struct {
 	// collectives (see WithLatencyAwareAR).
 	latencyAwareAR bool
 
-	// projCache memoizes per-layer projections by (shape, tp, phase).
-	// A hardware scenario only rescales the layer sums
+	// proj memoizes per-layer projections by (shape, tp, phase). A
+	// hardware scenario only rescales the layer sums
 	// (LayerProjection.Scale) — the per-operator projection is
 	// scenario-independent — so the serialized grids look each shape up
 	// once per grid call and rescale it for every scenario, and the memo
 	// dedups those lookups across calls, requests and single-point
-	// projections. Guarded by the Model's immutability: calibration
-	// happens before first use.
-	projCache sync.Map // projKey -> LayerProjection
+	// projections. Calibration finishes before first use.
+	proj *memo.Memo[projKey, LayerProjection]
+}
+
+// projMemoEntries bounds each model's projection memo: a Table-3 grid
+// projects 156 shapes and perfbench's study workload about 310 with its
+// audit, so 1024 holds every workload's working set while capping what
+// a daemon fed novel shapes keeps.
+const projMemoEntries = 1024
+
+func newProjMemo() *memo.Memo[projKey, LayerProjection] {
+	return memo.New[projKey, LayerProjection]("opmodel.projcache", nil, projMemoEntries, 0, nil)
 }
 
 // projKey identifies one memoized layer projection: the shape fields
 // the layer operator graph reads (model.Shape's survivors), flattened
-// into a string-free struct so sync.Map hashes it with plain memhash
-// instead of the reflective string-walking fallback — the difference
-// is the bulk of a cache hit's cost on the grid hot path.
+// into a string-free struct so the memo's map hashes it with plain
+// memhash instead of the string-walking fallback — the difference is
+// the bulk of a hit's cost on the grid hot path.
 // TestProjKeyCoversConfig pins this field set against model.Config.
 type projKey struct {
 	kind          model.LayerKind
@@ -169,6 +177,7 @@ func Calibrate(p *profile.Profile, opts ...Option) (*Model, error) {
 		base:    p.Model,
 		baseTP:  p.TP,
 		records: make(map[string]profile.Record, len(p.Records)),
+		proj:    newProjMemo(),
 	}
 	for _, r := range p.Records {
 		if r.Time <= 0 {
@@ -333,31 +342,22 @@ func (m *Model) ProjectLayerForward(target model.Config, tp int) (LayerProjectio
 
 // cachedProjection is the shape-keyed memo in front of projectOps. The
 // configuration is validated per call (cheap, allocation-free on the
-// success path) so invalid shapes never consult or populate the cache;
-// a hit then costs one map load and zero projections. Only successful
-// projections are cached; failures (e.g. a missing baseline operator)
-// recompute and re-fail.
+// success path) so invalid shapes never consult or populate the memo;
+// a hit then costs one locked map lookup and zero projections. Only
+// successful projections are kept; failures (e.g. a missing baseline
+// operator) recompute and re-fail.
 func (m *Model) cachedProjection(target model.Config, tp int, phase model.Phase,
 	fetch func(model.Config, int) ([]model.OpDesc, error)) (LayerProjection, error) {
 	if err := target.ValidateTP(tp); err != nil {
 		return LayerProjection{}, err
 	}
-	key := newProjKey(target, tp, phase)
-	if v, ok := m.projCache.Load(key); ok {
-		telemetry.Active().Count("opmodel.projcache.hit", 1)
-		return v.(LayerProjection), nil
-	}
-	telemetry.Active().Count("opmodel.projcache.miss", 1)
-	ops, err := fetch(target, tp)
-	if err != nil {
-		return LayerProjection{}, err
-	}
-	lp, err := m.projectOps(ops, tp)
-	if err != nil {
-		return LayerProjection{}, err
-	}
-	m.projCache.Store(key, lp)
-	return lp, nil
+	return m.proj.Do(newProjKey(target, tp, phase), func() (LayerProjection, error) {
+		ops, err := fetch(target, tp)
+		if err != nil {
+			return LayerProjection{}, err
+		}
+		return m.projectOps(ops, tp)
+	})
 }
 
 func (m *Model) projectOps(ops []model.OpDesc, tp int) (LayerProjection, error) {

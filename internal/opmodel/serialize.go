@@ -84,6 +84,7 @@ func Load(r io.Reader) (*Model, error) {
 		arFit:   stats.Affine{Slope: c.ARSlope, Intercept: c.ARIntercept},
 		arGroup: c.ARGroup,
 		hasAR:   c.HasAR,
+		proj:    newProjMemo(),
 	}
 	for _, rec := range c.Records {
 		if rec.Time <= 0 {

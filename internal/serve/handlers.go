@@ -111,45 +111,24 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Compute once per key no matter how many identical requests are
+	// in flight; only the request that computed reports a miss, every
+	// other one gets the same bytes at near-zero marginal cost.
 	key := req.cacheKey()
-	if body, ok := s.cache.get(key); ok {
-		s.col.Count("serve.cache.hit", 1)
-		s.writeStudy(w, key, "hit", body)
-		return
-	}
-	// Miss: compute once per key no matter how many identical requests
-	// are in flight. The leader fills the cache before its flight ends,
-	// and re-checks the cache first: a request that missed above while
-	// an earlier leader was finishing becomes a leader only after that
-	// fill, and must serve it rather than compute again. Only the caller
-	// that computed counts the miss; everyone else is a cache hit in
-	// every observable way — same bytes, near-zero marginal cost.
-	computed := false
-	body, _, err := s.flight.do(r.Context(), key, func() ([]byte, error) {
-		if body, ok := s.cache.get(key); ok {
-			return body, nil
-		}
+	body, built, err := s.results.Get(r.Context(), key, func() ([]byte, error) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StudyTimeout)
 		defer cancel()
-		body, err := s.computeStudy(ctx, req)
-		if err != nil {
-			return nil, err
-		}
-		s.cache.put(key, body)
-		computed = true
-		return body, nil
+		return s.computeStudy(ctx, req)
 	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if computed {
-		s.col.Count("serve.cache.miss", 1)
-		s.writeStudy(w, key, "miss", body)
-		return
+	verdict := "hit"
+	if built {
+		verdict = "miss"
 	}
-	s.col.Count("serve.cache.hit", 1)
-	s.writeStudy(w, key, "hit", body)
+	s.writeStudy(w, key, verdict, body)
 }
 
 func (s *Server) writeStudy(w http.ResponseWriter, key, verdict string, body []byte) {
@@ -162,7 +141,7 @@ func (s *Server) writeStudy(w http.ResponseWriter, key, verdict string, body []b
 // computeStudy runs the strict evolution grid under ctx and renders the
 // deterministic response body.
 func (s *Server) computeStudy(ctx context.Context, req StudyRequest) ([]byte, error) {
-	an, err := s.analyzerFor(req.Model)
+	an, err := s.analyzerFor(ctx, req.Model)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +209,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	an, err := s.analyzerFor(req.Model)
+	an, err := s.analyzerFor(r.Context(), req.Model)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -94,8 +94,8 @@ func TestStudyCacheHit(t *testing.T) {
 	if m := counter(t, col, "serve.cache.miss"); m != 1 {
 		t.Fatalf("cache miss counter = %d", m)
 	}
-	if s.CacheLen() != 1 {
-		t.Fatalf("cache holds %d entries", s.CacheLen())
+	if s.results.Len() != 1 {
+		t.Fatalf("cache holds %d entries", s.results.Len())
 	}
 
 	var resp StudyResponse

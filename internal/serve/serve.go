@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"time"
 
 	"twocs/internal/core"
+	"twocs/internal/memo"
 	"twocs/internal/model"
 	"twocs/internal/telemetry"
 )
@@ -73,18 +75,19 @@ type Server struct {
 	col     *telemetry.Collector
 	sampler *telemetry.Sampler
 
-	cache  *lruCache
-	bucket *tokenBucket
-	gate   inflightGate
-	flight flightGroup
-	// anMu guards analyzers, the lazy per-model registry: the analyzer
-	// passed to New is seeded under the default model's name, other zoo
-	// models are calibrated on first request and memoized. Construction
-	// holds the lock — the first request for a new model pays the
-	// baseline profile once, concurrent requests for it wait instead of
-	// duplicating the work.
-	anMu      sync.Mutex
-	analyzers map[string]*core.Analyzer
+	// results is the study result cache: canonical request hash →
+	// rendered response body, bounded by CacheEntries and by
+	// CacheBytes of body, because bodies vary from hundreds of bytes to
+	// megabytes with the requested grid. Identical requests in flight
+	// together share one computation.
+	results *memo.Memo[string, []byte]
+	bucket  *tokenBucket
+	gate    inflightGate
+	// analyzers holds the zoo models other than the default one,
+	// calibrated on first request. The first request for a model pays
+	// its baseline profile once; concurrent requests for it wait for
+	// that build, and requests for other models do not.
+	analyzers *memo.Memo[string, *core.Analyzer]
 	// sweepMu serializes streaming sweeps: the progress tracker is
 	// process-wide, so one stream at a time is the contract that keeps
 	// /progress agreeing with the trailer of the sweep it describes.
@@ -100,40 +103,44 @@ func New(an *core.Analyzer, cfg Config, col *telemetry.Collector, sampler *telem
 		cfg.DefaultModel = "BERT"
 	}
 	return &Server{
-		an:        an,
-		cfg:       cfg,
-		col:       col,
-		sampler:   sampler,
-		cache:     newLRUCache(cfg.CacheEntries, cfg.CacheBytes),
-		bucket:    newTokenBucket(cfg.Rate, cfg.Burst),
-		gate:      newInflightGate(cfg.MaxInflight),
-		analyzers: map[string]*core.Analyzer{cfg.DefaultModel: an},
+		an:      an,
+		cfg:     cfg,
+		col:     col,
+		sampler: sampler,
+		results: memo.New[string, []byte]("serve.cache", col, cfg.CacheEntries, cfg.CacheBytes,
+			func(body []byte) int64 { return int64(len(body)) }),
+		bucket: newTokenBucket(cfg.Rate, cfg.Burst),
+		gate:   newInflightGate(cfg.MaxInflight),
+		// Names are checked against the zoo first, so a registry the
+		// zoo's size never evicts a calibrated model.
+		analyzers: memo.New[string, *core.Analyzer]("serve.analyzer", col, len(model.Zoo()), 0, nil),
 	}
 }
 
-// analyzerFor returns the memoized analyzer for a zoo model, building
-// and calibrating it on first use. The name must already be validated
+// analyzerFor returns the analyzer for a zoo model: the one passed to
+// New for the default model, otherwise a memoized one built and
+// calibrated on first use. The name must already be validated
 // (normalize checked the zoo), so an error here is a construction
 // failure, not a client mistake.
-func (s *Server) analyzerFor(name string) (*core.Analyzer, error) {
-	s.anMu.Lock()
-	defer s.anMu.Unlock()
-	if a, ok := s.analyzers[name]; ok {
+func (s *Server) analyzerFor(ctx context.Context, name string) (*core.Analyzer, error) {
+	if name == s.cfg.DefaultModel {
+		return s.an, nil
+	}
+	a, _, err := s.analyzers.Get(ctx, name, func() (*core.Analyzer, error) {
+		e, err := model.LookupZoo(name)
+		if err != nil {
+			return nil, err
+		}
+		defer s.col.Start("serve.analyzer.build").End()
+		a, err := core.NewAnalyzer(s.an.Cluster, e.Config, model.CalibrationTP(e.Config))
+		if err != nil {
+			return nil, err
+		}
+		a.Workers = s.an.Workers
+		s.col.Count("serve.analyzer.models", 1)
 		return a, nil
-	}
-	e, err := model.LookupZoo(name)
-	if err != nil {
-		return nil, err
-	}
-	defer s.col.Start("serve.analyzer.build").End()
-	a, err := core.NewAnalyzer(s.an.Cluster, e.Config, model.CalibrationTP(e.Config))
-	if err != nil {
-		return nil, err
-	}
-	a.Workers = s.an.Workers
-	s.analyzers[name] = a
-	s.col.Count("serve.analyzer.models", 1)
-	return a, nil
+	})
+	return a, err
 }
 
 // Handler mounts the full daemon surface on one mux: the API routes
@@ -148,7 +155,3 @@ func (s *Server) Handler() http.Handler {
 	telemetry.RegisterDebug(mux, s.col, s.sampler)
 	return mux
 }
-
-// CacheLen reports the current study-cache entry count (for tests and
-// the load-test scripts).
-func (s *Server) CacheLen() int { return s.cache.len() }

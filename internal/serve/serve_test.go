@@ -7,10 +7,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"twocs/internal/core"
+	"twocs/internal/memo"
+	"twocs/internal/telemetry"
 )
 
 func TestGridSpecNormalizeDefaults(t *testing.T) {
@@ -170,63 +173,74 @@ func checkSpecPath[R any, P interface {
 	}
 }
 
+// resultCache returns the study result cache a server builds from the
+// given CacheEntries and CacheBytes.
+func resultCache(entries int, bytes int64) *memo.Memo[string, []byte] {
+	return New(nil, Config{CacheEntries: entries, CacheBytes: bytes}, nil, nil).results
+}
+
+// study asks the result cache for key with a computation rendering body
+// and reports whether the computation ran.
+func study(t *testing.T, c *memo.Memo[string, []byte], key, body string) bool {
+	t.Helper()
+	got, built, err := c.Get(context.Background(), key, func() ([]byte, error) { return []byte(body), nil })
+	if err != nil || string(got) != body {
+		t.Fatalf("study %q = %q, %v", key, got, err)
+	}
+	return built
+}
+
 func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2, 0)
-	c.put("a", []byte("aa"))
-	c.put("b", []byte("bb"))
-	if _, ok := c.get("a"); !ok {
+	c := resultCache(2, 0)
+	study(t, c, "a", "aa")
+	study(t, c, "b", "bb")
+	if study(t, c, "a", "aa") {
 		t.Fatal("a missing before eviction")
 	}
 	// a is now most recent; inserting c must evict b.
-	c.put("c", []byte("cc"))
-	if _, ok := c.get("b"); ok {
-		t.Fatal("LRU evicted the wrong entry")
-	}
-	if _, ok := c.get("a"); !ok {
+	study(t, c, "c", "cc")
+	if study(t, c, "a", "aa") {
 		t.Fatal("recently used entry evicted")
 	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
+	if !study(t, c, "b", "bb") || c.Len() != 2 {
+		t.Fatalf("LRU evicted the wrong entry (len %d)", c.Len())
 	}
 }
 
+// TestLRUCacheByteBound: CacheBytes bounds the summed body bytes, and an
+// oversized body is kept alone until the next insert.
 func TestLRUCacheByteBound(t *testing.T) {
-	c := newLRUCache(0, 10)
-	c.put("a", make([]byte, 6))
-	c.put("b", make([]byte, 6))
-	if _, ok := c.get("a"); ok {
-		t.Fatal("byte bound not enforced")
+	c := resultCache(0, 10)
+	study(t, c, "a", "aaaaaa")
+	study(t, c, "b", "bbbbbb")
+	if c.Len() != 1 || study(t, c, "b", "bbbbbb") {
+		t.Fatalf("byte bound not enforced (len %d)", c.Len())
 	}
-	if _, ok := c.get("b"); !ok {
-		t.Fatal("newest entry evicted")
-	}
-	// An oversized body is admitted (sole entry) but evicted next insert.
-	c.put("big", make([]byte, 100))
-	if _, ok := c.get("big"); !ok {
+	big := strings.Repeat("x", 100)
+	study(t, c, "big", big)
+	if c.Len() != 1 || study(t, c, "big", big) {
 		t.Fatal("oversized sole entry rejected")
 	}
-	c.put("s", make([]byte, 1))
-	if _, ok := c.get("big"); ok {
+	study(t, c, "s", "s")
+	if !study(t, c, "big", big) {
 		t.Fatal("oversized entry survived a subsequent insert")
 	}
 }
 
+// TestLRUCacheRefresh: asking for a cached key again neither recomputes
+// nor duplicates it.
 func TestLRUCacheRefresh(t *testing.T) {
-	c := newLRUCache(4, 0)
-	c.put("k", []byte("v1"))
-	c.put("k", []byte("v2"))
-	if got, _ := c.get("k"); string(got) != "v2" {
-		t.Fatalf("refresh kept %q", got)
-	}
-	if c.len() != 1 {
-		t.Fatalf("refresh duplicated the entry: len=%d", c.len())
+	c := resultCache(4, 0)
+	study(t, c, "k", "v")
+	if study(t, c, "k", "v") || c.Len() != 1 {
+		t.Fatalf("repeat request recomputed or duplicated the entry: len=%d", c.Len())
 	}
 }
 
 func TestLRUCacheDisabled(t *testing.T) {
-	c := newLRUCache(0, 0)
-	c.put("k", []byte("v"))
-	if _, ok := c.get("k"); ok {
+	c := resultCache(0, 0)
+	study(t, c, "k", "v")
+	if c.Len() != 0 || !study(t, c, "k", "v") {
 		t.Fatal("disabled cache stored an entry")
 	}
 }
@@ -280,72 +294,61 @@ func TestInflightGate(t *testing.T) {
 	}
 }
 
-// TestFlightGroupSharesOneComputation: N concurrent callers for one key
-// run fn once; exactly one is the leader; all see the same bytes.
+// TestFlightGroupSharesOneComputation: with caching off, N concurrent
+// identical studies still run one computation; exactly one caller
+// computed and all see the same bytes.
 func TestFlightGroupSharesOneComputation(t *testing.T) {
-	var g flightGroup
-	var calls int64
-	var mu sync.Mutex
+	col := telemetry.NewCollector()
+	c := New(nil, Config{}, col, nil).results
+	var calls atomic.Int64
 	release := make(chan struct{})
 	const n = 8
 	results := make([][]byte, n)
-	leaders := make([]bool, n)
+	computed := make([]bool, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, leader, err := g.do(context.Background(), "k", func() ([]byte, error) {
-				mu.Lock()
-				calls++
-				mu.Unlock()
+			body, built, err := c.Get(context.Background(), "k", func() ([]byte, error) {
+				calls.Add(1)
 				<-release
 				return []byte("shared"), nil
 			})
 			if err != nil {
 				t.Error(err)
 			}
-			results[i], leaders[i] = body, leader
+			results[i], computed[i] = body, built
 		}(i)
 	}
-	// Wait until the leader is inside fn, then let everyone pile up.
-	for {
-		mu.Lock()
-		c := calls
-		mu.Unlock()
-		if c == 1 {
-			break
-		}
+	// Release the computation once every other caller waits on it.
+	for counter(t, col, "serve.cache.hit") < n-1 {
 		time.Sleep(time.Millisecond)
 	}
-	time.Sleep(10 * time.Millisecond)
 	close(release)
 	wg.Wait()
-	if calls != 1 {
-		t.Fatalf("fn ran %d times", calls)
-	}
-	var nLeaders int
+	var nComputed int
 	for i := range results {
 		if string(results[i]) != "shared" {
 			t.Fatalf("caller %d got %q", i, results[i])
 		}
-		if leaders[i] {
-			nLeaders++
+		if computed[i] {
+			nComputed++
 		}
 	}
-	if nLeaders != 1 {
-		t.Fatalf("%d leaders, want exactly 1", nLeaders)
+	if calls.Load() != 1 || nComputed != 1 {
+		t.Fatalf("computation ran %d times, %d callers computed; want 1 and 1", calls.Load(), nComputed)
 	}
 }
 
-// TestFlightGroupFollowerCancel: a follower whose context dies unblocks
-// with the context error while the leader keeps computing.
+// TestFlightGroupFollowerCancel: a request waiting on an identical one
+// leaves with its context's error while the computation continues.
 func TestFlightGroupFollowerCancel(t *testing.T) {
-	var g flightGroup
+	c := resultCache(0, 0)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		_, _, _ = g.do(context.Background(), "k", func() ([]byte, error) {
+		_, _, _ = c.Get(context.Background(), "k", func() ([]byte, error) {
 			close(started)
 			<-release
 			return []byte("late"), nil
@@ -354,27 +357,19 @@ func TestFlightGroupFollowerCancel(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := g.do(ctx, "k", nil); err != context.Canceled {
+	if _, _, err := c.Get(ctx, "k", nil); err != context.Canceled {
 		t.Fatalf("follower err = %v, want context.Canceled", err)
 	}
 	close(release)
 }
 
-// TestFlightGroupSequentialReruns: after a flight lands, the next call
-// for the same key runs fn again (caching is the lruCache's job).
+// TestFlightGroupSequentialReruns: with caching off, a study asked again
+// after the first one landed computes again.
 func TestFlightGroupSequentialReruns(t *testing.T) {
-	var g flightGroup
-	runs := 0
+	c := resultCache(0, 0)
 	for i := 0; i < 3; i++ {
-		_, leader, err := g.do(context.Background(), "k", func() ([]byte, error) {
-			runs++
-			return nil, nil
-		})
-		if err != nil || !leader {
-			t.Fatalf("call %d: leader=%v err=%v", i, leader, err)
+		if !study(t, c, "k", "v") {
+			t.Fatalf("call %d served a stored body", i)
 		}
-	}
-	if runs != 3 {
-		t.Fatalf("fn ran %d times, want 3", runs)
 	}
 }

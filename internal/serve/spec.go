@@ -2,13 +2,15 @@
 // answer model+hardware+parallelism study and sweep queries over one
 // long-lived core.Analyzer. The daemon exists to amortize what the CLI
 // pays per invocation — the baseline profile, the calibrated operator
-// model, and the three process-wide compiled caches (dist.programcache,
-// opmodel.projcache, model.opscache) — across every request of a
-// long-running process: model once, query forever.
+// model with its projection memo (opmodel.projcache, one per model),
+// and the process-wide op-graph and program memos (model.opscache,
+// dist.programcache) — across every request of a long-running process:
+// model once, query forever. Every one of those memos is bounded, so
+// novel shapes cost a daemon a build, not a heap that only grows.
 //
 // The package is glue with sharp contracts, not new math: requests
 // decode strictly (unknown fields are errors), normalize to a canonical
-// form, and hash into a bounded LRU result cache; admission is a token
+// form, and hash into a bounded LRU result memo; admission is a token
 // bucket plus an in-flight cap; every request runs under a deadline
 // threaded through the same Collect/StreamCtx machinery the CLI uses;
 // and per-request spans/counters land in the process collector the
