@@ -1,7 +1,8 @@
 // Command twocslint runs the repo's static-analysis suite — the
-// invariants go vet cannot see. It loads every package in the module
-// with the standard library's go/parser + go/types (no external
-// dependencies, matching the module's empty require list) and runs:
+// invariants go vet cannot see. It loads every package in the module,
+// test files included, with the standard library's go/parser + go/types
+// (no external dependencies, matching the module's empty require list)
+// and runs:
 //
 //	unitcheck  dimensional safety of the internal/units algebra
 //	floatcmp   no ==/!= on float64-backed values outside approved helpers
@@ -9,7 +10,6 @@
 //	lockcheck  '// guarded by <mu>' fields accessed only under the lock,
 //	           interprocedurally through same-receiver helper methods
 //	sweeppure  no mutation of captured state in parallel.Collect/StreamCtx task closures
-//	simscratch no retention of simulator scratch state across runs
 //	hotalloc   //lint:hotpath functions and everything they transitively
 //	           call are provably allocation-free in steady state
 //	ctxflow    context.Context threads through library call chains; no
@@ -17,13 +17,13 @@
 //	sinkclose  stream.Sink, os.File and pprof acquisitions are released
 //	           on every path
 //
-// The last four are interprocedural: they share one module-wide call
-// graph with per-function summaries (internal/lint/flow) built from the
-// same go/types data.
+// hotalloc, ctxflow and sinkclose are interprocedural: they share one
+// module-wide call graph with per-function summaries (internal/lint/flow)
+// built from the same go/types data.
 //
 // Usage:
 //
-//	twocslint [-analyzers name,name] [-tests=false] [pattern ...]
+//	twocslint [-analyzers name,name] [pattern ...]
 //
 // Patterns are directories relative to the module root, or "./..." to
 // walk the whole tree (the default). Exit status: 0 clean, 1 findings,
@@ -62,7 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("twocslint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	analyzerNames := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	includeTests := fs.Bool("tests", true, "also analyze _test.go files")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -87,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "twocslint:", err)
 		return 2
 	}
-	loader := &lint.Loader{Dir: root, ModulePath: modulePath, IncludeTests: *includeTests}
+	loader := &lint.Loader{Dir: root, ModulePath: modulePath}
 	pkgs, err := loader.Load(patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, "twocslint:", err)

@@ -12,8 +12,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// TestCleanTreeExitsZero is the acceptance gate: the final tree must
-// lint clean.
+// TestCleanTreeExitsZero is the one tree-wide lint gate: the whole
+// suite, over ./... with test files, through the real driver, where a
+// type error exits 2 and a finding exits 1. The tree must lint clean.
 func TestCleanTreeExitsZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -442,4 +443,40 @@ func TestBroadcastFunctional(t *testing.T) {
 	if _, _, err := Broadcast(0, data, 0); err == nil {
 		t.Error("zero ranks accepted")
 	}
+}
+
+// BusBandwidth returns the effective all-reduce "bus bandwidth" for a
+// given size — the figure of merit collective libraries report:
+// algbw·2(N-1)/N for rings.
+func (c *CostModel) BusBandwidth(n int, bytes units.Bytes) (units.ByteRate, error) {
+	t, err := c.AllReduce(n, bytes)
+	if err != nil {
+		return 0, err
+	}
+	if t <= 0 {
+		return 0, nil
+	}
+	alg := float64(bytes) / float64(t)
+	return units.ByteRate(alg * 2 * float64(n-1) / float64(n)), nil
+}
+
+// WireBytesPerRank returns the total bytes one rank transmits during an
+// all-reduce of `bytes` — 2·bytes·(N-1)/N for rings, bytes for in-network
+// reduction. The 2× gap is the advantage the paper attributes to PIN.
+func (c *CostModel) WireBytesPerRank(n int, bytes units.Bytes) (units.Bytes, error) {
+	if err := c.checkGroup(n, bytes); err != nil {
+		return 0, err
+	}
+	if n == 1 {
+		return 0, nil
+	}
+	switch c.Algo {
+	case Ring:
+		return units.Bytes(2 * float64(bytes) * float64(n-1) / float64(n)), nil
+	case Tree:
+		return units.Bytes(2 * float64(bytes)), nil
+	case InNetwork:
+		return bytes, nil
+	}
+	return 0, fmt.Errorf("collective: unreachable algorithm %v", c.Algo)
 }

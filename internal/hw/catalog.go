@@ -99,16 +99,6 @@ func Catalog() []DeviceSpec {
 	return ds
 }
 
-// LookupDevice finds a catalog device by name.
-func LookupDevice(name string) (DeviceSpec, error) {
-	for _, d := range Catalog() {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return DeviceSpec{}, fmt.Errorf("hw: unknown device %q", name)
-}
-
 // MI210Node is the paper's evaluation system (§4.3.1, Fig 9a): four fully
 // connected MI210s, 100 GB/s bidirectional links forming rings with a peak
 // ring-all-reduce bus bandwidth of 150 GB/s.

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -264,5 +265,34 @@ func TestEvolutionCompositionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// LookupDevice finds a catalog device by name.
+func LookupDevice(name string) (DeviceSpec, error) {
+	for _, d := range Catalog() {
+		if d.Name == name {
+			return d, nil
+		}
+	}
+	return DeviceSpec{}, fmt.Errorf("hw: unknown device %q", name)
+}
+
+// HistoricalFlopVsBW returns the observed 2018→2020 compute-vs-network
+// scaling ratios the paper derives from vendor datasheets: NVIDIA ~5×
+// compute vs ~2× network, AMD ~7× vs ~1.7× — i.e. relative ratios of
+// ~2.5× and ~4.1×, bracketing the 2×/4× scenarios.
+func HistoricalFlopVsBW() map[string]float64 {
+	// The paper's ~5× NVIDIA compute figure compares V100 FP16 tensor
+	// peak (125 TFLOP/s) against A100's sparsity-enabled FP16 peak
+	// (624 TFLOP/s), which the dense-math catalog entry excludes.
+	const a100SparseFP16 = 624e12
+	nv := a100SparseFP16 / float64(V100.PeakFor(tensor.FP16)) // ~5x
+	amd := float64(MI100.PeakFor(tensor.FP16)) / float64(MI50.PeakFor(tensor.FP16))
+	// Network: NVLink2 300 GB/s → NVLink3 600 GB/s (2.0×);
+	// Infinity Fabric gen2 ~92 GB/s → gen3 ~150 GB/s (~1.63×).
+	return map[string]float64{
+		"NVIDIA 2018-2020": nv / 2.0,
+		"AMD 2018-2020":    amd / 1.63,
 	}
 }

@@ -22,21 +22,20 @@ func newFixtureLoader(t *testing.T) *Loader {
 		t.Fatal(err)
 	}
 	return &Loader{
-		Dir:          root,
-		ModulePath:   modPath,
-		FixtureRoot:  filepath.Join(wd, "testdata", "src"),
-		IncludeTests: true,
+		Dir:         root,
+		ModulePath:  modPath,
+		FixtureRoot: filepath.Join(wd, "testdata", "src"),
 	}
 }
 
 // sharedFixtureLoader is the one loader the fixture tests share, so the
-// stdlib and the repo packages the fixtures import are type-checked once
-// per test binary instead of once per fixture. The Loader is not safe for
-// concurrent use; these tests do not call t.Parallel.
+// repo packages the fixtures import are type-checked once per test
+// binary instead of once per fixture (the stdlib is shared by every
+// Loader). The Loader is not safe for concurrent use; these tests do
+// not call t.Parallel.
 var sharedFixtureLoader *Loader
 
-// fixtureLoader returns the shared fixture loader. A test that changes
-// the loader's settings must take its own from newFixtureLoader.
+// fixtureLoader returns the shared fixture loader.
 func fixtureLoader(t *testing.T) *Loader {
 	t.Helper()
 	if sharedFixtureLoader == nil {
@@ -135,9 +134,6 @@ func TestFloatCmpFixture(t *testing.T)  { runFixture(t, FloatCmp, "floatcmp") }
 func TestDetRangeFixture(t *testing.T)  { runFixture(t, DetRange, "detrange") }
 func TestLockCheckFixture(t *testing.T) { runFixture(t, LockCheck, "lockcheck") }
 func TestSweepPureFixture(t *testing.T) { runFixture(t, SweepPure, "sweeppure") }
-
-func TestSimScratchFixture(t *testing.T) { runFixture(t, SimScratch, "simscratch") }
-
 func TestHotAllocFixture(t *testing.T)  { runFixture(t, HotAlloc, "hotalloc") }
 func TestCtxFlowFixture(t *testing.T)   { runFixture(t, CtxFlow, "ctxflow") }
 func TestSinkCloseFixture(t *testing.T) { runFixture(t, SinkClose, "sinkclose") }
@@ -146,29 +142,6 @@ func TestSinkCloseFixture(t *testing.T) { runFixture(t, SinkClose, "sinkclose") 
 // rule: a directive inside a loop body suppresses a diagnostic reported
 // at the loop keyword.
 func TestIgnoreScopeFixture(t *testing.T) { runFixture(t, DetRange, "ignorescope") }
-
-// TestSuiteOnOwnModule is the self-hosting gate: the full analyzer
-// suite must report zero findings on the repo's own tree. This is the
-// same invariant CI enforces via `go run ./cmd/twocslint ./...`.
-func TestSuiteOnOwnModule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
-	loader := newFixtureLoader(t)
-	loader.FixtureRoot = "" // real tree only
-	pkgs, err := loader.Load("./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pkg := range pkgs {
-		for _, terr := range pkg.TypeErrors {
-			t.Fatalf("package %s: type error: %v", pkg.Path, terr)
-		}
-	}
-	for _, d := range Run(pkgs, All()) {
-		t.Errorf("finding on clean tree: %s", d)
-	}
-}
 
 // TestByName covers the analyzer-selection helper.
 func TestByName(t *testing.T) {

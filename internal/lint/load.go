@@ -3,7 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed and type-checked package ready for analysis.
@@ -31,7 +32,9 @@ type Package struct {
 // Loader parses and type-checks packages of a single module using only
 // the standard library: repo-internal imports resolve against the
 // module tree, fixture imports against FixtureRoot, and everything else
-// falls back to the source importer (GOROOT).
+// against the standard library, which all Loaders share. Each loaded
+// package includes its _test.go files; dependencies are compiled
+// without them, as go/build does.
 type Loader struct {
 	// Dir is the module root (the directory holding go.mod).
 	Dir string
@@ -40,26 +43,92 @@ type Loader struct {
 	// FixtureRoot, when set, resolves import paths and load patterns
 	// under a testdata/src-style tree before consulting the module.
 	FixtureRoot string
-	// IncludeTests adds _test.go files to the analyzed packages
-	// (dependencies are always compiled without them, as go/build does).
-	IncludeTests bool
 
-	fset     *token.FileSet
-	imp      *moduleImporter
-	initOnce bool
+	imp *moduleImporter
+}
+
+// loadFset positions every file any Loader parses, so that packages
+// from different Loaders can share the standard library's types.
+var loadFset = token.NewFileSet()
+
+// stdlib type-checks standard-library imports from GOROOT source once
+// per process: every Loader in a test binary, and every run of the
+// driver, pays for net/http and its dependencies once.
+var stdlib = &stdImporter{pkgs: make(map[string]*types.Package)}
+
+// stdImporter type-checks GOROOT packages, declarations only, as the
+// go/importer "source" importer does, but resolves each import path
+// with go/build once instead of on every import of it. Inside GOROOT a
+// path names one package, vendored ones included, so the path is the
+// key. Files that import "C" are left out, as under CGO_ENABLED=0: the
+// analyzers need the Go API only, and it is the same either way. One
+// mutex serializes every import, so Loaders on different goroutines
+// never check a package twice.
+type stdImporter struct {
+	mu   sync.Mutex
+	pkgs map[string]*types.Package // guarded by mu; nil while being checked
+}
+
+func (s *stdImporter) Import(path string) (*types.Package, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.importLocked(path, "")
+}
+
+func (s *stdImporter) importLocked(path, dir string) (*types.Package, error) {
+	if path == "unsafe" {
+		return types.Unsafe, nil
+	}
+	if pkg, ok := s.pkgs[path]; ok {
+		if pkg == nil {
+			return nil, fmt.Errorf("lint: import cycle through %q", path)
+		}
+		return pkg, nil
+	}
+	ctxt := build.Default
+	ctxt.CgoEnabled = false
+	bp, err := ctxt.Import(path, dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	files := make([]*ast.File, len(bp.GoFiles))
+	for i, name := range bp.GoFiles {
+		if files[i], err = parser.ParseFile(loadFset, filepath.Join(bp.Dir, name), nil, parser.SkipObjectResolution); err != nil {
+			return nil, err
+		}
+	}
+	s.pkgs[path] = nil
+	conf := types.Config{
+		IgnoreFuncBodies: true,
+		Importer:         importerFrom(s.importLocked),
+		Sizes:            types.SizesFor("gc", ctxt.GOARCH),
+	}
+	pkg, err := conf.Check(bp.ImportPath, loadFset, files, nil)
+	if err != nil {
+		delete(s.pkgs, path)
+		return nil, fmt.Errorf("lint: type-checking %q: %w", path, err)
+	}
+	s.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// importerFrom adapts an import function to types.ImporterFrom, whose
+// directory argument resolves vendored imports.
+type importerFrom func(path, dir string) (*types.Package, error)
+
+func (f importerFrom) Import(path string) (*types.Package, error) { return f(path, "") }
+
+func (f importerFrom) ImportFrom(path, dir string, _ types.ImportMode) (*types.Package, error) {
+	return f(path, dir)
 }
 
 func (l *Loader) init() {
-	if l.initOnce {
-		return
-	}
-	l.initOnce = true
-	l.fset = token.NewFileSet()
-	l.imp = &moduleImporter{
-		loader:     l,
-		cache:      make(map[string]*types.Package),
-		inProgress: make(map[string]bool),
-		fallback:   importer.ForCompiler(l.fset, "source", nil),
+	if l.imp == nil {
+		l.imp = &moduleImporter{
+			loader:     l,
+			cache:      make(map[string]*types.Package),
+			inProgress: make(map[string]bool),
+		}
 	}
 }
 
@@ -203,7 +272,7 @@ func (l *Loader) parseDir(dir string) (compile, inTest, extTest []*ast.File, err
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || !goFileIncluded(name) {
 			continue
 		}
-		f, perr := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		f, perr := parser.ParseFile(loadFset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if perr != nil {
 			return nil, nil, nil, perr
 		}
@@ -219,9 +288,9 @@ func (l *Loader) parseDir(dir string) (compile, inTest, extTest []*ast.File, err
 	return compile, inTest, extTest, nil
 }
 
-// loadDir type-checks one directory, yielding the package itself (with
-// in-package test files when IncludeTests) plus, when present and
-// requested, its external test package.
+// loadDir type-checks one directory, yielding the package itself with
+// its in-package test files plus, when present, its external test
+// package.
 func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	pkgPath, err := l.pkgPathFor(dir)
 	if err != nil {
@@ -236,10 +305,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 	}
 
 	var out []*Package
-	files := compile
-	if l.IncludeTests {
-		files = append(append([]*ast.File{}, compile...), inTest...)
-	}
+	files := append(compile, inTest...)
 	if len(files) > 0 {
 		pkg, err := l.check(l.imp, pkgPath, files)
 		if err != nil {
@@ -247,7 +313,7 @@ func (l *Loader) loadDir(dir string) ([]*Package, error) {
 		}
 		out = append(out, pkg)
 	}
-	if l.IncludeTests && len(extTest) > 0 {
+	if len(extTest) > 0 {
 		imp := l.imp
 		if len(inTest) > 0 && len(out) > 0 {
 			// As the go tool does, check the external test package
@@ -280,10 +346,10 @@ func (l *Loader) check(imp types.Importer, pkgPath string, files []*ast.File) (*
 		Importer: imp,
 		Error:    func(err error) { typeErrs = append(typeErrs, err) },
 	}
-	tpkg, _ := conf.Check(pkgPath, l.fset, files, info)
+	tpkg, _ := conf.Check(pkgPath, loadFset, files, info)
 	return &Package{
 		Path:       pkgPath,
-		Fset:       l.fset,
+		Fset:       loadFset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
@@ -294,12 +360,11 @@ func (l *Loader) check(imp types.Importer, pkgPath string, files []*ast.File) (*
 // moduleImporter resolves imports for the type checker: module-internal
 // and fixture paths from source (never including test files, matching
 // how the go tool compiles dependencies), everything else through the
-// stdlib source importer.
+// shared stdlib importer.
 type moduleImporter struct {
 	loader     *Loader
 	cache      map[string]*types.Package
 	inProgress map[string]bool
-	fallback   types.Importer
 }
 
 func (m *moduleImporter) Import(path string) (*types.Package, error) {
@@ -308,12 +373,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 	}
 	dir, ok := m.dirFor(path)
 	if !ok {
-		pkg, err := m.fallback.Import(path)
-		if err != nil {
-			return nil, err
-		}
-		m.cache[path] = pkg
-		return pkg, nil
+		return stdlib.Import(path)
 	}
 	if m.inProgress[path] {
 		return nil, fmt.Errorf("lint: import cycle through %q", path)
@@ -329,7 +389,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		return nil, fmt.Errorf("lint: no non-test Go files for import %q in %s", path, dir)
 	}
 	conf := types.Config{Importer: m}
-	pkg, err := conf.Check(path, m.loader.fset, compile, nil)
+	pkg, err := conf.Check(path, loadFset, compile, nil)
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking dependency %q: %w", path, err)
 	}
@@ -347,7 +407,6 @@ func (m *moduleImporter) variant(path string, pkg *types.Package) *moduleImporte
 		loader:     m.loader,
 		cache:      map[string]*types.Package{path: pkg},
 		inProgress: make(map[string]bool),
-		fallback:   m.fallback,
 	}
 	for p, cached := range m.cache {
 		if p != path && !importsPath(cached, path, map[*types.Package]bool{}) {

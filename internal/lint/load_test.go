@@ -1,8 +1,10 @@
 package lint
 
 import (
+	"go/types"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -48,20 +50,6 @@ func TestLoadExternalTestSeesExportTest(t *testing.T) {
 	}
 	if want := "exportvar,exportvar_test"; strings.Join(paths, ",") != want {
 		t.Fatalf("loaded packages %v, want %s", paths, want)
-	}
-}
-
-// TestLoadTestOnlyCycleWithoutTests pins the IncludeTests toggle: the
-// same directory without tests yields only the compile package.
-func TestLoadTestOnlyCycleWithoutTests(t *testing.T) {
-	loader := newFixtureLoader(t)
-	loader.IncludeTests = false
-	pkgs, err := loader.Load(filepath.Join(loader.FixtureRoot, "cyclea"))
-	if err != nil {
-		t.Fatalf("loading cyclea: %v", err)
-	}
-	if len(pkgs) != 1 || pkgs[0].Path != "cyclea" {
-		t.Fatalf("loaded %d packages, want just cyclea", len(pkgs))
 	}
 }
 
@@ -112,4 +100,63 @@ func TestLoadGenerics(t *testing.T) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
 	}
+}
+
+// importOf returns the package pkgs[0] imports as path, or nil.
+func importOf(pkgs []*Package, path string) *types.Package {
+	for _, imp := range pkgs[0].Types.Imports() {
+		if imp.Path() == path {
+			return imp
+		}
+	}
+	return nil
+}
+
+// TestLoadersShareStdlib: the standard library is type-checked once per
+// process, so two Loaders see the identical package for an import from
+// outside the module.
+func TestLoadersShareStdlib(t *testing.T) {
+	var got [2]*types.Package
+	for i := range got {
+		loader := newFixtureLoader(t)
+		pkgs, err := loader.Load(filepath.Join(loader.FixtureRoot, "ctxflow"))
+		if err != nil {
+			t.Fatalf("loader %d: %v", i, err)
+		}
+		if got[i] = importOf(pkgs, "context"); got[i] == nil {
+			t.Fatalf("loader %d: ctxflow does not import context", i)
+		}
+	}
+	if got[0] != got[1] {
+		t.Fatal("two Loaders type-checked \"context\" separately")
+	}
+}
+
+// TestLoadersRunConcurrently: Loaders on different goroutines import
+// new standard-library packages through the one shared importer at the
+// same time; under -race this checks that the importer is serialized.
+func TestLoadersRunConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for _, fx := range []struct{ fixture, path string }{
+		{"stdusera", "container/list"},
+		{"stduserb", "container/ring"},
+	} {
+		loader := newFixtureLoader(t)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pkgs, err := loader.Load(filepath.Join(loader.FixtureRoot, fx.fixture))
+			if err != nil {
+				t.Errorf("loading %s: %v", fx.fixture, err)
+				return
+			}
+			for _, terr := range pkgs[0].TypeErrors {
+				t.Errorf("%s: type error: %v", fx.fixture, terr)
+			}
+			if imp := importOf(pkgs, fx.path); imp == nil || !imp.Complete() {
+				t.Errorf("%s: import %q missing or incomplete", fx.fixture, fx.path)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -93,11 +93,19 @@ func New[K comparable, V any](name string, col *telemetry.Collector, maxEntries 
 // has none; built reports whether this caller ran build. A caller that
 // finds the key's build still running waits for it, and leaves with
 // ctx.Err() if ctx ends first; the build carries on for the others.
-// build runs in the calling goroutine and must not call Get on the same
-// memo with the same key.
+// A build that fails with context.Canceled was canceled by its own
+// caller, not for the waiters: a waiter whose ctx is still live retries
+// once, and so builds the value itself unless another waiter got there
+// first. A deadline is not retried, since the same build would only
+// run out of time again. build runs in the calling goroutine and must
+// not call Get on the same memo with the same key.
 func (m *Memo[K, V]) Get(ctx context.Context, key K, build func() (V, error)) (v V, built bool, err error) {
-	m.mu.Lock()
-	if e, ok := m.items[key]; ok {
+	for retry := true; ; retry = false {
+		m.mu.Lock()
+		e, ok := m.items[key]
+		if !ok {
+			break
+		}
 		if e.next != nil {
 			m.unlinkLocked(e)
 			m.pushLocked(e)
@@ -113,6 +121,9 @@ func (m *Memo[K, V]) Get(ctx context.Context, key K, build func() (V, error)) (v
 		m.collector().Count(m.hit, 1)
 		select {
 		case <-done:
+			if e.err != nil && retry && errors.Is(e.err, context.Canceled) && ctx.Err() == nil {
+				continue
+			}
 			return e.val, false, e.err
 		case <-ctx.Done():
 			return v, false, ctx.Err()

@@ -3,6 +3,7 @@ package memo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,7 +119,7 @@ func waitFor(t *testing.T, what string, count func() int64, n int64) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%s stuck at %d, want %d", what, count(), n)
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(20 * time.Microsecond)
 	}
 }
 
@@ -197,6 +198,65 @@ func TestMemoWaiterCancel(t *testing.T) {
 	<-done
 	if get(t, m, "k", "late") {
 		t.Fatal("the build the waiter left was not kept")
+	}
+}
+
+// result is one Get's outcome.
+type result[V any] struct {
+	v     V
+	built bool
+	err   error
+}
+
+// leaderWithFollower asks m for key as a leader whose build fails with
+// cause once a follower, whose own context stays live, waits on it, as
+// when the leader's request is canceled or runs out of time. It returns
+// the leader's error and the follower's result; a follower that builds
+// gets val. hits reads m's hit counter.
+func leaderWithFollower[K comparable, V any](t *testing.T, m *Memo[K, V], hits func() int64, key K, val V, cause error) (error, result[V]) {
+	t.Helper()
+	follower := make(chan result[V], 1)
+	_, _, leaderErr := m.Get(context.Background(), key, func() (V, error) {
+		n := hits()
+		go func() {
+			v, built, err := m.Get(context.Background(), key, func() (V, error) { return val, nil })
+			follower <- result[V]{v, built, err}
+		}()
+		waitFor(t, "waiting callers", hits, n+1)
+		var zero V
+		return zero, cause
+	})
+	return leaderErr, <-follower
+}
+
+// TestMemoWaiterRetriesCanceledBuild: a build canceled by its own
+// caller's context is built again by a waiter whose context is live;
+// a build that ran out of time is not.
+func TestMemoWaiterRetriesCanceledBuild(t *testing.T) {
+	for _, tc := range []struct {
+		cause error
+		retry bool
+	}{
+		{context.Canceled, true},
+		{fmt.Errorf("study: %w", context.Canceled), true},
+		{context.DeadlineExceeded, false},
+	} {
+		col := telemetry.NewCollector()
+		m := New[string, string]("t", col, 4, 0, nil)
+		leaderErr, f := leaderWithFollower(t, m, func() int64 { return counter(col, "t.hit") }, "k", "v", tc.cause)
+		if leaderErr != tc.cause {
+			t.Fatalf("%v: leader err = %v", tc.cause, leaderErr)
+		}
+		want, misses, held := result[string]{"v", true, nil}, int64(2), 1
+		if !tc.retry {
+			want, misses, held = result[string]{"", false, tc.cause}, 1, 0
+		}
+		if f != want {
+			t.Fatalf("%v: follower got %+v, want %+v", tc.cause, f, want)
+		}
+		if mi := counter(col, "t.miss"); mi != misses || m.Len() != held {
+			t.Fatalf("%v: misses %d, Len %d; want %d, %d", tc.cause, mi, m.Len(), misses, held)
+		}
 	}
 }
 
@@ -343,13 +403,16 @@ func (r *refMemo) get(k int, fail bool) (built bool) {
 func oracleSize(k int) int64 { return int64(k * 7 % 5) }
 
 // FuzzMemoOracle drives a memo with tiny bounds through a random
-// sequence of successful and failing lookups over eight keys and checks
-// every verdict, value, length and counter against refMemo.
+// sequence of successful and failing lookups over eight keys, some of
+// them a build that its leader's cancel or deadline ends while a
+// follower waits, and checks every verdict, value, length and counter
+// against refMemo.
 func FuzzMemoOracle(f *testing.F) {
 	f.Add([]byte{3, 12, 1, 2, 3, 1, 4, 5, 1})
 	f.Add([]byte{0, 0, 1, 1, 2, 2})
 	f.Add([]byte{1, 3, 0x81, 7, 7, 0x87, 7})
 	f.Add([]byte{0, 6, 2, 3, 4, 2, 0x83, 3, 5, 6, 7})
+	f.Add([]byte{2, 7, 0x41, 0x61, 1, 0x62, 0x42, 0xC3, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 || len(data) > 258 {
 			return
@@ -366,6 +429,32 @@ func FuzzMemoOracle(f *testing.F) {
 		var hits, misses int64
 		for i, b := range data[2:] {
 			k, fail := int(b&7), b&0x80 != 0
+			if b&0x40 != 0 && !ref.held[k] {
+				// The build fails with the leader's context error while
+				// a follower waits: a cancel is built again by the
+				// follower, a deadline is not.
+				cause := context.Canceled
+				if b&0x20 != 0 {
+					cause = context.DeadlineExceeded
+				}
+				ref.get(k, true)
+				misses++
+				hits++
+				want := result[int]{0, false, cause}
+				if cause == context.Canceled {
+					ref.get(k, false)
+					misses++
+					want = result[int]{k, true, nil}
+				}
+				leaderErr, got := leaderWithFollower(t, m, func() int64 { return counter(col, "f.hit") }, k, k, cause)
+				if leaderErr != cause || got != want {
+					t.Fatalf("op %d (key %d, %v): leader err %v, follower %+v; want %+v", i, k, cause, leaderErr, got, want)
+				}
+				if m.Len() != len(ref.order) {
+					t.Fatalf("op %d: Len = %d, want %d (%v)", i, m.Len(), len(ref.order), ref.order)
+				}
+				continue
+			}
 			want := ref.get(k, fail)
 			if want {
 				misses++

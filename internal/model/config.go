@@ -61,23 +61,6 @@ type Config struct {
 	FusedAttention bool
 }
 
-// WithDefaults fills zero fields with conventional values: FCDim=4H,
-// Heads=H/64, Vocab=50K. DT's zero value is FP32, the format the paper's
-// PyTorch-1.7 profiling used (reduced precision is a §6.2 discussion, not
-// the main evaluation).
-func (c Config) WithDefaults() Config {
-	if c.FCDim == 0 {
-		c.FCDim = 4 * c.Hidden
-	}
-	if c.Heads == 0 && c.Hidden >= 64 {
-		c.Heads = c.Hidden / 64
-	}
-	if c.Vocab == 0 {
-		c.Vocab = 50_000
-	}
-	return c
-}
-
 // Validate reports structural problems.
 func (c Config) Validate() error {
 	switch {

@@ -438,3 +438,46 @@ func TestFLOPsInverseTPProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// WithDefaults fills zero fields with conventional values: FCDim=4H,
+// Heads=H/64, Vocab=50K. DT's zero value is FP32, the format the paper's
+// PyTorch-1.7 profiling used (reduced precision is a §6.2 discussion, not
+// the main evaluation).
+func (c Config) WithDefaults() Config {
+	if c.FCDim == 0 {
+		c.FCDim = 4 * c.Hidden
+	}
+	if c.Heads == 0 && c.Hidden >= 64 {
+		c.Heads = c.Hidden / 64
+	}
+	if c.Vocab == 0 {
+		c.Vocab = 50_000
+	}
+	return c
+}
+
+// SerializedARBytesPerLayer returns the total serialized communication
+// volume of one layer's iteration — Equation 5 times SerializedARCount.
+func SerializedARBytesPerLayer(c Config, tp int) (units.Bytes, error) {
+	if err := c.ValidateTP(tp); err != nil {
+		return 0, err
+	}
+	if tp == 1 {
+		return 0, nil
+	}
+	return units.Bytes(SerializedARCount * float64(c.ActivationBytes())), nil
+}
+
+// GEMMFLOPsPerLayer sums the GEMM work of one layer's iteration on one
+// device (forward + backward), the numerator of the paper's Equation 6.
+func GEMMFLOPsPerLayer(c Config, tp int) (units.FLOPs, error) {
+	ops, err := LayerOps(c, tp)
+	if err != nil {
+		return 0, err
+	}
+	var total units.FLOPs
+	for _, o := range ops {
+		total += o.FLOPs()
+	}
+	return total, nil
+}

@@ -264,29 +264,3 @@ func DPGradientBytes(c Config, tp int) (units.Bytes, error) {
 // SerializedARCount is the number of serialized all-reduces per layer per
 // iteration under tensor parallelism (two forward + two backward).
 const SerializedARCount = 4
-
-// SerializedARBytesPerLayer returns the total serialized communication
-// volume of one layer's iteration — Equation 5 times SerializedARCount.
-func SerializedARBytesPerLayer(c Config, tp int) (units.Bytes, error) {
-	if err := c.ValidateTP(tp); err != nil {
-		return 0, err
-	}
-	if tp == 1 {
-		return 0, nil
-	}
-	return units.Bytes(SerializedARCount * float64(c.ActivationBytes())), nil
-}
-
-// GEMMFLOPsPerLayer sums the GEMM work of one layer's iteration on one
-// device (forward + backward), the numerator of the paper's Equation 6.
-func GEMMFLOPsPerLayer(c Config, tp int) (units.FLOPs, error) {
-	ops, err := LayerOps(c, tp)
-	if err != nil {
-		return 0, err
-	}
-	var total units.FLOPs
-	for _, o := range ops {
-		total += o.FLOPs()
-	}
-	return total, nil
-}

@@ -76,7 +76,7 @@ type LineItem struct {
 
 // Items returns line items in insertion order. Under concurrent Adds the
 // insertion order reflects goroutine completion order; callers that need
-// run-to-run stable output should sort (TopItems already does).
+// run-to-run stable output should sort.
 func (l *Ledger) Items() []LineItem {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -85,25 +85,6 @@ func (l *Ledger) Items() []LineItem {
 		out = append(out, LineItem{Name: n, Cost: l.entries[n]})
 	}
 	return out
-}
-
-// TopItems returns the k most expensive line items, descending, with
-// ties broken by name so the order is deterministic.
-func (l *Ledger) TopItems(k int) []LineItem {
-	items := l.Items()
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].Cost > items[j].Cost {
-			return true
-		}
-		if items[i].Cost < items[j].Cost {
-			return false
-		}
-		return items[i].Name < items[j].Name
-	})
-	if k < len(items) {
-		items = items[:k]
-	}
-	return items
 }
 
 // SpeedupReport compares two profiling approaches.

@@ -48,19 +48,6 @@ func (p *Profile) Lookup(name string) (Record, bool) {
 	return Record{}, false
 }
 
-// LayerTime sums the per-layer operator times, split into compute and
-// serialized communication.
-func (p *Profile) LayerTime() (compute, serializedComm units.Seconds) {
-	for _, r := range p.Records {
-		if r.Op.Kind == model.TPAllReduce {
-			serializedComm += r.Time
-		} else if !r.Op.Kind.IsComm() {
-			compute += r.Time
-		}
-	}
-	return compute, serializedComm
-}
-
 // Iteration profiles one layer of a training iteration op-by-op. The
 // recorded Cost charges the full model (all layers), since profiling a
 // real iteration executes every layer even though the per-layer operator

@@ -3,6 +3,7 @@ package profile
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"twocs/internal/collective"
@@ -200,4 +201,36 @@ func TestCompareStrategy(t *testing.T) {
 	if rep.Speedup != 2100 {
 		t.Errorf("speedup = %v", rep.Speedup)
 	}
+}
+
+// TopItems returns the k most expensive line items, descending, with
+// ties broken by name so the order is deterministic.
+func (l *Ledger) TopItems(k int) []LineItem {
+	items := l.Items()
+	sort.Slice(items, func(i, j int) bool {
+		if items[i].Cost > items[j].Cost {
+			return true
+		}
+		if items[i].Cost < items[j].Cost {
+			return false
+		}
+		return items[i].Name < items[j].Name
+	})
+	if k < len(items) {
+		items = items[:k]
+	}
+	return items
+}
+
+// LayerTime sums the per-layer operator times, split into compute and
+// serialized communication.
+func (p *Profile) LayerTime() (compute, serializedComm units.Seconds) {
+	for _, r := range p.Records {
+		if r.Op.Kind == model.TPAllReduce {
+			serializedComm += r.Time
+		} else if !r.Op.Kind.IsComm() {
+			compute += r.Time
+		}
+	}
+	return compute, serializedComm
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -142,6 +143,79 @@ func TestStudyConcurrentIdentical(t *testing.T) {
 	}
 	if h := counter(t, col, "serve.cache.hit"); h != 1 {
 		t.Fatalf("hit counter = %d, want 1 (follower or cached)", h)
+	}
+}
+
+// waitCounter polls until the named counter reaches n.
+func waitCounter(t *testing.T, col *telemetry.Collector, name string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for counter(t, col, name) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s stuck at %d, want %d", name, counter(t, col, name), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestStudySurvivesLeaderCancel: when the request that started a shared
+// study goes away, an identical request waiting on it still gets 200
+// with the bytes of a clean build, not the leader's 503. The gate is a
+// pending build of the study's model analyzer, which holds the leader's
+// study until the follower waits on it.
+func TestStudySurvivesLeaderCancel(t *testing.T) {
+	const spec = `{"h":[1024],"sl":[1024],"tp":[4,8],"flopbw":[1],"model":"GPT-2"}`
+	s, col, _ := testServer(t, DefaultConfig())
+	gate := make(chan struct{})
+	gated := make(chan error, 1)
+	go func() {
+		_, _, err := s.analyzers.Get(context.Background(), "GPT-2", func() (*core.Analyzer, error) {
+			<-gate
+			e, err := model.LookupZoo("GPT-2")
+			if err != nil {
+				return nil, err
+			}
+			a, err := core.NewAnalyzer(s.an.Cluster, e.Config, model.CalibrationTP(e.Config))
+			if err != nil {
+				return nil, err
+			}
+			a.Workers = s.an.Workers
+			return a, nil
+		})
+		gated <- err
+	}()
+	waitCounter(t, col, "serve.analyzer.miss", 1)
+
+	study := func(ctx context.Context, h http.Handler) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/study", strings.NewReader(spec)).WithContext(ctx)
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- study(leaderCtx, s.Handler()) }()
+	waitCounter(t, col, "serve.analyzer.hit", 1)
+	follower := make(chan *httptest.ResponseRecorder, 1)
+	go func() { follower <- study(context.Background(), s.Handler()) }()
+	waitCounter(t, col, "serve.cache.hit", 1)
+
+	cancelLeader()
+	if rec := <-leader; rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("canceled leader: %d %s", rec.Code, rec.Body)
+	}
+	close(gate)
+	if err := <-gated; err != nil {
+		t.Fatal(err)
+	}
+	got := <-follower
+	if got.Code != http.StatusOK {
+		t.Fatalf("follower of a canceled leader: %d %s", got.Code, got.Body)
+	}
+	clean, _, _ := testServer(t, DefaultConfig())
+	if want := study(context.Background(), clean.Handler()); want.Code != http.StatusOK || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+		t.Fatalf("follower body differs from a clean build (%d):\n%s\nwant:\n%s", want.Code, got.Body, want.Body)
 	}
 }
 

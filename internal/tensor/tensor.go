@@ -40,9 +40,6 @@ func (d DType) Size() units.Bytes {
 	}
 }
 
-// Bits returns the element width in bits.
-func (d DType) Bits() int { return int(d.Size()) * 8 }
-
 // String names the format as on a datasheet.
 func (d DType) String() string {
 	switch d {
@@ -129,16 +126,6 @@ func (m MatMul) CBytes() units.Bytes { return Shape{m.M, m.N}.Bytes(m.DT) }
 // IOBytes returns the total off-chip traffic assuming each operand is read
 // once and the output written once (the minimum, reuse-friendly schedule).
 func (m MatMul) IOBytes() units.Bytes { return m.ABytes() + m.BBytes() + m.CBytes() }
-
-// ArithmeticIntensity returns FLOPs per byte of minimum I/O, the roofline
-// x-coordinate deciding whether the GEMM is compute- or memory-bound.
-func (m MatMul) ArithmeticIntensity() float64 {
-	io := float64(m.IOBytes())
-	if io == 0 {
-		return 0
-	}
-	return float64(m.FLOPs()) / io
-}
 
 // String renders e.g. "GEMM[M=4096,N=1024,K=1024,FP16]".
 func (m MatMul) String() string {

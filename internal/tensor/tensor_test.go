@@ -220,3 +220,16 @@ func TestMatMulFLOPsProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Bits returns the element width in bits.
+func (d DType) Bits() int { return int(d.Size()) * 8 }
+
+// ArithmeticIntensity returns FLOPs per byte of minimum I/O, the roofline
+// x-coordinate deciding whether the GEMM is compute- or memory-bound.
+func (m MatMul) ArithmeticIntensity() float64 {
+	io := float64(m.IOBytes())
+	if io == 0 {
+		return 0
+	}
+	return float64(m.FLOPs()) / io
+}

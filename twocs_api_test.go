@@ -197,6 +197,9 @@ var testOnlySymbols = map[string][]string{
 		// Deleted multi-node extension.
 		"HierarchicalAllReduce", "HierarchicalModel", "NewHierarchicalModel",
 		"HierarchicalModel.AllReduce", "HierarchicalModel.FlatAllReduce",
+		// Figures of merit derived from the cost model: oracles for its
+		// bandwidth ramp and per-algorithm wire traffic.
+		"CostModel.BusBandwidth", "CostModel.WireBytesPerRank",
 	},
 	"internal/dist": {
 		// Oracles for AnalyzePipeline and the folded all-reduce.
@@ -209,8 +212,18 @@ var testOnlySymbols = map[string][]string{
 		// for CompileIteration and the run summary.
 		"BuildIteration", "IterationReport.SerializedCommFraction", "reportFrom",
 	},
-	"internal/model": {"EncDecLayerOps", "CrossAttentionForwardOps", "CrossAttentionBackwardOps"},
-	"internal/hw":    {"FutureDevice", "FutureNode", "GenerationScaling", "PaperGenerationScaling"},
+	"internal/model": {
+		"EncDecLayerOps", "CrossAttentionForwardOps", "CrossAttentionBackwardOps",
+		// Closed-form per-layer totals and config defaults: oracles
+		// for the op graph.
+		"Config.WithDefaults", "SerializedARBytesPerLayer", "GEMMFLOPsPerLayer",
+	},
+	"internal/hw": {
+		"FutureDevice", "FutureNode", "GenerationScaling", "PaperGenerationScaling",
+		// Catalog lookup and the datasheet ratios behind the 2x/4x
+		// scenarios, checked only by tests.
+		"LookupDevice", "HistoricalFlopVsBW",
+	},
 	"internal/stats": {"Linear", "FitLinear", "PowerLaw", "FitPowerLaw", "Interpolator", "NewInterpolator"},
 	"internal/sim": {
 		"CommBreakdown", "CommBreakdown.ExposedFraction",
@@ -221,7 +234,9 @@ var testOnlySymbols = map[string][]string{
 	},
 	// Equations 4-6 in closed form: oracles for the op graph and EdgeComplexity.
 	"internal/core":   {"ComputeOps", "CommBytes", "AmdahlEdge"},
-	"internal/tensor": {"RefGEMM", "RefLayerNorm", "OpCounter"},
+	"internal/tensor": {"RefGEMM", "RefLayerNorm", "OpCounter", "DType.Bits", "MatMul.ArithmeticIntensity"},
+	// Report helpers only tests read.
+	"internal/profile": {"Ledger.TopItems", "Profile.LayerTime"},
 }
 
 // TestTestOnlySymbolsStayOutOfProduction fails if a symbol in
