@@ -161,7 +161,7 @@ func runCtx(ctx context.Context, args []string, w io.Writer) (err error) {
 	httpAddr := global.String("http", "",
 		"serve live /metrics, /metrics.json, /progress, /healthz and /debug/pprof on `addr` (e.g. :8080; global position only)")
 	sampleEvery := global.Duration("sample", 0,
-		"metrics sampler interval (0 = 1s when -http is set, else off; global position only)")
+		"sampler interval of -http's /metrics.json series (0 = 1s; unused without -http; global position only)")
 	progressEvery := global.Duration("progress", 0,
 		"emit an NDJSON progress heartbeat to stderr every `interval` (global position only)")
 	global.Usage = usage
@@ -227,27 +227,24 @@ func runCtx(ctx context.Context, args []string, w io.Writer) (err error) {
 
 	// Live observability plane. A process-wide Progress tracker is always
 	// armed alongside the collector (the stream engine's hooks are no-ops
-	// against an idle tracker), the sampler records periodic snapshots
-	// when -http or -sample asks for them, and -http serves everything
-	// live. All of it tears down before the telemetry export above runs,
-	// so a SIGINT or -timeout still flushes artifacts after the server
-	// and sampler goroutines have exited.
+	// against an idle tracker), and -http serves everything live, with a
+	// sampler recording the /metrics.json series (every -sample, default
+	// 1s); without -http nothing reads the series, so no sampler runs.
+	// All of it tears down before the telemetry export above runs, so a
+	// SIGINT or -timeout still flushes artifacts after the server and
+	// sampler goroutines have exited.
 	prog := telemetry.NewProgress()
 	telemetry.EnableProgress(prog)
 	defer telemetry.EnableProgress(nil)
 
-	var sampler *telemetry.Sampler
-	if *httpAddr != "" || *sampleEvery > 0 {
+	if *httpAddr != "" {
 		interval := *sampleEvery
 		if interval <= 0 {
 			interval = time.Second
 		}
-		sampler = telemetry.NewSampler(col, interval, 0)
+		sampler := telemetry.NewSampler(col, interval, 0)
 		sampler.Start()
 		defer sampler.Stop()
-	}
-
-	if *httpAddr != "" {
 		srv, srvErr := telemetry.NewServer(*httpAddr, col, sampler)
 		if srvErr != nil {
 			return srvErr
@@ -418,8 +415,8 @@ global flags:
   -http ADDR      serve live /metrics (Prometheus), /metrics.json, /progress,
                   /healthz and /debug/pprof on ADDR, e.g. :8080 (global
                   position only)
-  -sample D       metrics sampler interval (default 1s when -http is set,
-                  off otherwise; global position only)
+  -sample D       sampler interval of the -http /metrics.json series
+                  (default 1s; unused without -http; global position only)
   -progress D     emit an NDJSON progress heartbeat to stderr every D
                   (global position only)
 

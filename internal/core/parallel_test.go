@@ -121,9 +121,9 @@ func TestExhaustiveCostStudyParallelEquivalence(t *testing.T) {
 	if seq.Total() != par.Total() {
 		t.Fatalf("ledger totals diverge: %v vs %v", seq.Total(), par.Total())
 	}
-	// Line items must be identical and in the same (grid) order: the
-	// study fills its ledger sequentially after the parallel pricing.
-	if !reflect.DeepEqual(seq.Items(), par.Items()) {
+	// Every line item must be identical: the study fills its ledger
+	// sequentially after the parallel pricing.
+	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("ledger items diverge")
 	}
 }

@@ -302,29 +302,6 @@ type OverlappedPoint struct {
 	Percent float64
 }
 
-// enumerateOverlapped expands the (H × SL·B) grid at one TP degree,
-// with the same hoisting and the same ErrNoRunnablePoints contract as
-// enumerateSerialized.
-func enumerateOverlapped(hs, slbs []int, tp int) ([]serializedTask, error) {
-	tasks := make([]serializedTask, 0, len(hs)*len(slbs))
-	for _, h := range hs {
-		for _, slb := range slbs {
-			cfg, err := FutureConfig(h, slb, 1)
-			if err != nil {
-				return nil, err
-			}
-			if !cfg.TPDivides(tp) {
-				continue
-			}
-			tasks = append(tasks, serializedTask{cfg: cfg, h: h, sl: slb, tp: tp})
-		}
-	}
-	if len(tasks) == 0 {
-		return nil, fmt.Errorf("%w: empty overlapped sweep", ErrNoRunnablePoints)
-	}
-	return tasks, nil
-}
-
 // OverlappedSweepCtx measures ROI overlap percentages over an
 // (H × SL·B) grid at fixed TP under one hardware scenario. B is folded
 // into SL·B by holding B=1 and sweeping SL — the reduction the
@@ -338,7 +315,9 @@ func enumerateOverlapped(hs, slbs []int, tp int) ([]serializedTask, error) {
 // set to NaN.
 func (a *Analyzer) OverlappedSweepCtx(ctx context.Context, hs, slbs []int, tp int, evo hw.Evolution) ([]OverlappedPoint, error) {
 	defer telemetry.Active().Start("core.OverlappedSweep").End()
-	tasks, err := enumerateOverlapped(hs, slbs, tp)
+	// The (H × SL·B) grid at one TP degree is the serialized grid at
+	// B = 1 with SL·B as its SL axis.
+	tasks, err := enumerateSerialized(hs, slbs, []int{tp}, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,9 @@ import (
 type CompiledIteration struct {
 	prog    *sim.Program
 	pricing iterPricing
-	// shape (Name-normalized model config) and tp reproduce the
-	// optimizer-step pricing inputs at refill time.
-	shape model.Config
-	tp    int
+	// tp is the TP degree the schedule was compiled for, the one a
+	// refill timer must have.
+	tp int
 
 	scratch sync.Pool // *iterScratch
 }
@@ -60,16 +59,14 @@ func (c *CompiledIteration) Refill(timer *Timer, dst []units.Seconds) ([]units.S
 	if timer.TP != c.tp {
 		return nil, fmt.Errorf("dist: timer TP %d does not match compiled TP %d", timer.TP, c.tp)
 	}
-	dst, err := c.pricing.prices(timer, c.shape, c.tp, dst)
+	dst, err := c.pricing.prices(timer, dst)
 	if err != nil {
 		return nil, err
 	}
 	classes, opClass := c.pricing.classes, c.pricing.opClass
 	if tel := telemetry.Active(); tel != nil {
 		for i, k := range opClass {
-			if s := classes[k]; !s.optimizer {
-				tel.Observe(opSimMetric(s.desc.Kind), telemetry.SimNanos(float64(dst[i])))
-			}
+			tel.Observe(opSimMetric(classes[k].Kind), telemetry.SimNanos(float64(dst[i])))
 		}
 	}
 	return dst, nil
@@ -115,16 +112,15 @@ func (c *CompiledIteration) Run(timer *Timer, cfg sim.Config) (*IterationReport,
 // iterKey identifies an iteration-schedule shape: the model config
 // (Name normalized away), the TP degree (which scales every operator
 // descriptor), whether DP collectives exist at all (their durations,
-// like everything else, are refilled per timer), and the two
-// shape-affecting schedule options. Cluster, hardware and the DP
-// degree are deliberately absent: they price ops, they don't shape
-// the graph.
+// like everything else, are refilled per timer), and the DP bucket
+// size, the one shape-affecting schedule option. Cluster, hardware and
+// the DP degree are deliberately absent: they price ops, they don't
+// shape the graph.
 type iterKey struct {
-	shape      model.Config
-	tp         int
-	dpMulti    bool
-	bucket     int
-	includeOpt bool
+	shape   model.Config
+	tp      int
+	dpMulti bool
+	bucket  int
 }
 
 func iterShape(c model.Config) model.Config {
@@ -159,11 +155,10 @@ func CompileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 		bucket = 1
 	}
 	key := iterKey{
-		shape:      iterShape(p.Model),
-		tp:         p.TP,
-		dpMulti:    p.DP > 1,
-		bucket:     bucket,
-		includeOpt: opts.IncludeOptimizer,
+		shape:   iterShape(p.Model),
+		tp:      p.TP,
+		dpMulti: p.DP > 1,
+		bucket:  bucket,
 	}
 	return programMemo.Do(key, func() (*CompiledIteration, error) {
 		return compileIteration(p, timer, opts)
@@ -180,7 +175,7 @@ func compileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 	if err != nil {
 		return nil, err
 	}
-	c := &CompiledIteration{prog: prog, pricing: pricing, shape: iterShape(p.Model), tp: p.TP}
+	c := &CompiledIteration{prog: prog, pricing: pricing, tp: p.TP}
 	c.scratch.New = func() any {
 		return &iterScratch{durs: make([]units.Seconds, len(ops)), st: prog.NewState()}
 	}

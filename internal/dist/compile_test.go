@@ -31,9 +31,9 @@ func evolvedTimer(t *testing.T, p Plan, evo hw.Evolution) *Timer {
 }
 
 // TestCompileIterationMatchesBuild is the compiled path's equivalence
-// gate: for every shape class (DP=1, DP>1, bucketing, optimizer) and
-// for timers the program was NOT compiled under, Refill+Run must
-// reproduce BuildIteration+sim.Run bit-for-bit.
+// gate: for every shape class (DP=1, DP>1, bucketing) and for timers
+// the program was NOT compiled under, Refill+Run must reproduce
+// BuildIteration+Compile+RunReuse bit-for-bit.
 func TestCompileIterationMatchesBuild(t *testing.T) {
 	cases := []struct {
 		name string
@@ -43,7 +43,6 @@ func TestCompileIterationMatchesBuild(t *testing.T) {
 		{"tp-only", testPlan(2, 1), ScheduleOptions{}},
 		{"tp-dp", testPlan(2, 2), ScheduleOptions{InterferenceSlowdown: 1.3}},
 		{"bucketed", testPlan(2, 2), ScheduleOptions{DPBucketLayers: 2}},
-		{"optimizer", testPlan(2, 2), ScheduleOptions{IncludeOptimizer: true}},
 		{"faults", testPlan(2, 2), ScheduleOptions{Faults: sim.Faults{CommSlowdown: 2}}},
 	}
 	evos := []hw.Evolution{hw.Identity(), hw.FlopVsBWScenario(4)}
@@ -56,12 +55,12 @@ func TestCompileIterationMatchesBuild(t *testing.T) {
 				if err != nil {
 					t.Fatalf("BuildIteration: %v", err)
 				}
-				want, err := sim.Run(ops, sim.Config{
+				want, err := runOps(ops, sim.Config{
 					InterferenceSlowdown: tc.opts.InterferenceSlowdown,
 					Faults:               tc.opts.Faults,
 				})
 				if err != nil {
-					t.Fatalf("sim.Run: %v", err)
+					t.Fatalf("runOps: %v", err)
 				}
 				cc, err := CompileIteration(tc.plan, timer, tc.opts)
 				if err != nil {
@@ -102,7 +101,7 @@ func TestCompileIterationMatchesBuild(t *testing.T) {
 
 // TestCompileIterationCacheKey checks what does and does not share a
 // compiled program: model name, DP degree and hardware must share;
-// TP degree, bucketing, layer count and optimizer inclusion must not.
+// TP degree, bucketing and layer count must not.
 func TestCompileIterationCacheKey(t *testing.T) {
 	base := testPlan(2, 2)
 	timer := newTimer(t, base)
@@ -132,9 +131,6 @@ func TestCompileIterationCacheKey(t *testing.T) {
 	}
 	if c, _ := CompileIteration(base, timer, ScheduleOptions{DPBucketLayers: 2}); c == c0 {
 		t.Error("different bucketing must not share the compiled program")
-	}
-	if c, _ := CompileIteration(base, timer, ScheduleOptions{IncludeOptimizer: true}); c == c0 {
-		t.Error("optimizer inclusion must not share the compiled program")
 	}
 	deeper := base
 	deeper.Model.Layers++

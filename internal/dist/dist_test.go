@@ -130,7 +130,7 @@ func TestBuildIterationWellFormed(t *testing.T) {
 		t.Errorf("dp all-reduces = %d, want %d", dpARs, p.Model.Layers)
 	}
 	// And the schedule must actually run.
-	if _, err := sim.Run(ops, sim.Config{}); err != nil {
+	if _, err := runOps(ops, sim.Config{}); err != nil {
 		t.Fatalf("schedule does not execute: %v", err)
 	}
 }
@@ -213,22 +213,6 @@ func TestSerializedFractionGrowsWithTP(t *testing.T) {
 	}
 	if !(fracs[0] < fracs[1] && fracs[1] < fracs[2]) {
 		t.Errorf("serialized fraction not increasing with TP: %v", fracs)
-	}
-}
-
-func TestIncludeOptimizer(t *testing.T) {
-	p := testPlan(4, 2)
-	tm := newTimer(t, p)
-	without, err := RunIteration(p, tm, ScheduleOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	with, err := RunIteration(p, tm, ScheduleOptions{IncludeOptimizer: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if with.Makespan <= without.Makespan {
-		t.Error("optimizer step must lengthen the iteration")
 	}
 }
 
@@ -333,7 +317,7 @@ func TestDPBucketing(t *testing.T) {
 		t.Errorf("bucketed DP comm %v should not exceed per-layer %v", t4, t1)
 	}
 	// Both schedules must execute.
-	if _, err := sim.Run(bucketed, sim.Config{}); err != nil {
+	if _, err := runOps(bucketed, sim.Config{}); err != nil {
 		t.Fatal(err)
 	}
 }

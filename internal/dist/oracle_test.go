@@ -16,21 +16,36 @@ import (
 // iteration (all layers, forward and backward) as observed by one
 // representative device, pricing every op on its own through
 // Timer.Time — the per-op pricing, and telemetry, that price classes
-// replaced. The optimizer step keeps its Calculator.OptimizerStep
-// price, which Timer.Time never recorded.
+// replaced.
 func BuildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, error) {
 	ops, pr, err := buildIteration(p, timer, opts)
 	if err != nil {
 		return nil, err
 	}
 	for i, k := range pr.opClass {
-		if s := pr.classes[k]; !s.optimizer {
-			if ops[i].Duration, err = timer.Time(s.desc); err != nil {
-				return nil, err
-			}
+		if ops[i].Duration, err = timer.Time(pr.classes[k]); err != nil {
+			return nil, err
 		}
 	}
 	return ops, nil
+}
+
+// runOps executes a schedule once the way production re-times one:
+// sim.Compile, then RunReuse over fresh scratch.
+func runOps(ops []sim.Op, cfg sim.Config) (*sim.Trace, error) {
+	p, err := sim.Compile(ops)
+	if err != nil {
+		return nil, err
+	}
+	durs := make([]units.Seconds, len(ops))
+	for i, op := range ops {
+		durs[i] = op.Duration
+	}
+	tr := &sim.Trace{}
+	if err := p.RunReuse(p.NewState(), durs, cfg, tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
 // SerializedCommFraction is exposed TP communication over the makespan —

@@ -146,10 +146,3 @@ func AnalyzePipeline(pp PipelinePlan, timer *Timer) (PipelineReport, error) {
 		SerializedARFraction: units.Ratio(arPerStage*m, makespan),
 	}, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -130,7 +130,7 @@ func SimulatePipeline(pp PipelinePlan, timer *Timer) (*sim.Trace, float64, error
 	if err != nil {
 		return nil, 0, err
 	}
-	trace, err := sim.Run(ops, sim.Config{})
+	trace, err := runOps(ops, sim.Config{})
 	if err != nil {
 		return nil, 0, err
 	}

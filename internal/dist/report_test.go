@@ -76,29 +76,27 @@ func TestReportMatchesTraceOracle(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, bucket := range []int{1, 3} {
-					for _, opt := range []bool{false, true} {
-						c, err := CompileIteration(plan, timer, ScheduleOptions{DPBucketLayers: bucket, IncludeOptimizer: opt})
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, slow := range []float64{1, 1.3} {
-							for _, f := range faults {
-								name := fmt.Sprintf("%s tp=%d dp=%d bucket=%d opt=%v slow=%v faults=%+v",
-									e.Config.Name, tp, dp, bucket, opt, slow, f)
-								cfg := sim.Config{InterferenceSlowdown: slow, Faults: f}
-								got, err := c.Report(timer, cfg)
-								if err != nil {
-									t.Fatalf("%s: Report: %v", name, err)
-								}
-								rep, trace, err := c.Run(timer, cfg)
-								if err != nil {
-									t.Fatalf("%s: Run: %v", name, err)
-								}
-								want := *reportFrom(trace)
-								requireSameReport(t, name, got, want)
-								requireSameReport(t, name+" (Run)", *rep, want)
-								runs++
+					c, err := CompileIteration(plan, timer, ScheduleOptions{DPBucketLayers: bucket})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, slow := range []float64{1, 1.3} {
+						for _, f := range faults {
+							name := fmt.Sprintf("%s tp=%d dp=%d bucket=%d slow=%v faults=%+v",
+								e.Config.Name, tp, dp, bucket, slow, f)
+							cfg := sim.Config{InterferenceSlowdown: slow, Faults: f}
+							got, err := c.Report(timer, cfg)
+							if err != nil {
+								t.Fatalf("%s: Report: %v", name, err)
 							}
+							rep, trace, err := c.Run(timer, cfg)
+							if err != nil {
+								t.Fatalf("%s: Run: %v", name, err)
+							}
+							want := *reportFrom(trace)
+							requireSameReport(t, name, got, want)
+							requireSameReport(t, name+" (Run)", *rep, want)
+							runs++
 						}
 					}
 				}
@@ -111,9 +109,9 @@ func TestReportMatchesTraceOracle(t *testing.T) {
 }
 
 // TestRefillMatchesPerOpPricing checks Refill's price classes: the
-// durations it scatters equal pricing every op on its own, as the
-// schedule builder does (Timer.Time per op, OptimizerStep for the
-// optimizer), under timers the program was not compiled under.
+// durations it scatters equal pricing every op on its own through
+// Timer.Time, as the schedule builder does, under timers the program
+// was not compiled under.
 func TestRefillMatchesPerOpPricing(t *testing.T) {
 	var gpt3 model.Config
 	for _, e := range model.Zoo() {
@@ -126,8 +124,8 @@ func TestRefillMatchesPerOpPricing(t *testing.T) {
 		opts ScheduleOptions
 	}{
 		{testPlan(2, 1), ScheduleOptions{}},
-		{testPlan(2, 2), ScheduleOptions{DPBucketLayers: 3, IncludeOptimizer: true}},
-		{zooPlan(gpt3, 8, 4), ScheduleOptions{IncludeOptimizer: true}},
+		{testPlan(2, 2), ScheduleOptions{DPBucketLayers: 3}},
+		{zooPlan(gpt3, 8, 4), ScheduleOptions{}},
 	}
 	for _, tc := range cases {
 		c, err := CompileIteration(tc.plan, newTimer(t, tc.plan), tc.opts)
@@ -172,7 +170,7 @@ func TestReportAllocBound(t *testing.T) {
 	}
 	p := testPlan(2, 2)
 	timer := newTimer(t, p)
-	c, err := CompileIteration(p, timer, ScheduleOptions{DPBucketLayers: 2, IncludeOptimizer: true})
+	c, err := CompileIteration(p, timer, ScheduleOptions{DPBucketLayers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,12 +209,11 @@ func opHistograms(t *testing.T, fn func()) (string, int64) {
 
 // TestRefillTelemetryPerOp checks pricing by class keeps the telemetry
 // of pricing by op: a warm run records one dist.op.*.sim_ns observation
-// per op (the optimizer step, priced outside Timer.Time, records none),
-// with the histograms per-op pricing records.
+// per op, with the histograms per-op pricing records.
 func TestRefillTelemetryPerOp(t *testing.T) {
 	p := testPlan(4, 2)
 	timer := newTimer(t, p)
-	for _, opts := range []ScheduleOptions{{DPBucketLayers: 2}, {IncludeOptimizer: true}} {
+	for _, opts := range []ScheduleOptions{{}, {DPBucketLayers: 2}} {
 		c, err := CompileIteration(p, timer, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -231,11 +228,7 @@ func TestRefillTelemetryPerOp(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		wantN := int64(c.Program().NumOps())
-		if opts.IncludeOptimizer {
-			wantN--
-		}
-		if n != wantN {
+		if wantN := int64(c.Program().NumOps()); n != wantN {
 			t.Errorf("%+v: %d dist.op observations, want %d", opts, n, wantN)
 		}
 		if got != want {

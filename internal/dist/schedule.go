@@ -10,10 +10,6 @@ import (
 
 // ScheduleOptions tunes iteration-schedule construction.
 type ScheduleOptions struct {
-	// IncludeOptimizer appends the optimizer step after all gradients
-	// are reduced. The paper's per-layer analysis excludes it; the
-	// end-to-end case study can include it.
-	IncludeOptimizer bool
 	// InterferenceSlowdown is passed to the simulator: >1 models the
 	// §4.3.7 compute/communication interference effect.
 	InterferenceSlowdown float64
@@ -35,44 +31,29 @@ const (
 	LabelDPComm  = "dp-allreduce"
 )
 
-// iterOpSpec records how one schedule op is priced, so a compiled
+// iterPricing is how a schedule's ops are priced, so a compiled
 // iteration can refill durations under a different Timer without
-// rebuilding the op graph.
-type iterOpSpec struct {
-	desc model.OpDesc
-	// optimizer marks the optimizer step, priced through
-	// Calculator.OptimizerStep rather than Timer.Time.
-	optimizer bool
-}
-
-// iterPricing is how a schedule's ops are priced. Every layer repeats
-// the same descriptors, so the thousands of ops of an iteration share
-// a few dozen distinct specs, its price classes.
+// rebuilding the op graph. Every layer repeats the same descriptors, so
+// the thousands of ops of an iteration share a few dozen distinct
+// descriptors, its price classes.
 type iterPricing struct {
-	// classes are the distinct specs, numbered in order of first use.
-	classes []iterOpSpec
+	// classes are the distinct descriptors, numbered in order of first
+	// use.
+	classes []model.OpDesc
 	// opClass[i] is the class of op i.
 	opClass []int32
 }
 
 // prices writes every op's price under timer into dst (grown if
-// needed) and returns the filled slice, pricing each class once. shape
-// and tp are the schedule's model and TP degree, the optimizer step's
-// pricing inputs.
-func (pr *iterPricing) prices(timer *Timer, shape model.Config, tp int, dst []units.Seconds) ([]units.Seconds, error) {
+// needed) and returns the filled slice, pricing each class once.
+func (pr *iterPricing) prices(timer *Timer, dst []units.Seconds) ([]units.Seconds, error) {
 	n := len(pr.opClass)
 	if cap(dst) < n {
 		dst = make([]units.Seconds, n)
 	}
 	dst = dst[:n]
-	for k, s := range pr.classes {
-		var d units.Seconds
-		var err error
-		if s.optimizer {
-			d, err = timer.Calc.OptimizerStep(shape.Params()/float64(tp), shape.DT, 6)
-		} else {
-			d, err = timer.timeOp(s.desc)
-		}
+	for k, desc := range pr.classes {
+		d, err := timer.timeOp(desc)
 		if err != nil {
 			return nil, err
 		}
@@ -105,13 +86,13 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 	}
 
 	var ops []sim.Op
-	classOf := map[iterOpSpec]int32{}
-	classify := func(s iterOpSpec) {
-		k, ok := classOf[s]
+	classOf := map[model.OpDesc]int32{}
+	classify := func(d model.OpDesc) {
+		k, ok := classOf[d]
 		if !ok {
 			k = int32(len(pr.classes))
-			classOf[s] = k
-			pr.classes = append(pr.classes, s)
+			classOf[d] = k
+			pr.classes = append(pr.classes, d)
 		}
 		pr.opClass = append(pr.opClass, k)
 	}
@@ -147,7 +128,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 					deps = append(deps, prevBarrier)
 				}
 				id := emit(name, sim.CommStream, LabelTPComm, deps...)
-				classify(iterOpSpec{desc: d})
+				classify(d)
 				prevBarrier = id
 				lastOp = id
 			default:
@@ -157,7 +138,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 					prevBarrier = ""
 				}
 				id := emit(name, sim.ComputeStream, LabelCompute, deps...)
-				classify(iterOpSpec{desc: d})
+				classify(d)
 				lastOp = id
 			}
 		}
@@ -176,8 +157,7 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 	}
 
 	// Backward: layers L-1..0, each followed by an overlapped DP
-	// gradient all-reduce (if DP>1) that gates nothing downstream
-	// except the optimizer.
+	// gradient all-reduce (if DP>1) that gates nothing downstream.
 	gradBytes, err := model.DPGradientBytes(p.Model, p.TP)
 	if err != nil {
 		return nil, pr, err
@@ -186,7 +166,6 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 	if bucket < 1 {
 		bucket = 1
 	}
-	var dpOps []string
 	pending := 0 // layers whose gradients await reduction
 	for l := p.Model.Layers - 1; l >= 0; l-- {
 		descs, err := model.LayerBackwardOps(p.Model, p.TP)
@@ -209,22 +188,12 @@ func buildIteration(p Plan, timer *Timer, opts ScheduleOptions) ([]sim.Op, iterP
 			Bytes: units.Bytes(float64(gradBytes) * float64(pending)),
 			DT:    p.Model.DT,
 		}
-		id := emit(fmt.Sprintf("l%d.bwd.dp.allreduce", l), sim.DPCommStream,
-			LabelDPComm, last)
-		classify(iterOpSpec{desc: dpDesc})
-		dpOps = append(dpOps, id)
+		emit(fmt.Sprintf("l%d.bwd.dp.allreduce", l), sim.DPCommStream, LabelDPComm, last)
+		classify(dpDesc)
 		pending = 0
 	}
 
-	if opts.IncludeOptimizer {
-		deps := dpOps
-		if len(deps) == 0 && len(ops) > 0 {
-			deps = []string{ops[len(ops)-1].ID}
-		}
-		emit("optimizer.step", sim.ComputeStream, LabelCompute, deps...)
-		classify(iterOpSpec{optimizer: true})
-	}
-	durs, err := pr.prices(timer, p.Model, p.TP, nil)
+	durs, err := pr.prices(timer, nil)
 	if err != nil {
 		return nil, pr, err
 	}

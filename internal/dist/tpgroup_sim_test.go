@@ -154,7 +154,7 @@ func SimulateTPGroupForward(p Plan, timer *Timer, opts TPGroupOptions) (*TPGroup
 	if err != nil {
 		return nil, err
 	}
-	trace, err := sim.Run(ops, sim.Config{})
+	trace, err := runOps(ops, sim.Config{})
 	if err != nil {
 		return nil, err
 	}

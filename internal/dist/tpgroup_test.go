@@ -99,7 +99,7 @@ func TestTPGroupScheduleExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := sim.Run(ops, sim.Config{})
+	trace, err := runOps(ops, sim.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

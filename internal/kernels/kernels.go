@@ -257,16 +257,4 @@ func (c *Calculator) FusedAttention(batchHeads, seq, headDim int, dt tensor.DTyp
 	return units.Seconds(t) + c.dev.KernelLaunch, nil
 }
 
-// OptimizerStep times a fused optimizer update touching `params`
-// parameters with `stateFactor` bytes of optimizer state traffic per
-// parameter byte (Adam reads/writes two moments plus master weights:
-// factor ≈ 6 in mixed precision).
-func (c *Calculator) OptimizerStep(params float64, dt tensor.DType, stateFactor float64) (units.Seconds, error) {
-	if params <= 0 || stateFactor <= 0 {
-		return 0, fmt.Errorf("kernels: invalid optimizer step params=%v factor=%v", params, stateFactor)
-	}
-	traffic := params * float64(dt.Size()) * stateFactor
-	return c.memBoundTime(traffic), nil
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -205,20 +205,6 @@ func TestElementwiseAndSoftmax(t *testing.T) {
 	}
 }
 
-func TestOptimizerStep(t *testing.T) {
-	c := newCalc(t)
-	tt, err := c.OptimizerStep(340e6, tensor.FP32, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tt <= 0 {
-		t.Error("optimizer step must take time")
-	}
-	if _, err := c.OptimizerStep(0, tensor.FP32, 6); err == nil {
-		t.Error("zero params accepted")
-	}
-}
-
 func TestSmallKernelsDominatedByLaunchOverhead(t *testing.T) {
 	c := newCalc(t)
 	tiny, err := c.Elementwise(16, 1, tensor.FP16)

@@ -317,10 +317,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 //   - lockcheck: the "guarded by" fields of memo.Memo (the state of
 //     every memo in the module), telemetry.Collector,
 //     telemetry.Progress, telemetry.Sampler, profile.Ledger,
-//     parallel.sequencer, this package's stdlib importer and
-//     perfbench's tracer and timingMiddleware. parallel.run's claim
-//     state is annotated too, but as a local struct with no methods it
-//     is out of lockcheck's reach; the race step covers it.
+//     parallel.sequencer, parallel.claimState (the claim state behind
+//     Collect and StreamCtx), this package's stdlib importer and
+//     perfbench's tracer and timingMiddleware.
 //   - sweeppure: the task closures passed to parallel.Collect or
 //     StreamCtx in internal/core/{casestudy,degradation,exhaustive,
 //     scaling,stream,sweep,zoostudy}.go and perfbench/sweep.go.

@@ -134,6 +134,37 @@ func chunkSize(n, workers int) int {
 	return c
 }
 
+// claimState is what the workers of one run share: the next chunk to
+// claim, the stop flag, and the lowest-index task error. Only the error
+// path takes mu.
+type claimState struct {
+	next    atomic.Int64
+	stopped atomic.Bool
+	wg      sync.WaitGroup
+
+	mu     sync.Mutex
+	err    error // lowest-index stop, guarded by mu
+	errIdx int   // its index, n when none; guarded by mu
+}
+
+// fail records err as the stop at index i unless a lower index already
+// stopped.
+func (s *claimState) fail(i int, err error) {
+	s.mu.Lock()
+	if i < s.errIdx {
+		s.errIdx, s.err = i, err
+	}
+	s.mu.Unlock()
+}
+
+// firstErr returns the lowest-index stop and its index (n and nil when
+// no task failed).
+func (s *claimState) firstErr() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.errIdx, s.err
+}
+
 // run is the one claim loop behind Collect and StreamCtx. Workers
 // claim chunks of chunk consecutive indices from a monotone counter.
 // With out non-nil, chunk [lo, hi)'s results are written straight to
@@ -169,17 +200,7 @@ func run[T any](ctx context.Context, workers, n, chunk int, out []T, pr *telemet
 	tel.Count("parallel.stream.tasks", int64(n))
 	pr.SetWorkers(workers)
 
-	// The claim state the workers share, one allocation.
-	var st struct {
-		next    atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
-
-		mu     sync.Mutex
-		err    error // lowest-index stop, guarded by mu
-		errIdx int   // its index, n when none; guarded by mu
-	}
-	st.errIdx = n
+	st := &claimState{errIdx: n} // the workers' shared state, one allocation
 	work := func(w int) {
 		var lane telemetry.Lane
 		if tel != nil {
@@ -209,11 +230,7 @@ func run[T any](ctx context.Context, workers, n, chunk int, out []T, pr *telemet
 			sp := lane.StartIndexed("chunk", c)
 			k, err := runChunk(ctx, fn, lo, vals, workers == 1)
 			if err != nil {
-				st.mu.Lock()
-				if lo+k < st.errIdx {
-					st.errIdx, st.err = lo+k, err
-				}
-				st.mu.Unlock()
+				st.fail(lo+k, err)
 				st.stopped.Store(true)
 			}
 			pr.WorkerBusy(w, endChunk(tel, sp))
@@ -240,7 +257,7 @@ func run[T any](ctx context.Context, workers, n, chunk int, out []T, pr *telemet
 	// deterministic with respect to the work that actually ran, where
 	// the cancellation's timing is not. Without one, every claimed
 	// chunk ran to completion, and the claimed chunks are [0, claimed).
-	k, cause := st.errIdx, st.err
+	k, cause := st.firstErr()
 	if cause == nil {
 		k = min(int(st.next.Load())*chunk, n)
 		if k < n {

@@ -21,7 +21,6 @@ import (
 type Ledger struct {
 	mu      sync.Mutex
 	entries map[string]units.Seconds // guarded by mu
-	order   []string                 // guarded by mu
 }
 
 // NewLedger returns an empty ledger.
@@ -43,9 +42,6 @@ func (l *Ledger) Add(item string, cost units.Seconds) error {
 	tel.Observe("profile.ledger.charge.sim_ns", telemetry.SimNanos(float64(cost)))
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if _, ok := l.entries[item]; !ok {
-		l.order = append(l.order, item)
-	}
 	l.entries[item] += cost
 	return nil
 }
@@ -66,25 +62,6 @@ func (l *Ledger) Total() units.Seconds {
 		t += l.entries[n]
 	}
 	return t
-}
-
-// LineItem is one named cost entry of a Ledger.
-type LineItem struct {
-	Name string
-	Cost units.Seconds
-}
-
-// Items returns line items in insertion order. Under concurrent Adds the
-// insertion order reflects goroutine completion order; callers that need
-// run-to-run stable output should sort.
-func (l *Ledger) Items() []LineItem {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]LineItem, 0, len(l.order))
-	for _, n := range l.order {
-		out = append(out, LineItem{Name: n, Cost: l.entries[n]})
-	}
-	return out
 }
 
 // SpeedupReport compares two profiling approaches.

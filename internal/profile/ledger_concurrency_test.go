@@ -24,7 +24,7 @@ func TestLedgerConcurrentAdds(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				// A shared item plus a per-goroutine item: exercises both
-				// map-accumulate and order-append paths concurrently.
+				// map-accumulate and new-entry paths concurrently.
 				if err := l.Add("shared", units.Seconds(1)); err != nil {
 					t.Error(err)
 					return

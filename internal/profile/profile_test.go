@@ -203,6 +203,24 @@ func TestCompareStrategy(t *testing.T) {
 	}
 }
 
+// LineItem is one named cost entry of a Ledger.
+type LineItem struct {
+	Name string
+	Cost units.Seconds
+}
+
+// Items returns the ledger's line items sorted by name.
+func (l *Ledger) Items() []LineItem {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]LineItem, 0, len(l.entries))
+	for n, c := range l.entries {
+		out = append(out, LineItem{Name: n, Cost: c})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
 // TopItems returns the k most expensive line items, descending, with
 // ties broken by name so the order is deterministic.
 func (l *Ledger) TopItems(k int) []LineItem {

@@ -6,4 +6,8 @@ var (
 	ReferenceRun        = referenceRun
 	RequireSameTrace    = requireSameTrace
 	DifferentialConfigs = differentialConfigs
+	RunProgram          = runProgram
 )
+
+// Ops returns p's compiled ops, shared with p: treat them as read-only.
+func Ops(p *Program) []Op { return p.ops }

@@ -26,11 +26,6 @@ type Faults struct {
 	CommSlowdown float64
 }
 
-// Enabled reports whether any fault condition is active.
-func (f Faults) Enabled() bool {
-	return f.StragglerSlowdown > 1 || f.CommSlowdown > 1
-}
-
 // Validate rejects physically meaningless fault descriptions. The zero
 // value is valid (healthy).
 func (f Faults) Validate() error {

@@ -39,7 +39,7 @@ func FuzzRunWellFormed(f *testing.F) {
 		if interfere {
 			cfg.InterferenceSlowdown = 1.7
 		}
-		tr, err := Run(ops, cfg)
+		tr, err := runOps(ops, cfg)
 		if err != nil {
 			// Deadlock via stream head-of-line ordering is a legal
 			// detection outcome, not a bug.

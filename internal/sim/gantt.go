@@ -98,7 +98,10 @@ func (t *Trace) CriticalPath() ([]CriticalStep, map[string]units.Seconds) {
 	if len(t.Spans) == 0 {
 		return nil, nil
 	}
-	byID := t.index()
+	byID := make(map[string]Span, len(t.Spans))
+	for _, s := range t.Spans {
+		byID[s.Op.ID] = s
+	}
 	var last Span
 	for _, s := range t.Spans {
 		if s.End > last.End {

@@ -14,7 +14,7 @@ func ganttTrace(t *testing.T) *Trace {
 		{ID: "g2", Device: 0, Stream: ComputeStream, Duration: 5, Deps: []string{"ar"}, Label: "compute"},
 		{ID: "dp", Device: 0, Stream: DPCommStream, Duration: 2, Deps: []string{"g2"}, Label: "dp-allreduce"},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestCriticalPathSkipsHiddenComm(t *testing.T) {
 		{ID: "dp", Device: 0, Stream: DPCommStream, Duration: 3, Label: "dp-allreduce"},
 		{ID: "next", Device: 0, Stream: ComputeStream, Duration: 2, Label: "compute"},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

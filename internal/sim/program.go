@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"twocs/internal/telemetry"
 	"twocs/internal/units"
@@ -18,11 +17,10 @@ import (
 // *shape* — IDs, dependencies, stream assignment — is constant across a
 // grid, while only the durations change per point. Compile performs all
 // validation, string interning and queue construction exactly once,
-// lowering the schedule to dense int32 form; Program.Run then replays
-// the event loop over pooled scratch buffers with near-zero steady-state
-// allocations, and Program.Summarize replays it without writing a trace
-// at all. sim.Run remains the convenience path (Compile + one Run) with
-// byte-identical results.
+// lowering the schedule to dense int32 form; Program.RunReuse then
+// replays the event loop over caller-owned scratch (NewState) with zero
+// steady-state allocations, and Program.Summarize replays it without
+// writing a trace at all.
 //
 // The event loop is completion-driven: an event costs the lanes it
 // changes, not every lane. The running lanes sit in a compact list,
@@ -36,8 +34,8 @@ import (
 // bit-identical to it.
 
 // Program is a schedule compiled for repeated execution. The compiled
-// form is immutable; one Program may be Run concurrently from many
-// goroutines (each run draws its scratch state from an internal pool).
+// form is immutable; one Program may be re-timed concurrently from many
+// goroutines, each over its own RunState.
 type Program struct {
 	ops []Op
 
@@ -53,8 +51,6 @@ type Program struct {
 	// queues are the per-(device,stream) in-order FIFO lanes, sorted by
 	// (device, stream); each holds op indices in submission order.
 	queues []progQueue
-
-	pool sync.Pool // *RunState
 }
 
 // progQueue is one compiled (device, stream) lane.
@@ -73,10 +69,9 @@ type progQueue struct {
 }
 
 // Compile validates the schedule once and lowers it to the dense form
-// Program.Run executes. It fails on exactly the inputs Run rejects
-// statically: empty or duplicate IDs, negative devices, invalid
-// durations, unknown dependencies. The Program keeps ops, so the caller
-// must not modify them afterwards.
+// the Program re-times: it rejects empty or duplicate IDs, negative
+// devices, invalid durations and unknown dependencies. The Program keeps
+// ops, so the caller must not modify them afterwards.
 func Compile(ops []Op) (*Program, error) {
 	telemetry.Active().Count("sim.program.compile", 1)
 	n := len(ops)
@@ -183,32 +178,15 @@ func Compile(ops []Op) (*Program, error) {
 			}
 		}
 	}
-	p.pool.New = func() any { return p.newState() }
 	return p, nil
 }
 
 // NumOps returns the number of ops in the compiled schedule.
 func (p *Program) NumOps() int { return len(p.ops) }
 
-// Ops returns the compiled schedule's ops in submission order. The
-// slice is shared with the Program: callers must treat it as read-only.
-func (p *Program) Ops() []Op { return p.ops }
-
-// Durations returns a mutable copy of the compile-time durations,
-// indexed like Ops — the natural starting buffer for a re-time loop.
-func (p *Program) Durations() []units.Seconds {
-	out := make([]units.Seconds, len(p.ops))
-	for i, op := range p.ops {
-		out[i] = op.Duration
-	}
-	return out
-}
-
 // RunState is the reusable scratch memory of one Program execution. A
-// RunState is NOT safe for concurrent use: it must never be shared
-// across sweep workers (Program.Run draws from an internal pool, which
-// is the safe default; NewState is for single-goroutine re-time loops
-// that want to avoid even the pool handoff).
+// RunState is NOT safe for concurrent use: each goroutine re-timing a
+// Program needs its own (dist.CompiledIteration pools them).
 type RunState struct {
 	owner     *Program
 	remaining []float64
@@ -236,7 +214,8 @@ type RunState struct {
 	summary Summary
 }
 
-func (p *Program) newState() *RunState {
+// NewState allocates scratch state for RunReuse and Summarize.
+func (p *Program) NewState() *RunState {
 	n, nq := len(p.ops), len(p.queues)
 	// The slices share one allocation per element type; each is capped,
 	// so wake, which can outgrow nq, reallocates on its own.
@@ -264,36 +243,15 @@ func (p *Program) newState() *RunState {
 	return st
 }
 
-// NewState allocates a fresh scratch state for RunWith. Use one state
-// per goroutine; see RunState.
-func (p *Program) NewState() *RunState { return p.newState() }
-
-// Run executes the compiled schedule under the given per-op durations
-// (indexed like Ops) and config, drawing scratch state from the
-// Program's internal pool. Safe for concurrent use.
-func (p *Program) Run(durations []units.Seconds, cfg Config) (*Trace, error) {
-	st := p.pool.Get().(*RunState)
-	tr, err := p.RunWith(st, durations, cfg)
-	p.pool.Put(st)
-	return tr, err
-}
-
-// RunWith is Run over caller-owned scratch state (from NewState). The
-// state must belong to this Program and must not be used concurrently.
-func (p *Program) RunWith(st *RunState, durations []units.Seconds, cfg Config) (*Trace, error) {
-	tr := &Trace{}
-	if err := p.RunReuse(st, durations, cfg, tr); err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
-// RunReuse is RunWith into a caller-owned Trace: the schedule is
-// re-timed and tr's span storage is reused (grown only when the op
-// count exceeds its capacity), dropping the re-time loop's last
-// per-point allocations. Steady state is zero allocs per run. tr must
-// not be read concurrently with the call; its previous contents are
-// overwritten.
+// RunReuse executes the compiled schedule under the given per-op
+// durations (indexed like the compiled ops) and config, over st (from
+// NewState, owned by this Program, not used concurrently), and writes
+// the trace into tr. Ops on one stream run in submission order (in-order
+// streams); an op whose dependencies are not yet complete blocks its
+// stream, and a circular wait fails as a deadlock. tr's span storage is
+// reused (grown only when the op count exceeds its capacity), so steady
+// state is zero allocs per run. tr must not be read concurrently with
+// the call; its previous contents are overwritten.
 //
 //lint:hotpath
 func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, tr *Trace) error {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"twocs/internal/parallel"
-	"twocs/internal/race"
 	"twocs/internal/units"
 )
 
@@ -101,6 +100,35 @@ func iterationOps(layers int) []Op {
 	return ops
 }
 
+// runOps executes ops once the way production re-times a schedule:
+// Compile, then RunReuse over fresh scratch.
+func runOps(ops []Op, cfg Config) (*Trace, error) {
+	p, err := Compile(ops)
+	if err != nil {
+		return nil, err
+	}
+	return runProgram(p, durations(p), cfg)
+}
+
+// runProgram re-times p once under durs over a fresh RunState and Trace.
+func runProgram(p *Program, durs []units.Seconds, cfg Config) (*Trace, error) {
+	tr := &Trace{}
+	if err := p.RunReuse(p.NewState(), durs, cfg, tr); err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// durations returns a mutable copy of p's compile-time op durations,
+// the starting buffer of a re-time.
+func durations(p *Program) []units.Seconds {
+	out := make([]units.Seconds, len(p.ops))
+	for i, op := range p.ops {
+		out[i] = op.Duration
+	}
+	return out
+}
+
 // requireSameTrace asserts two traces are bit-identical in spans and
 // makespan — the compiled path's contract with the reference engine.
 func requireSameTrace(t *testing.T, want, got *Trace) {
@@ -125,7 +153,7 @@ var differentialConfigs = []Config{
 	{InterferenceSlowdown: 1.3, Faults: Faults{CommSlowdown: 3}},
 }
 
-// TestProgramMatchesReferenceIteration pins Compile+Run to the reference
+// TestProgramMatchesReferenceIteration pins Compile+RunReuse to the reference
 // engine on a realistic iteration shape under every config class.
 func TestProgramMatchesReferenceIteration(t *testing.T) {
 	ops := iterationOps(6)
@@ -138,7 +166,7 @@ func TestProgramMatchesReferenceIteration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: reference: %v", ci, err)
 		}
-		got, err := p.Run(p.Durations(), cfg)
+		got, err := runProgram(p, durations(p), cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: program: %v", ci, err)
 		}
@@ -146,7 +174,7 @@ func TestProgramMatchesReferenceIteration(t *testing.T) {
 		// Re-timing with scaled durations must match a reference run of
 		// the re-priced schedule: the compiled shape is duration-free.
 		scaled := make([]Op, len(ops))
-		durs := p.Durations()
+		durs := durations(p)
 		for i := range durs {
 			durs[i] *= 0.375
 			scaled[i] = ops[i]
@@ -156,7 +184,7 @@ func TestProgramMatchesReferenceIteration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: reference scaled: %v", ci, err)
 		}
-		got2, err := p.Run(durs, cfg)
+		got2, err := runProgram(p, durs, cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: program scaled: %v", ci, err)
 		}
@@ -187,7 +215,7 @@ func TestProgramMatchesReferenceErrors(t *testing.T) {
 	}
 	for i, ops := range cases {
 		_, wantErr := referenceRun(ops, Config{})
-		_, gotErr := Run(ops, Config{})
+		_, gotErr := runOps(ops, Config{})
 		if wantErr == nil || gotErr == nil {
 			t.Fatalf("case %d: expected errors, reference=%v program=%v", i, wantErr, gotErr)
 		}
@@ -198,7 +226,7 @@ func TestProgramMatchesReferenceErrors(t *testing.T) {
 }
 
 // requireMatchesReference runs ops through the reference engine and
-// through Compile+Run and requires identical traces or identical
+// through Compile+RunReuse and requires identical traces or identical
 // errors, then a second, deterministic run over recycled scratch.
 func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
 	t.Helper()
@@ -210,7 +238,9 @@ func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
 		}
 		return
 	}
-	got, gotErr := p.Run(p.Durations(), cfg)
+	st := p.NewState()
+	got := &Trace{}
+	gotErr := p.RunReuse(st, durations(p), cfg, got)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error presence diverged: reference %v, program %v", wantErr, gotErr)
 	}
@@ -221,17 +251,17 @@ func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
 		return
 	}
 	requireSameTrace(t, want, got)
-	again, err := p.Run(p.Durations(), cfg)
-	if err != nil {
+	again := &Trace{}
+	if err := p.RunReuse(st, durations(p), cfg, again); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	requireSameTrace(t, got, again)
 }
 
 // FuzzProgramDifferential is the differential oracle: over randomized
-// acyclic DAGs, every fuzzOps mix and all config classes, sim.Run (now
-// Compile+Run) and the reference engine must produce identical traces
-// or identical errors.
+// acyclic DAGs, every fuzzOps mix and all config classes, Compile+RunReuse
+// and the reference engine must produce identical traces or identical
+// errors.
 func FuzzProgramDifferential(f *testing.F) {
 	f.Add(uint8(5), uint8(2), uint8(3), false, uint8(0), uint8(0))
 	f.Add(uint8(12), uint8(1), uint8(7), true, uint8(1), uint8(0))
@@ -259,9 +289,10 @@ func TestProgramMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
-// TestProgramConcurrentRun shares one compiled Program across sweep
-// workers (the intended grid-study usage) and checks every concurrent
-// result matches the sequential one. Run under -race in CI.
+// TestProgramConcurrentRun shares one compiled Program across many
+// goroutines, each re-timing it over its own RunState (the pattern
+// dist.CompiledIteration uses), and checks every concurrent result
+// matches the sequential one. Run under -race in CI.
 func TestProgramConcurrentRun(t *testing.T) {
 	ops := iterationOps(5)
 	p, err := Compile(ops)
@@ -273,59 +304,29 @@ func TestProgramConcurrentRun(t *testing.T) {
 	for i := range points {
 		points[i] = 0.5 + 0.125*float64(i)
 	}
-	sequential := make([]*Trace, len(points))
-	for i, scale := range points {
-		durs := p.Durations()
+	scaled := func(i int) []units.Seconds {
+		durs := durations(p)
 		for j := range durs {
-			durs[j] *= units.Seconds(scale)
+			durs[j] *= units.Seconds(points[i])
 		}
-		tr, err := p.Run(durs, cfg)
+		return durs
+	}
+	sequential := make([]*Trace, len(points))
+	for i := range points {
+		tr, err := runProgram(p, scaled(i), cfg)
 		if err != nil {
 			t.Fatalf("sequential point %d: %v", i, err)
 		}
 		sequential[i] = tr
 	}
 	concurrent, err := parallel.Collect(context.Background(), 8, len(points), func(_ context.Context, i int) (*Trace, error) {
-		durs := p.Durations()
-		for j := range durs {
-			durs[j] *= units.Seconds(points[i])
-		}
-		return p.Run(durs, cfg)
+		return runProgram(p, scaled(i), cfg)
 	})
 	if err != nil {
 		t.Fatalf("parallel.Collect: %v", err)
 	}
 	for i := range points {
 		requireSameTrace(t, sequential[i], concurrent[i])
-	}
-}
-
-// TestProgramRunValidation covers the per-run argument checks.
-func TestProgramRunValidation(t *testing.T) {
-	p, err := Compile(iterationOps(2))
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if _, err := p.Run(make([]units.Seconds, p.NumOps()+1), Config{}); err == nil {
-		t.Fatal("expected length-mismatch error")
-	}
-	bad := p.Durations()
-	bad[3] = -1
-	if _, err := p.Run(bad, Config{}); err == nil {
-		t.Fatal("expected invalid-duration error")
-	}
-	if _, err := p.Run(p.Durations(), Config{Faults: Faults{StragglerSlowdown: 0.5}}); err == nil {
-		t.Fatal("expected fault-validation error")
-	}
-	other, err := Compile(iterationOps(2))
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	if _, err := p.RunWith(other.NewState(), p.Durations(), Config{}); err == nil {
-		t.Fatal("expected foreign-state ownership error")
-	}
-	if _, err := p.RunWith(nil, p.Durations(), Config{}); err == nil {
-		t.Fatal("expected nil-state error")
 	}
 }
 
@@ -345,7 +346,7 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := p.Durations()
+	durs := durations(p)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
 	if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
@@ -361,42 +362,10 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 	}
 }
 
-// TestRunAllocBounds pins the allocations per run of the pooled re-time
-// (the two a Trace needs: the struct and its span slice) and of the
-// rebuild-per-point path, each over its benchmark's loop body.
-func TestRunAllocBounds(t *testing.T) {
-	if race.Enabled() {
-		t.Skip("allocation counts are exact only without the race detector")
-	}
-	ops := iterationOps(24)
-	p, err := Compile(ops)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	durs := p.Durations()
-	cfg := Config{InterferenceSlowdown: 1.4}
-	for _, tc := range []struct {
-		bench string
-		bound float64
-		run   func() error
-	}{
-		{"ProgramReTimePooled", 2, func() error { _, err := p.Run(durs, cfg); return err }},
-		{"RunRebuild", 45, func() error { _, err := Run(ops, cfg); return err }},
-	} {
-		avg := testing.AllocsPerRun(200, func() {
-			if err := tc.run(); err != nil {
-				t.Fatalf("%s: %v", tc.bench, err)
-			}
-		})
-		if avg > tc.bound {
-			t.Errorf("Benchmark%s body allocates %.0f objects/run, bound is %.0f", tc.bench, avg, tc.bound)
-		}
-	}
-}
-
-// TestRunReuseMatchesRunWith: the reusing path must produce exactly the
-// trace the allocating path does, across shapes and re-sizes (growing
-// and shrinking the reused trace between programs).
+// TestRunReuseMatchesRunWith: re-timing into one reused Trace must
+// produce exactly the trace a fresh state and trace do, across shapes
+// and re-sizes (growing and shrinking the reused trace between
+// programs).
 func TestRunReuseMatchesRunWith(t *testing.T) {
 	cfg := Config{InterferenceSlowdown: 1.3}
 	var reused Trace
@@ -406,19 +375,19 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 			t.Fatalf("Compile(%d): %v", n, err)
 		}
 		st := p.NewState()
-		durs := p.Durations()
+		durs := durations(p)
 		for i := range durs {
 			durs[i] *= units.Seconds(1 + float64(i%3)*0.25)
 		}
-		want, err := p.RunWith(p.NewState(), durs, cfg)
+		want, err := runProgram(p, durs, cfg)
 		if err != nil {
-			t.Fatalf("RunWith(%d): %v", n, err)
+			t.Fatalf("fresh run(%d): %v", n, err)
 		}
 		if err := p.RunReuse(st, durs, cfg, &reused); err != nil {
 			t.Fatalf("RunReuse(%d): %v", n, err)
 		}
 		if !reflect.DeepEqual(want.Spans, reused.Spans) || want.Makespan != reused.Makespan {
-			t.Fatalf("n=%d: RunReuse diverged from RunWith", n)
+			t.Fatalf("n=%d: reused trace diverged from a fresh one", n)
 		}
 		// Analyses must read the new spans, not the old ones.
 		if !reflect.DeepEqual(want.LabelTime(), reused.LabelTime()) {
@@ -427,17 +396,45 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 	}
 }
 
-// TestRunReuseValidation covers the argument errors of the reuse path.
+// TestProgramRunValidation covers the checks on what a run is given:
+// duration length and sign, and fault settings.
+func TestProgramRunValidation(t *testing.T) {
+	p, err := Compile(iterationOps(2))
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	if _, err := runProgram(p, make([]units.Seconds, p.NumOps()+1), Config{}); err == nil {
+		t.Fatal("expected length-mismatch error")
+	}
+	bad := durations(p)
+	bad[3] = -1
+	if _, err := runProgram(p, bad, Config{}); err == nil {
+		t.Fatal("expected invalid-duration error")
+	}
+	if _, err := runProgram(p, durations(p), Config{Faults: Faults{StragglerSlowdown: 0.5}}); err == nil {
+		t.Fatal("expected fault-validation error")
+	}
+}
+
+// TestRunReuseValidation covers the checks on RunReuse's own arguments:
+// the trace, and a scratch state that is present and owned by p.
 func TestRunReuseValidation(t *testing.T) {
 	p, err := Compile(iterationOps(2))
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
+	other, err := Compile(iterationOps(2))
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
 	var tr Trace
-	if err := p.RunReuse(p.NewState(), p.Durations(), Config{}, nil); err == nil {
+	if err := p.RunReuse(other.NewState(), durations(p), Config{}, &tr); err == nil {
+		t.Fatal("expected foreign-state ownership error")
+	}
+	if err := p.RunReuse(p.NewState(), durations(p), Config{}, nil); err == nil {
 		t.Fatal("expected nil-trace error")
 	}
-	if err := p.RunReuse(nil, p.Durations(), Config{}, &tr); err == nil {
+	if err := p.RunReuse(nil, durations(p), Config{}, &tr); err == nil {
 		t.Fatal("expected nil-state error")
 	}
 	if err := p.RunReuse(p.NewState(), make([]units.Seconds, 1), Config{}, &tr); err == nil {
@@ -445,15 +442,13 @@ func TestRunReuseValidation(t *testing.T) {
 	}
 }
 
-// TestCriticalPathUnchanged is the regression gate for the shared byID
-// index: CriticalPath must return exactly what the per-call-map
-// implementation returned, on engine output and on hand-built traces
-// with missing dependency spans (where the old map lookup yielded a
-// zero Span).
+// TestCriticalPathUnchanged pins CriticalPath to the reference walk, on
+// engine output and on hand-built traces with missing dependency spans
+// (where the map lookup yields a zero Span).
 func TestCriticalPathUnchanged(t *testing.T) {
 	traces := []*Trace{}
 	for _, ops := range [][]Op{iterationOps(6), fuzzOps(19, 3, 2, true, 0), fuzzOps(9, 1, 4, false, 0)} {
-		tr, err := Run(ops, Config{InterferenceSlowdown: 1.5})
+		tr, err := runOps(ops, Config{InterferenceSlowdown: 1.5})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -477,11 +472,6 @@ func TestCriticalPathUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(wantLabels, gotLabels) {
 			t.Fatalf("trace %d: label shares diverged: %v vs %v", ti, wantLabels, gotLabels)
 		}
-		// Second call reuses the cached index and must be identical.
-		againPath, againLabels := tr.CriticalPath()
-		if !reflect.DeepEqual(gotPath, againPath) || !reflect.DeepEqual(gotLabels, againLabels) {
-			t.Fatalf("trace %d: repeated CriticalPath diverged", ti)
-		}
 	}
 }
 
@@ -494,46 +484,13 @@ func BenchmarkProgramReTime(b *testing.B) {
 		b.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := p.Durations()
+	durs := durations(p)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProgramReTimePooled is the concurrent-safe variant every
-// sweep worker uses: Run draws scratch from the Program's pool.
-func BenchmarkProgramReTimePooled(b *testing.B) {
-	ops := iterationOps(24)
-	p, err := Compile(ops)
-	if err != nil {
-		b.Fatalf("Compile: %v", err)
-	}
-	durs := p.Durations()
-	cfg := Config{InterferenceSlowdown: 1.4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Run(durs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunRebuild is the old cost model: full validate+compile+run
-// per point, what every grid study paid before the compiled layer.
-func BenchmarkRunRebuild(b *testing.B) {
-	ops := iterationOps(24)
-	cfg := Config{InterferenceSlowdown: 1.4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(ops, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // referenceRun is the pre-compilation event engine, kept verbatim as
-// the differential-testing oracle: Compile+Program.Run must reproduce
+// the differential-testing oracle: Compile+Program.RunReuse must reproduce
 // its traces (spans, makespan, errors) bit-for-bit. Any divergence is a
 // bug in the compiled fast path, not a tolerated approximation.
 func referenceRun(ops []Op, cfg Config) (*Trace, error) {

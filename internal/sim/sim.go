@@ -15,7 +15,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"twocs/internal/units"
 )
@@ -111,45 +110,16 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Trace is the result of running a schedule. A Trace must not be
-// copied after first use: CriticalPath lazily builds a shared index
-// guarded by an internal mutex.
+// Trace is the result of running a schedule.
 type Trace struct {
 	Spans []Span
 	// Makespan is the completion time of the last op.
 	Makespan units.Seconds
-
-	// mu guards the lazily built index below. A mutex with a nil-map
-	// sentinel (rather than a sync.Once field) lets Program.RunReuse
-	// clear it for the next re-time without copying a used lock, which
-	// `go vet` rightly rejects.
-	mu sync.Mutex
-	// byID is the span-by-op-ID index every backward walk needs; built
-	// once per trace instead of once per call.
-	byID map[string]Span
-}
-
-// index returns the span-by-op-ID map, built on first use and shared
-// by every subsequent analysis call on this trace. Callers must treat
-// it as read-only.
-func (t *Trace) index() map[string]Span {
-	t.mu.Lock()
-	if t.byID == nil {
-		byID := make(map[string]Span, len(t.Spans))
-		for _, s := range t.Spans {
-			byID[s.Op.ID] = s
-		}
-		t.byID = byID
-	}
-	m := t.byID
-	t.mu.Unlock()
-	return m
 }
 
 // resize prepares the trace for reuse by Program.RunReuse: Spans is
 // re-sliced to n ops (reusing its backing array whenever it is large
-// enough), the makespan is cleared, and the lazy index is dropped so
-// it rebuilds against the new spans.
+// enough) and the makespan is cleared.
 func (t *Trace) resize(n int) {
 	if cap(t.Spans) < n {
 		t.Spans = make([]Span, n)
@@ -157,30 +127,4 @@ func (t *Trace) resize(n int) {
 		t.Spans = t.Spans[:n]
 	}
 	t.Makespan = 0
-	t.mu.Lock()
-	t.byID = nil
-	t.mu.Unlock()
-}
-
-// Run executes the schedule and returns its trace. Ops on one stream run
-// in slice order (in-order streams); an op whose dependencies are not yet
-// complete blocks its stream. Run fails on duplicate IDs, unknown
-// dependencies, or deadlock (circular waits).
-//
-// Run is the convenience path: it compiles the schedule and executes it
-// once, discarding the compiled form. Callers that re-time one schedule
-// shape under many duration sets (the evolution grids, the sweep
-// engine) should Compile once and call Program.Run per point instead.
-func Run(ops []Op, cfg Config) (*Trace, error) {
-	if len(ops) == 0 {
-		return &Trace{}, nil
-	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	p, err := Compile(ops)
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(p.Durations(), cfg)
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestRunEmpty(t *testing.T) {
-	tr, err := Run(nil, Config{})
+	tr, err := runOps(nil, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestRunSequentialChain(t *testing.T) {
 		{ID: "b", Device: 0, Stream: ComputeStream, Duration: 2, Deps: []string{"a"}},
 		{ID: "c", Device: 0, Stream: ComputeStream, Duration: 3, Deps: []string{"b"}},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestStreamsRunInOrderWithoutDeps(t *testing.T) {
 		{ID: "a", Device: 0, Stream: ComputeStream, Duration: 5},
 		{ID: "b", Device: 0, Stream: ComputeStream, Duration: 5},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestComputeAndCommOverlap(t *testing.T) {
 		{ID: "gemm", Device: 0, Stream: ComputeStream, Duration: 10},
 		{ID: "ar", Device: 0, Stream: CommStream, Duration: 6},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExposedCommWhenLongerThanCompute(t *testing.T) {
 		{ID: "gemm", Device: 0, Stream: ComputeStream, Duration: 4},
 		{ID: "ar", Device: 0, Stream: CommStream, Duration: 10},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCrossDeviceDependency(t *testing.T) {
 		{ID: "d0", Device: 0, Stream: ComputeStream, Duration: 3},
 		{ID: "d1", Device: 1, Stream: ComputeStream, Duration: 1, Deps: []string{"d0"}},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSerializedCommOnCriticalPath(t *testing.T) {
 		{ID: "ar", Device: 0, Stream: CommStream, Duration: 3, Deps: []string{"g1"}},
 		{ID: "g2", Device: 0, Stream: ComputeStream, Duration: 5, Deps: []string{"ar"}},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestInterferenceSlowdown(t *testing.T) {
 		{ID: "gemm", Device: 0, Stream: ComputeStream, Duration: 10},
 		{ID: "ar", Device: 0, Stream: CommStream, Duration: 10},
 	}
-	tr, err := Run(ops, Config{InterferenceSlowdown: 2})
+	tr, err := runOps(ops, Config{InterferenceSlowdown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestInterferencePartialOverlap(t *testing.T) {
 		{ID: "gemm", Device: 0, Stream: ComputeStream, Duration: 12},
 		{ID: "ar", Device: 0, Stream: CommStream, Duration: 4},
 	}
-	tr, err := Run(ops, Config{InterferenceSlowdown: 2})
+	tr, err := runOps(ops, Config{InterferenceSlowdown: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestValidationErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Run(tc.ops, Config{})
+			_, err := runOps(tc.ops, Config{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want containing %q", err, tc.want)
 			}
@@ -180,7 +180,7 @@ func TestDeadlockDetection(t *testing.T) {
 		{ID: "a", Device: 0, Stream: ComputeStream, Duration: 1, Deps: []string{"b"}},
 		{ID: "b", Device: 0, Stream: CommStream, Duration: 1, Deps: []string{"a"}},
 	}
-	_, err := Run(ops, Config{})
+	_, err := runOps(ops, Config{})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock", err)
 	}
@@ -193,7 +193,7 @@ func TestStreamOrderDeadlock(t *testing.T) {
 		{ID: "first", Device: 0, Stream: ComputeStream, Duration: 1, Deps: []string{"second"}},
 		{ID: "second", Device: 0, Stream: ComputeStream, Duration: 1},
 	}
-	_, err := Run(ops, Config{})
+	_, err := runOps(ops, Config{})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("err = %v, want deadlock", err)
 	}
@@ -204,7 +204,7 @@ func TestZeroDurationOps(t *testing.T) {
 		{ID: "a", Device: 0, Stream: ComputeStream, Duration: 0},
 		{ID: "b", Device: 0, Stream: ComputeStream, Duration: 5, Deps: []string{"a"}},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestLabelTimeAndDevices(t *testing.T) {
 		{ID: "b", Device: 1, Stream: ComputeStream, Duration: 3, Label: "gemm"},
 		{ID: "c", Device: 1, Stream: CommStream, Duration: 4, Label: "ar"},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBusyTime(t *testing.T) {
 		{ID: "a", Device: 0, Stream: ComputeStream, Duration: 2},
 		{ID: "b", Device: 0, Stream: ComputeStream, Duration: 3, Deps: []string{"a"}},
 	}
-	tr, err := Run(ops, Config{})
+	tr, err := runOps(ops, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 			{ID: "c", Device: 1, Stream: ComputeStream, Duration: d(2), Deps: []string{"a"}},
 			{ID: "d", Device: 0, Stream: ComputeStream, Duration: d(3), Deps: []string{"b", "c"}},
 		}
-		tr, err := Run(ops, Config{})
+		tr, err := runOps(ops, Config{})
 		if err != nil {
 			return false
 		}
@@ -293,7 +293,7 @@ func TestTraceWellFormedProperty(t *testing.T) {
 				ops[i].Deps = []string{string(rune('a' + i - 1))}
 			}
 		}
-		tr, err := Run(ops, Config{})
+		tr, err := runOps(ops, Config{})
 		if err != nil {
 			return false
 		}

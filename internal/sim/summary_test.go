@@ -86,17 +86,17 @@ func checkSummary(t *testing.T, ops []Op, cfg Config) bool {
 	}
 	st := p.NewState()
 	var tr Trace
-	if err := p.RunReuse(st, p.Durations(), cfg, &tr); err != nil {
+	if err := p.RunReuse(st, durations(p), cfg, &tr); err != nil {
 		if st.Summary() != nil {
 			t.Fatalf("failed run %v left a summary", err)
 		}
-		if _, err2 := p.Summarize(st, p.Durations(), cfg); err2 == nil || err2.Error() != err.Error() {
+		if _, err2 := p.Summarize(st, durations(p), cfg); err2 == nil || err2.Error() != err.Error() {
 			t.Fatalf("Summarize error %v, RunReuse error %v", err2, err)
 		}
 		return false
 	}
 	requireSummaryMatchesTrace(t, p, st.Summary(), &tr)
-	sum, err := p.Summarize(p.NewState(), p.Durations(), cfg)
+	sum, err := p.Summarize(p.NewState(), durations(p), cfg)
 	if err != nil {
 		t.Fatalf("Summarize: %v", err)
 	}
@@ -145,10 +145,10 @@ func TestSummaryAfterFailedRun(t *testing.T) {
 	if st.Summary() != nil {
 		t.Fatal("a state that never ran has a summary")
 	}
-	if _, err := p.Summarize(st, p.Durations(), Config{}); err != nil {
+	if _, err := p.Summarize(st, durations(p), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	bad := p.Durations()
+	bad := durations(p)
 	bad[0] = -1
 	if _, err := p.Summarize(st, bad, Config{}); err == nil {
 		t.Fatal("expected invalid-duration error")
@@ -156,7 +156,7 @@ func TestSummaryAfterFailedRun(t *testing.T) {
 	if st.Summary() != nil {
 		t.Fatal("a failed run left a summary")
 	}
-	if _, err := p.Summarize(nil, p.Durations(), Config{}); err == nil {
+	if _, err := p.Summarize(nil, durations(p), Config{}); err == nil {
 		t.Fatal("expected nil-state error")
 	}
 }
@@ -189,7 +189,7 @@ func TestSummarizeAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.NewState()
-	durs := p.Durations()
+	durs := durations(p)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	if _, err := p.Summarize(st, durs, cfg); err != nil {
 		t.Fatalf("warmup: %v", err)
@@ -212,7 +212,7 @@ func BenchmarkProgramSummarize(b *testing.B) {
 		b.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := p.Durations()
+	durs := durations(p)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	b.ReportAllocs()
 	b.ResetTimer()

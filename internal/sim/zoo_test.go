@@ -47,7 +47,7 @@ func TestProgramMatchesReferenceZoo(t *testing.T) {
 					t.Fatal(err)
 				}
 				prog := c.Program()
-				ops := append([]sim.Op(nil), prog.Ops()...)
+				ops := append([]sim.Op(nil), sim.Ops(prog)...)
 				for i := range ops {
 					ops[i].Duration = durs[i]
 				}
@@ -57,7 +57,7 @@ func TestProgramMatchesReferenceZoo(t *testing.T) {
 						if err != nil {
 							t.Fatalf("reference: %v", err)
 						}
-						got, err := prog.Run(durs, cfg)
+						got, err := sim.RunProgram(prog, durs, cfg)
 						if err != nil {
 							t.Fatalf("program: %v", err)
 						}

@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// The sampler turns the exit-time metrics snapshot into a time series:
-// at a fixed interval it captures the active collector's metrics, the
-// Go runtime's heap/goroutine/GC state, and the active Progress, into a
-// bounded ring buffer. A long-running sweep (or the future twocsd
-// service) can then answer "what was the heap doing two minutes ago"
-// without any external scrape infrastructure — and the debug server's
-// /metrics.json endpoint serves the ring to anything that wants more.
+// The sampler turns the live gauges into a time series: at a fixed
+// interval it records the Go runtime's heap, goroutine and GC counts and
+// the active Progress's row count into a bounded ring buffer. A
+// long-running sweep or twocsd can then answer "what was the heap doing
+// two minutes ago" without any external scrape infrastructure, and the
+// debug server's /metrics.json endpoint serves the ring as its series.
+// The ring keeps only what that series serves; the endpoint reads the
+// full metrics, runtime and progress snapshots fresh per request.
 
 // RuntimeStats is one reading of the Go runtime's health counters.
 type RuntimeStats struct {
@@ -38,16 +39,15 @@ func ReadRuntimeStats() RuntimeStats {
 	}
 }
 
-// Sample is one sampler capture.
+// Sample is one sampler capture, one point of /metrics.json's series.
 type Sample struct {
-	// Elapsed is the time since the sampler started; Wall the host
-	// clock at capture.
-	Elapsed time.Duration
-	Wall    time.Time
-	Runtime RuntimeStats
-	Metrics Snapshot
-	// Progress is the active Progress at capture time (zero when none).
-	Progress ProgressSnapshot
+	// ElapsedS is the time since the sampler started, in seconds.
+	ElapsedS   float64 `json:"elapsed_s"`
+	HeapAlloc  uint64  `json:"heap_alloc_bytes"`
+	Goroutines int     `json:"goroutines"`
+	GCCycles   uint32  `json:"gc_cycles"`
+	// Rows is the active Progress's row count (0 when none).
+	Rows int64 `json:"rows"`
 }
 
 // DefaultSamplerCapacity bounds the ring when NewSampler is given
@@ -59,7 +59,6 @@ const DefaultSamplerCapacity = 512
 // Stop blocks until the sampling goroutine has exited, which is what
 // keeps shutdown leak-free. A nil *Sampler is a valid no-op.
 type Sampler struct {
-	col      *Collector
 	interval time.Duration
 	start    time.Time
 
@@ -74,11 +73,12 @@ type Sampler struct {
 	done chan struct{}
 }
 
-// NewSampler returns a sampler over c (which may be nil: runtime stats
-// and progress still get captured) taking one sample every interval,
+// NewSampler returns a sampler taking one sample every interval and
 // keeping the most recent capacity samples (<= 0 selects
-// DefaultSamplerCapacity).
-func NewSampler(c *Collector, interval time.Duration, capacity int) *Sampler {
+// DefaultSamplerCapacity). The collector argument is not read: a sample
+// holds runtime state and progress rows only, and the debug server
+// reads the collector itself.
+func NewSampler(_ *Collector, interval time.Duration, capacity int) *Sampler {
 	if interval <= 0 {
 		interval = time.Second
 	}
@@ -86,7 +86,6 @@ func NewSampler(c *Collector, interval time.Duration, capacity int) *Sampler {
 		capacity = DefaultSamplerCapacity
 	}
 	return &Sampler{
-		col:      c,
 		interval: interval,
 		ring:     make([]Sample, 0, capacity),
 		stop:     make(chan struct{}),
@@ -151,12 +150,13 @@ func (s *Sampler) Stop() {
 
 // capture takes one sample into the ring.
 func (s *Sampler) capture() {
+	rt := ReadRuntimeStats()
 	smp := Sample{
-		Elapsed:  time.Since(s.start),
-		Wall:     time.Now(),
-		Runtime:  ReadRuntimeStats(),
-		Metrics:  s.col.Snapshot(),
-		Progress: ActiveProgress().Snapshot(),
+		ElapsedS:   time.Since(s.start).Seconds(),
+		HeapAlloc:  rt.HeapAllocBytes,
+		Goroutines: rt.Goroutines,
+		GCCycles:   rt.GCCycles,
+		Rows:       ActiveProgress().Snapshot().Rows,
 	}
 	s.mu.Lock()
 	if len(s.ring) < cap(s.ring) {

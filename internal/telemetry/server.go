@@ -134,38 +134,20 @@ func (s debugHandlers) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_ = ActiveProgress().Snapshot().WritePrometheus(w)
 }
 
-// seriesPoint is the compact per-sample line of /metrics.json: enough
-// to plot heap, goroutines and throughput over time without shipping
-// every full snapshot.
-type seriesPoint struct {
-	ElapsedS   float64 `json:"elapsed_s"`
-	HeapAlloc  uint64  `json:"heap_alloc_bytes"`
-	Goroutines int     `json:"goroutines"`
-	GCCycles   uint32  `json:"gc_cycles"`
-	Rows       int64   `json:"rows"`
-}
-
+// handleMetricsJSON serves the metrics, runtime and progress read now,
+// plus the sampler's series: enough to plot heap, goroutines and
+// throughput over time without shipping every full snapshot.
 func (s debugHandlers) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	var series []seriesPoint
-	for _, smp := range s.sampler.Samples() {
-		series = append(series, seriesPoint{
-			ElapsedS:   smp.Elapsed.Seconds(),
-			HeapAlloc:  smp.Runtime.HeapAllocBytes,
-			Goroutines: smp.Runtime.Goroutines,
-			GCCycles:   smp.Runtime.GCCycles,
-			Rows:       smp.Progress.Rows,
-		})
-	}
 	body := struct {
-		Metrics  Snapshot      `json:"metrics"`
-		Runtime  RuntimeStats  `json:"runtime"`
-		Progress progressJSON  `json:"progress"`
-		Series   []seriesPoint `json:"series,omitempty"`
+		Metrics  Snapshot     `json:"metrics"`
+		Runtime  RuntimeStats `json:"runtime"`
+		Progress progressJSON `json:"progress"`
+		Series   []Sample     `json:"series,omitempty"`
 	}{
 		Metrics:  s.col.Snapshot(),
 		Runtime:  ReadRuntimeStats(),
 		Progress: ActiveProgress().Snapshot().wire(true),
-		Series:   series,
+		Series:   s.sampler.Samples(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(body)

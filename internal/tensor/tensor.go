@@ -113,20 +113,6 @@ func (m MatMul) FLOPs() units.FLOPs {
 	return units.FLOPs(2 * float64(m.M) * float64(m.N) * float64(m.K))
 }
 
-// ABytes, BBytes and CBytes return the operand and output footprints.
-func (m MatMul) ABytes() units.Bytes { return Shape{m.M, m.K}.Bytes(m.DT) }
-
-// BBytes returns the B-operand footprint.
-func (m MatMul) BBytes() units.Bytes { return Shape{m.K, m.N}.Bytes(m.DT) }
-
-// CBytes returns the output footprint — the quantity the serialized
-// all-reduces of tensor parallelism move (paper Eq 5).
-func (m MatMul) CBytes() units.Bytes { return Shape{m.M, m.N}.Bytes(m.DT) }
-
-// IOBytes returns the total off-chip traffic assuming each operand is read
-// once and the output written once (the minimum, reuse-friendly schedule).
-func (m MatMul) IOBytes() units.Bytes { return m.ABytes() + m.BBytes() + m.CBytes() }
-
 // String renders e.g. "GEMM[M=4096,N=1024,K=1024,FP16]".
 func (m MatMul) String() string {
 	return fmt.Sprintf("GEMM[M=%d,N=%d,K=%d,%s]", m.M, m.N, m.K, m.DT)

@@ -224,6 +224,20 @@ func TestMatMulFLOPsProperties(t *testing.T) {
 // Bits returns the element width in bits.
 func (d DType) Bits() int { return int(d.Size()) * 8 }
 
+// ABytes, BBytes and CBytes return the operand and output footprints.
+func (m MatMul) ABytes() units.Bytes { return Shape{m.M, m.K}.Bytes(m.DT) }
+
+// BBytes returns the B-operand footprint.
+func (m MatMul) BBytes() units.Bytes { return Shape{m.K, m.N}.Bytes(m.DT) }
+
+// CBytes returns the output footprint — the quantity the serialized
+// all-reduces of tensor parallelism move (paper Eq 5).
+func (m MatMul) CBytes() units.Bytes { return Shape{m.M, m.N}.Bytes(m.DT) }
+
+// IOBytes returns the total off-chip traffic assuming each operand is read
+// once and the output written once (the minimum, reuse-friendly schedule).
+func (m MatMul) IOBytes() units.Bytes { return m.ABytes() + m.BBytes() + m.CBytes() }
+
 // ArithmeticIntensity returns FLOPs per byte of minimum I/O, the roofline
 // x-coordinate deciding whether the GEMM is compute- or memory-bound.
 func (m MatMul) ArithmeticIntensity() float64 {
