@@ -81,7 +81,6 @@ func runCtx(ctx context.Context, args []string, errw io.Writer) error {
 	inflight := fs.Int("inflight", def.MaxInflight, "max concurrently admitted API requests")
 	studyTimeout := fs.Duration("study-timeout", def.StudyTimeout, "per-request study computation deadline")
 	sweepTimeout := fs.Duration("sweep-timeout", def.SweepTimeout, "per-request sweep streaming deadline")
-	flushEvery := fs.Int64("flush-every", def.FlushEvery, "sweep NDJSON rows per chunked flush")
 	sample := fs.Duration("sample", time.Second, "metrics sampler interval (<= 0 disables)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -101,7 +100,6 @@ func runCtx(ctx context.Context, args []string, errw io.Writer) error {
 	cfg.MaxInflight = *inflight
 	cfg.StudyTimeout = *studyTimeout
 	cfg.SweepTimeout = *sweepTimeout
-	cfg.FlushEvery = *flushEvery
 
 	// Process-wide telemetry: one collector and one progress tracker for
 	// the daemon's lifetime, so the analyzer's spans, the stream engine's

@@ -62,7 +62,9 @@ func TestMapPanicEqualsSequential(t *testing.T) {
 
 // TestMapCtxCancellation: a mid-run cancel stops claiming and returns
 // ctx's error with a contiguous completed prefix; on one worker the
-// prefix ends exactly where the cancel landed.
+// prefix ends exactly where the cancel landed. Every call after the
+// cancelling one waits for the cancel, so the other workers cannot
+// finish the grid while the cancelling one is descheduled.
 func TestMapCtxCancellation(t *testing.T) {
 	bothPaths(t, func(t *testing.T, workers int) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -70,8 +72,11 @@ func TestMapCtxCancellation(t *testing.T) {
 		var calls atomic.Int64
 		const n = 10_000
 		out, err := Collect(ctx, workers, n, func(_ context.Context, i int) (int, error) {
-			if calls.Add(1) == 8 {
+			switch c := calls.Add(1); {
+			case c == 8:
 				cancel()
+			case c > 8:
+				<-ctx.Done()
 			}
 			return i * 3, nil
 		})

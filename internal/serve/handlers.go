@@ -230,7 +230,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Twocsd-Request", req.cacheKey())
-	sink := stream.NewHTTPNDJSON(w, s.cfg.FlushEvery)
+	sink := stream.NewNDJSON(w)
 	// The partial entry point means cancellation mid-stream (client gone,
 	// deadline, SIGTERM draining the server ctx) still yields a
 	// well-formed artifact: full grid shape, canceled rows as nulls, a

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +20,7 @@ import (
 	"twocs/internal/hw"
 	"twocs/internal/model"
 	"twocs/internal/parallel"
+	"twocs/internal/stream"
 	"twocs/internal/telemetry"
 )
 
@@ -430,6 +433,92 @@ func TestSweepStreams(t *testing.T) {
 	}
 	if canceled != 0 || tr.Canceled != 0 {
 		t.Fatalf("complete sweep reports canceled rows: %d/%d", canceled, tr.Canceled)
+	}
+}
+
+// gatedWriter holds a response's second write until gate closes.
+type gatedWriter struct {
+	http.ResponseWriter
+	gate   <-chan struct{}
+	writes int
+	t      *testing.T
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	if g.writes++; g.writes == 2 {
+		select {
+		case <-g.gate:
+		case <-time.After(10 * time.Second):
+			g.t.Error("no row reached the client before the sweep's second write")
+		}
+	}
+	return g.ResponseWriter.Write(p)
+}
+
+// TestSweepOverTCPMatchesFile streams a Table-3 sweep larger than the
+// sink's 64 KB buffer over a real TCP connection. The body must be
+// byte-identical to the NDJSON file the same grid streams to, and its
+// first row must reach the client before the handler returns: the sink
+// writes each full buffer through, with no flush of its own, so the
+// body leaves in more than one write, and the second write waits here
+// until the client holds the first row.
+func TestSweepOverTCPMatchesFile(t *testing.T) {
+	a, err := sharedAnalyzer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(a, DefaultConfig(), telemetry.NewCollector(), nil).Handler()
+	firstRow := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		gw := &gatedWriter{ResponseWriter: w, gate: firstRow, t: t}
+		h.ServeHTTP(gw, r)
+		if gw.writes < 2 {
+			t.Errorf("the sweep body left the handler in %d write(s), want it streamed", gw.writes)
+		}
+	}))
+	defer ts.Close()
+
+	const body = `{"flopbw":[1,2,4]}`
+	var req SweepRequest
+	if err := decodeStrict(strings.NewReader(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.normalize(DefaultConfig().DefaultModel); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(filepath.Join(t.TempDir(), "sweep.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := a.StreamEvolutionGridPartialCtx(context.Background(), req.Hs, req.SLs, req.TPs, req.B, req.Evolutions(), stream.NewNDJSON(f)); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 64<<10 {
+		t.Fatalf("sweep artifact is %d bytes, want more than the 64 KB sink buffer", len(want))
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	rd := bufio.NewReader(resp.Body)
+	line, err := rd.ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(firstRow)
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(line, rest...); !bytes.Equal(got, want) {
+		t.Fatalf("HTTP body (%d bytes) differs from the file artifact (%d bytes)", len(got), len(want))
 	}
 }
 

@@ -37,9 +37,6 @@ type Config struct {
 	// their bound is the tighter one.
 	MaxStudyPoints int64
 	MaxSweepPoints int64
-	// FlushEvery is the sweep stream's row-granularity for flushing
-	// chunked NDJSON to the client (<= 0 takes the sink's default).
-	FlushEvery int64
 	// DefaultModel names the zoo model a request without an explicit
 	// "model" field analyzes ("" means BERT, the model the analyzer
 	// passed to New was built for).
@@ -61,7 +58,6 @@ func DefaultConfig() Config {
 		SweepTimeout:   10 * time.Minute,
 		MaxStudyPoints: 1 << 16,
 		MaxSweepPoints: 1 << 24,
-		FlushEvery:     256,
 		DefaultModel:   "BERT",
 	}
 }

@@ -54,19 +54,19 @@ func (c *CSV) Emit(r Row) error {
 		return err
 	}
 	b := c.buf[:0]
-	b = strconv.AppendInt(b, r.Index, 10)
+	b = appendUint(b, r.Index)
 	b = append(b, ',')
 	b = appendCSVField(b, r.Evo)
 	b = append(b, ',')
 	b = appendCSVFloat(b, r.FlopVsBW)
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(r.H), 10)
+	b = appendUint(b, int64(r.H))
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(r.SL), 10)
+	b = appendUint(b, int64(r.SL))
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(r.B), 10)
+	b = appendUint(b, int64(r.B))
 	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(r.TP), 10)
+	b = appendUint(b, int64(r.TP))
 	b = append(b, ',')
 	b = appendCSVFloat(b, float64(r.IterTime))
 	b = append(b, ',')
@@ -88,12 +88,12 @@ func (c *CSV) Close(t Trailer) error {
 	}
 	b := c.buf[:0]
 	b = append(b, "#trailer rows="...)
-	b = strconv.AppendInt(b, t.Rows, 10)
+	b = appendUint(b, t.Rows)
 	b = append(b, " total="...)
-	b = strconv.AppendInt(b, t.Total, 10)
+	b = appendUint(b, t.Total)
 	if t.Canceled > 0 {
 		b = append(b, " canceled="...)
-		b = strconv.AppendInt(b, t.Canceled, 10)
+		b = appendUint(b, t.Canceled)
 	}
 	b = append(b, " complete="...)
 	b = strconv.AppendBool(b, t.Complete)

@@ -3,6 +3,7 @@ package stream
 import (
 	"math"
 	"math/bits"
+	"strconv"
 )
 
 // appendFloat appends the shortest decimal that reads back as v, laid
@@ -202,6 +203,33 @@ func digits8(x uint64) uint64 {
 	t = v * 103 >> 10 & 0x000f000f_000f000f // /10
 	v = t | (v-t*10)<<8
 	return v + 0x30303030_30303030
+}
+
+// appendUint appends v in decimal, the bytes of strconv.AppendInt(b, v,
+// 10). It is the one integer encoder of the row writers. Values in
+// [0, 10¹⁶), which covers every row index and shape of a sweep, take
+// one or two digits8 blocks; the rest go to strconv.
+func appendUint(b []byte, v int64) []byte {
+	if v < 0 || v >= 1e16 {
+		return strconv.AppendInt(b, v, 10)
+	}
+	var buf [16]byte
+	u := uint64(v)
+	if u < 1e8 {
+		d := digits8(u)
+		put8(buf[8:], d)
+		return append(b, buf[8+min(leadingZeroDigits(d), 7):]...)
+	}
+	d := digits8(u / 1e8)
+	put8(buf[:], d)
+	put8(buf[8:], digits8(u%1e8))
+	return append(b, buf[leadingZeroDigits(d):]...)
+}
+
+// leadingZeroDigits counts the '0' characters that open the 8 digits d
+// of digits8, whose first digit sits in the low byte.
+func leadingZeroDigits(d uint64) int {
+	return bits.TrailingZeros64(d^0x30303030_30303030) >> 3
 }
 
 // pow10g spans the decimal exponents k of every float64's interval.

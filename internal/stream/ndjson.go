@@ -23,12 +23,14 @@ import (
 // downstream parser, complete run or not. A non-finite flopbw, which
 // no producer emits, is written as null too.
 //
-// Two row segments repeat, and Emit encodes each distinct value once:
-// the `,"evo":…,"flopbw":…` segment is constant over a scenario's rows
-// (a sweep emits them evolution-major), and mem_bytes is a function of
-// the model shape alone, so a sweep re-encodes the same few hundred
-// values. Both memos key on exact float bit patterns, so the bytes do
-// not depend on hits or misses — only the speed depends on row order.
+// Two kinds of row segment repeat, and Emit encodes each distinct value
+// once: the `,"evo":…,"flopbw":…` segment is constant over a scenario's
+// rows (a sweep emits them evolution-major), and the
+// `,"h":…,"sl":…,"b":…,"tp":…,"iter_s":` and `,"mem_bytes":…` segments
+// are functions of the model shape, so a sweep re-encodes the same few
+// hundred values. Both memos key on exact values (float bit patterns
+// for the floats), so the bytes do not depend on hits or misses — only
+// the speed depends on row order.
 type NDJSON struct {
 	w   *bufio.Writer
 	buf []byte
@@ -39,25 +41,40 @@ type NDJSON struct {
 	evoBits uint64
 	evoSeg  []byte
 
-	mem [memSlots]memSlot
+	// seg is the scratch a shape memo miss encodes into; it keeps the
+	// segments of a shape too long for a slot.
+	seg    []byte
+	shapes [shapeSlots]shapeSlot
 }
 
-// memSlots sizes the direct-mapped mem_bytes memo: 64 KB, as large as
-// the write buffer, which keeps slot collisions among a Table-3
-// sweep's 156 distinct footprints to a few percent of rows.
+// shapeSlots sizes the shape memo: 64 KB, as large as the write buffer.
+// A key lives in the slot its shape hashes to or in that slot's
+// neighbour (index ^ 1), and a miss evicts from the hashed slot only
+// when both are taken. Of the 156 shapes of a Table-3 sweep, 6 evict
+// each other on every scenario, so one row in 26 misses.
 const (
-	memSlotBits = 11
-	memSlots    = 1 << memSlotBits
+	shapeSlotBits = 9
+	shapeSlots    = 1 << shapeSlotBits
 )
 
-// memSlot memoizes the encoding of one mem_bytes value. At 32 bytes a
-// slot holds every shortest-form float up to 23 characters; a longer
-// one (only a negative value with 17 significant digits and a
-// three-digit exponent) is encoded directly on every row.
-type memSlot struct {
-	bits uint64
-	n    uint8 // length of text; 0 marks an empty slot
-	text [23]byte
+// shapeSlot memoizes the two shape segments of one (H, SL, B, TP,
+// mem_bytes) key in text: the head `,"h":…,"iter_s":` in text[:nHead]
+// and `,"mem_bytes":…` after it. 86 bytes hold both whenever the four
+// ints and the mem_bytes value take at most 41 characters together; a
+// longer pair is encoded directly on every row.
+type shapeSlot struct {
+	h, sl, b, tp int
+	mem          uint64
+	nHead, nMem  uint8 // text lengths; nHead == 0 marks an empty slot
+	text         [86]byte
+}
+
+func (s *shapeSlot) holds(r *Row, mem uint64) bool {
+	return s.nHead > 0 && s.mem == mem && s.h == r.H && s.sl == r.SL && s.b == r.B && s.tp == r.TP
+}
+
+func (s *shapeSlot) segs() (head, mem []byte) {
+	return s.text[:s.nHead], s.text[s.nHead : s.nHead+s.nMem]
 }
 
 // NewNDJSON returns an NDJSON sink over w. The caller keeps ownership
@@ -72,7 +89,7 @@ func NewNDJSON(w io.Writer) *NDJSON {
 func (n *NDJSON) Emit(r Row) error {
 	b := n.buf[:0]
 	b = append(b, `{"i":`...)
-	b = strconv.AppendInt(b, r.Index, 10)
+	b = appendUint(b, r.Index)
 	if bits := math.Float64bits(r.FlopVsBW); len(n.evoSeg) == 0 || bits != n.evoBits || r.Evo != n.evo {
 		n.evoSeg = append(n.evoSeg[:0], `,"evo":`...)
 		n.evoSeg = appendJSONString(n.evoSeg, r.Evo)
@@ -81,20 +98,12 @@ func (n *NDJSON) Emit(r Row) error {
 		n.evo, n.evoBits = r.Evo, bits
 	}
 	b = append(b, n.evoSeg...)
-	b = append(b, `,"h":`...)
-	b = strconv.AppendInt(b, int64(r.H), 10)
-	b = append(b, `,"sl":`...)
-	b = strconv.AppendInt(b, int64(r.SL), 10)
-	b = append(b, `,"b":`...)
-	b = strconv.AppendInt(b, int64(r.B), 10)
-	b = append(b, `,"tp":`...)
-	b = strconv.AppendInt(b, int64(r.TP), 10)
-	b = append(b, `,"iter_s":`...)
+	head, mem := n.shapeSegs(&r)
+	b = append(b, head...)
 	b = appendJSONFloat(b, float64(r.IterTime))
 	b = append(b, `,"comm_frac":`...)
 	b = appendJSONFloat(b, r.CommFrac)
-	b = append(b, `,"mem_bytes":`...)
-	b = n.appendMem(b, float64(r.MemBytes))
+	b = append(b, mem...)
 	if !r.Finite() {
 		b = append(b, `,"canceled":true`...)
 	}
@@ -104,39 +113,65 @@ func (n *NDJSON) Emit(r Row) error {
 	return err
 }
 
-// appendMem appends v as appendJSONFloat would, from the memo slot its
-// bit pattern hashes to (Fibonacci hashing) when that slot holds it.
-// On a miss it encodes v directly and caches the text if it fits.
-func (n *NDJSON) appendMem(b []byte, v float64) []byte {
-	bits := math.Float64bits(v)
-	s := &n.mem[(bits*0x9e3779b97f4a7c15)>>(64-memSlotBits)]
-	if s.n > 0 && s.bits == bits {
-		return append(b, s.text[:s.n]...)
-	}
-	start := len(b)
-	b = appendJSONFloat(b, v)
-	if enc := b[start:]; len(enc) <= len(s.text) {
-		s.bits, s.n = bits, uint8(copy(s.text[:], enc))
-	}
-	return b
+// shapeSlotOf hashes a shape to its memo slot: a multiply-xor chain
+// over the four ints, whose top bits pick the slot (Fibonacci hashing).
+func shapeSlotOf(h, sl, b, tp int) uint64 {
+	const k = 0x9e3779b97f4a7c15
+	x := uint64(h) * k
+	x = (x ^ uint64(sl)) * k
+	x = (x ^ uint64(b)) * k
+	x = (x ^ uint64(tp)) * k
+	return x >> (64 - shapeSlotBits)
 }
 
-// Flush forces the buffered rows out to the underlying writer without
-// closing the stream — the live-streaming hook the HTTP adapter uses so
-// a slow sweep shows the client rows as they are computed, not one 64KB
-// buffer at a time.
-func (n *NDJSON) Flush() error { return n.w.Flush() }
+// shapeSegs returns r's `,"h":…,"iter_s":` and `,"mem_bytes":…`
+// segments from the memo when one of its two slots holds r's key. On a
+// miss it encodes them and caches the text if it fits.
+func (n *NDJSON) shapeSegs(r *Row) (head, mem []byte) {
+	bits := math.Float64bits(float64(r.MemBytes))
+	i := shapeSlotOf(r.H, r.SL, r.B, r.TP)
+	s, alt := &n.shapes[i], &n.shapes[i^1]
+	if s.holds(r, bits) {
+		return s.segs()
+	}
+	if alt.holds(r, bits) {
+		return alt.segs()
+	}
+	n.seg = append(n.seg[:0], `,"h":`...)
+	t := appendUint(n.seg, int64(r.H))
+	t = append(t, `,"sl":`...)
+	t = appendUint(t, int64(r.SL))
+	t = append(t, `,"b":`...)
+	t = appendUint(t, int64(r.B))
+	t = append(t, `,"tp":`...)
+	t = appendUint(t, int64(r.TP))
+	t = append(t, `,"iter_s":`...)
+	split := len(t)
+	t = append(t, `,"mem_bytes":`...)
+	t = appendJSONFloat(t, float64(r.MemBytes))
+	n.seg = t
+	if len(t) > len(s.text) {
+		return t[:split], t[split:]
+	}
+	if s.nHead > 0 && alt.nHead == 0 {
+		s = alt
+	}
+	s.h, s.sl, s.b, s.tp, s.mem = r.H, r.SL, r.B, r.TP, bits
+	s.nHead, s.nMem = uint8(split), uint8(len(t)-split)
+	copy(s.text[:], t)
+	return s.segs()
+}
 
 // Close implements Sink: it writes the trailer object and flushes.
 func (n *NDJSON) Close(t Trailer) error {
 	b := n.buf[:0]
 	b = append(b, `{"trailer":true,"rows":`...)
-	b = strconv.AppendInt(b, t.Rows, 10)
+	b = appendUint(b, t.Rows)
 	b = append(b, `,"total":`...)
-	b = strconv.AppendInt(b, t.Total, 10)
+	b = appendUint(b, t.Total)
 	if t.Canceled > 0 {
 		b = append(b, `,"canceled":`...)
-		b = strconv.AppendInt(b, t.Canceled, 10)
+		b = appendUint(b, t.Canceled)
 	}
 	b = append(b, `,"complete":`...)
 	b = strconv.AppendBool(b, t.Complete)

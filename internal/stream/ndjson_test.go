@@ -66,7 +66,7 @@ func emitBoth(t *testing.T, rows []Row) []byte {
 		}
 		want = referenceRow(want, r)
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
@@ -91,17 +91,39 @@ var specialFloats = []float64{
 	1, 0.25, 2.56233472e+08, 1 << 30, 12e9,
 }
 
-// collidingMems returns n distinct mem_bytes values that share one memo
-// slot, so that alternating them evicts on every row.
-func collidingMems(n int) []float64 {
-	slot := func(v float64) uint64 { return (math.Float64bits(v) * 0x9e3779b97f4a7c15) >> (64 - memSlotBits) }
-	out := []float64{1 << 20}
-	for v := float64(1<<20) + 4096; len(out) < n; v += 4096 {
-		if slot(v) == slot(out[0]) {
-			out = append(out, v)
+// shape is a row's (H, SL, B, TP) key.
+type shape struct{ h, sl, b, tp int }
+
+// on returns r with sh's shape.
+func (sh shape) on(r Row) Row {
+	r.H, r.SL, r.B, r.TP = sh.h, sh.sl, sh.b, sh.tp
+	return r
+}
+
+// collidingShapes returns n distinct shapes that compete for one pair
+// of shape-memo slots, hashing to one or the other, so that cycling
+// three or more of them evicts on every row.
+func collidingShapes(n int) []shape {
+	out := []shape{{1024, 2048, 1, 8}}
+	pair := shapeSlotOf(1024, 2048, 1, 8) | 1
+	for tp := 9; len(out) < n; tp++ {
+		if shapeSlotOf(1024, 2048, 1, tp)|1 == pair {
+			out = append(out, shape{1024, 2048, 1, tp})
 		}
 	}
 	return out
+}
+
+// longShape's two segments are too long for a memo slot, so it is
+// encoded afresh on every row.
+var longShape = shape{math.MaxInt64, math.MaxInt64, math.MinInt64, math.MaxInt64}
+
+// edgeIndices are the row indices at the integer encoder's edges: digit
+// counts, the 8-digit block boundary, the strconv fallback beyond 16
+// digits, and negatives.
+var edgeIndices = []int64{
+	0, 9, 10, 99, 100, 1e8 - 1, 1e8, 1e8 + 1, 1e15, 1e16 - 1, 1e16,
+	-1, -10, math.MaxInt64, math.MinInt64,
 }
 
 // evoNames mixes plain scenario names with ones that need escaping.
@@ -113,14 +135,23 @@ var evoNames = []string{
 // randomRows draws a row sequence in runs of one (evo, flopbw)
 // scenario, as a sweep emits them, but with names and ratios reused
 // across scenarios: equal flopbw under different names, and the same
-// name under different flopbw.
+// name under different flopbw. Shapes come from a small pool that
+// holds four shapes competing for one slot pair and one too long for a
+// slot; each shape mostly keeps one mem_bytes value, but sometimes
+// takes another, so one shape alternates two values in its slot. Some
+// rows carry an edge index.
 func randomRows(rng *rand.Rand, n int) []Row {
 	pick := func(pool []float64) float64 { return pool[rng.Intn(len(pool))] }
 	ratios := append([]float64{1, 2, 4, 1.5}, specialFloats...)
-	mems := append(collidingMems(3), specialFloats...)
+	shapes := append(collidingShapes(4), longShape, shape{0, 0, 0, 0}, shape{-1, 7, 1, -4})
 	for i := 0; i < 8; i++ {
-		mems = append(mems, float64(rng.Int63n(1<<40)))
+		shapes = append(shapes, shape{1024 << rng.Intn(7), 1024 << rng.Intn(4), 1 << rng.Intn(3), 4 << rng.Intn(7)})
 	}
+	mems := make([]float64, len(shapes))
+	for i := range mems {
+		mems[i] = float64(rng.Int63n(1 << 40))
+	}
+	mems[0] = -1.2345678901234567e-300 // too long for a slot
 	objective := func() float64 {
 		if rng.Intn(8) == 0 {
 			return pick(specialFloats)
@@ -134,12 +165,20 @@ func randomRows(rng *rand.Rand, n int) []Row {
 		if i == 0 || rng.Intn(6) == 0 {
 			evo, ratio = evoNames[rng.Intn(len(evoNames))], pick(ratios)
 		}
-		r := Row{
-			Index: int64(i), Evo: evo, FlopVsBW: ratio,
-			H: 1024 << rng.Intn(7), SL: 1024 << rng.Intn(4), B: 1, TP: 4 << rng.Intn(7),
-			IterTime: units.Seconds(objective()), CommFrac: objective(),
-			MemBytes: units.Bytes(pick(mems)),
+		k := rng.Intn(len(shapes))
+		mem := mems[k]
+		if rng.Intn(6) == 0 {
+			mem = pick(specialFloats)
 		}
+		index := int64(i)
+		if rng.Intn(8) == 0 {
+			index = edgeIndices[rng.Intn(len(edgeIndices))]
+		}
+		r := shapes[k].on(Row{
+			Index: index, Evo: evo, FlopVsBW: ratio,
+			IterTime: units.Seconds(objective()), CommFrac: objective(),
+			MemBytes: units.Bytes(mem),
+		})
 		if rng.Intn(10) == 0 {
 			r = canceledRow(r.Index)
 		}
@@ -161,49 +200,89 @@ func TestNDJSONMatchesReference(t *testing.T) {
 
 // TestNDJSONMemoEdges pins the memo edges one at a time: the same
 // flopbw under two names, one name under two flopbw values (including
-// −0 against 0, which compare equal but encode differently), two
-// mem_bytes values alternating in one slot, and a value too long for a
-// slot.
+// −0 against 0, which compare equal but encode differently), three
+// shapes cycling through one slot pair, one shape alternating two
+// mem_bytes values (again −0 against 0), mem_bytes and shapes too long
+// for a slot, and every edge index.
 func TestNDJSONMemoEdges(t *testing.T) {
 	negZero := math.Copysign(0, -1)
-	c := collidingMems(2)
+	c := collidingShapes(3)
 	long := -1.2345678901234567e-300
 	base := sampleRows()[0]
 	var rows []Row
-	add := func(evo string, ratio, mem float64) {
-		r := base
+	add := func(evo string, ratio float64, sh shape, mem float64) {
+		r := sh.on(base)
 		r.Index, r.Evo, r.FlopVsBW, r.MemBytes = int64(len(rows)), evo, ratio, units.Bytes(mem)
 		rows = append(rows, r)
 	}
-	add("a", 2, c[0])
-	add("b", 2, c[1])
-	add("b", 4, c[0])
-	add("b", 0, c[1])
-	add("b", negZero, long)
-	add("b", 0, long)
-	add("a", negZero, c[0])
+	add("a", 2, c[0], 1e9)
+	add("b", 2, c[1], 1e9)
+	add("b", 4, c[2], 1e9)
+	add("b", 0, c[0], 2e9)
+	add("b", negZero, c[1], long)
+	add("b", 0, c[2], long)
+	add("a", negZero, c[0], 0)
+	add("a", negZero, c[0], negZero)
+	add("a", negZero, c[0], 0)
+	add("a", 1, longShape, 1e9)
+	add("a", 1, longShape, 1e9)
+	for _, i := range edgeIndices {
+		add("a", 1, c[len(rows)%3], 1e9)
+		rows[len(rows)-1].Index = i
+	}
 	out := emitBoth(t, rows)
-	for _, want := range []string{`"flopbw":-0,`, `"flopbw":0,`, strconv.FormatFloat(long, 'g', -1, 64)} {
+	for _, want := range []string{
+		`"flopbw":-0,`, `"flopbw":0,`, strconv.FormatFloat(long, 'g', -1, 64),
+		`"mem_bytes":-0}`, `"mem_bytes":0}`, `"tp":9223372036854775807,`,
+	} {
 		if !bytes.Contains(out, []byte(want)) {
 			t.Errorf("output lacks %s", want)
 		}
 	}
 }
 
-// FuzzNDJSONEmit drives the encoder with arbitrary names and floats in
-// a row pattern that hits and misses both memos. Every line must match
-// the reference encoder and be valid JSON.
+// TestAppendUintMatchesStrconv: the integer encoder writes strconv's
+// bytes at every power-of-ten edge, around the 8-digit block and the
+// 10¹⁶ fallback, for negatives and for random values of every length.
+func TestAppendUintMatchesStrconv(t *testing.T) {
+	vals := append([]int64(nil), edgeIndices...)
+	for p := int64(1); p > 0 && p <= math.MaxInt64/10; p *= 10 {
+		vals = append(vals, p-1, p, p+1, -p)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		vals = append(vals, rng.Int63()>>rng.Intn(63), -rng.Int63())
+	}
+	for _, v := range vals {
+		if got, want := appendUint([]byte("x"), v), strconv.AppendInt([]byte("x"), v, 10); !bytes.Equal(got, want) {
+			t.Fatalf("appendUint(%d) = %s, want %s", v, got, want)
+		}
+	}
+}
+
+// FuzzNDJSONEmit drives the encoder with arbitrary names, floats, shapes
+// and indices in a row pattern that hits and misses both memos: a
+// fuzzed shape against three shapes sharing a slot pair, and one shape
+// under two mem_bytes values. Every line must match the reference
+// encoder and be valid JSON.
 func FuzzNDJSONEmit(f *testing.F) {
-	f.Add("1x", "2x flop-vs-bw", 1.0, 2.0, 0.012, 0.25, 1e9, 2.5e9)
-	f.Add(`q"\`, "ctl\x00\x7f", math.NaN(), math.Inf(-1), math.Inf(1), 5e-324, math.Copysign(0, -1), -1.2345678901234567e-300)
-	f.Fuzz(func(t *testing.T, evo1, evo2 string, flop1, flop2, iter, comm, mem1, mem2 float64) {
-		row := func(i int, evo string, flop, mem float64) Row {
-			return Row{Index: int64(i), Evo: evo, FlopVsBW: flop, H: 1024, SL: 2048, B: 1, TP: 8,
-				IterTime: units.Seconds(iter), CommFrac: comm, MemBytes: units.Bytes(mem)}
+	f.Add("1x", "2x flop-vs-bw", 1.0, 2.0, 0.012, 0.25, 1e9, 2.5e9, int64(0), 1024, 2048, 1, 8)
+	f.Add(`q"\`, "ctl\x00\x7f", math.NaN(), math.Inf(-1), math.Inf(1), 5e-324, math.Copysign(0, -1), -1.2345678901234567e-300,
+		int64(math.MaxInt64), math.MaxInt64, math.MinInt64, 0, -1)
+	for _, i := range edgeIndices {
+		f.Add("1x", "1x", 1.0, 1.0, 0.5, 0.5, 1e9, 1e9, i, 4096, 1024, 4, 16)
+	}
+	c := collidingShapes(3)
+	f.Fuzz(func(t *testing.T, evo1, evo2 string, flop1, flop2, iter, comm, mem1, mem2 float64, idx int64, h, sl, b, tp int) {
+		fz := shape{h, sl, b, tp}
+		row := func(i int64, evo string, flop float64, sh shape, mem float64) Row {
+			return sh.on(Row{Index: i, Evo: evo, FlopVsBW: flop,
+				IterTime: units.Seconds(iter), CommFrac: comm, MemBytes: units.Bytes(mem)})
 		}
 		rows := []Row{
-			row(0, evo1, flop1, mem1), row(1, evo1, flop1, mem2), row(2, evo2, flop1, mem1),
-			row(3, evo2, flop2, mem2), row(4, evo1, flop2, mem1), row(5, evo1, flop1, mem1),
+			row(idx, evo1, flop1, fz, mem1), row(idx/10, evo1, flop1, fz, mem2), row(-idx, evo2, flop1, c[0], mem1),
+			row(idx^1, evo2, flop2, c[1], mem1), row(idx>>32, evo1, flop2, fz, mem1), row(0, evo1, flop1, c[2], mem1),
+			row(idx, evo1, flop1, fz, mem1), row(1, evo1, flop1, c[0], mem2),
 		}
 		out := emitBoth(t, rows)
 		for _, line := range bytes.SplitAfter(out, []byte("\n")) {

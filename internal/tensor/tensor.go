@@ -58,44 +58,6 @@ func (d DType) String() string {
 	}
 }
 
-// Shape is a dense tensor shape. Dimension order is row-major and carries
-// no semantics beyond sizing.
-type Shape []int
-
-// Valid reports whether every dimension is positive.
-func (s Shape) Valid() bool {
-	if len(s) == 0 {
-		return false
-	}
-	for _, d := range s {
-		if d <= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Elems returns the number of elements, as float64 to permit shapes whose
-// product exceeds int64 in extreme sweeps.
-func (s Shape) Elems() float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	n := 1.0
-	for _, d := range s {
-		n *= float64(d)
-	}
-	return n
-}
-
-// Bytes returns the storage footprint of the shape in format d.
-func (s Shape) Bytes(d DType) units.Bytes {
-	return units.Bytes(s.Elems() * float64(d.Size()))
-}
-
-// String renders e.g. "[4096 512 1024]".
-func (s Shape) String() string { return fmt.Sprint([]int(s)) }
-
 // MatMul describes a GEMM C[M,N] = A[M,K] × B[K,N] in format DT.
 // Transformer sub-layers lower to batches of these (paper Fig 4); the
 // analysis treats a batched GEMM as a single MatMul with M folded.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,6 +55,9 @@ func TestShape(t *testing.T) {
 	}
 	if (Shape{}).Elems() != 0 {
 		t.Error("empty shape Elems != 0")
+	}
+	if got := s.String(); got != "[4 512 1024]" {
+		t.Errorf("String = %q", got)
 	}
 }
 
@@ -247,3 +251,41 @@ func (m MatMul) ArithmeticIntensity() float64 {
 	}
 	return float64(m.FLOPs()) / io
 }
+
+// Shape is a dense tensor shape. Dimension order is row-major and carries
+// no semantics beyond sizing.
+type Shape []int
+
+// Valid reports whether every dimension is positive.
+func (s Shape) Valid() bool {
+	if len(s) == 0 {
+		return false
+	}
+	for _, d := range s {
+		if d <= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Elems returns the number of elements, as float64 to permit shapes whose
+// product exceeds int64 in extreme sweeps.
+func (s Shape) Elems() float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	n := 1.0
+	for _, d := range s {
+		n *= float64(d)
+	}
+	return n
+}
+
+// Bytes returns the storage footprint of the shape in format d.
+func (s Shape) Bytes(d DType) units.Bytes {
+	return units.Bytes(s.Elems() * float64(d.Size()))
+}
+
+// String renders e.g. "[4096 512 1024]".
+func (s Shape) String() string { return fmt.Sprint([]int(s)) }

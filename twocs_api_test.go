@@ -247,6 +247,7 @@ var testOnlySymbols = map[string][]string{
 	"internal/tensor": {
 		"RefGEMM", "RefLayerNorm", "OpCounter", "DType.Bits", "MatMul.ArithmeticIntensity",
 		"MatMul.ABytes", "MatMul.BBytes", "MatMul.CBytes", "MatMul.IOBytes",
+		"Shape", "Shape.Valid", "Shape.Elems", "Shape.Bytes", "Shape.String",
 	},
 	// Report helpers only tests read, and the insertion order only they
 	// read.
