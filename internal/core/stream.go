@@ -162,12 +162,17 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 		},
 		func(lo int, vals []objectives) error {
 			var r stream.Row
+			// Divide once per chunk; (e, t) then step with the index.
+			g := int64(lo)
+			e, t := g/nt, g%nt
 			for k := range vals {
-				g := int64(lo + k)
-				e, t := g/nt, g%nt
 				setRow(&r, g, &tasks[t], b, &evos[e], vals[k].iter, vals[k].frac, mem[t])
 				if err := sink.Emit(r); err != nil {
 					return err
+				}
+				g++
+				if t++; t == nt {
+					e, t = e+1, 0
 				}
 			}
 			rows += int64(len(vals))

@@ -79,6 +79,23 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// decodeBody decodes r's body strictly into dst, reading at most
+// maxBodyBytes of it; on failure it has written the rejection: 413 for
+// a body over the limit, 400 for any other decode error.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	s.reject(w, status, err)
+	return false
+}
+
 func (s *Server) reject(w http.ResponseWriter, status int, err error) {
 	s.col.Count("serve.requests.rejected", 1)
 	http.Error(w, err.Error(), status)
@@ -97,8 +114,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.release()
 
 	var req StudyRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.reject(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.normalize(s.cfg.DefaultModel); err != nil {
@@ -186,8 +202,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.release()
 
 	var req SweepRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.reject(w, http.StatusBadRequest, err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if err := req.normalize(s.cfg.DefaultModel); err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -255,6 +256,77 @@ func TestStudyRejections(t *testing.T) {
 	}
 	if rej := counter(t, col, "serve.requests.rejected"); rej != int64(len(cases)) {
 		t.Fatalf("rejected counter = %d, want %d", rej, len(cases))
+	}
+}
+
+// repeatReader reads unit count times without holding the repeated
+// text, so a test can send a body of tens of MB and measure what the
+// server alone allocates for it.
+type repeatReader struct {
+	unit  string
+	count int
+	off   int // bytes of the current unit already read
+}
+
+func (r *repeatReader) Read(p []byte) (int, error) {
+	n := 0
+	for n < len(p) && r.count > 0 {
+		c := copy(p[n:], r.unit[r.off:])
+		n += c
+		if r.off += c; r.off == len(r.unit) {
+			r.off = 0
+			r.count--
+		}
+	}
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// TestRequestBodyLimit: a 40 MB study or sweep body — one h value
+// repeated 8M times — is answered 413 after reading at most
+// maxBodyBytes of it, with bounded allocation; a spec exactly at the
+// limit is still answered.
+func TestRequestBodyLimit(t *testing.T) {
+	s, col, _ := testServer(t, DefaultConfig())
+	h := s.Handler()
+	serve := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		return rec
+	}
+	for _, path := range []string{"/v1/study", "/v1/sweep"} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := serve(path, io.MultiReader(strings.NewReader(`{"h":[`),
+			&repeatReader{unit: "1024,", count: 8 << 20}, strings.NewReader(`1024]}`)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "too large") {
+			t.Fatalf("%s with a 40 MB body: %d %s, want 413", path, rec.Code, rec.Body)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%s with a 40 MB body allocated %d MB, want at most 64", path, alloc>>20)
+		}
+
+		const head, tail = `{"h":[1024`, `],"sl":[1024],"tp":[4,8],"flopbw":[1]}`
+		var spec strings.Builder
+		spec.WriteString(head)
+		for spec.Len()+len(",1024")+len(tail) <= maxBodyBytes {
+			spec.WriteString(",1024")
+		}
+		spec.WriteString(strings.Repeat(" ", maxBodyBytes-spec.Len()-len(tail)))
+		spec.WriteString(tail)
+		if spec.Len() != maxBodyBytes {
+			t.Fatalf("spec is %d bytes, want %d", spec.Len(), maxBodyBytes)
+		}
+		if rec := serve(path, strings.NewReader(spec.String())); rec.Code != http.StatusOK {
+			t.Fatalf("%s with a %d-byte spec: %d %s, want 200", path, maxBodyBytes, rec.Code, rec.Body)
+		}
+	}
+	if rej := counter(t, col, "serve.requests.rejected"); rej != 2 {
+		t.Fatalf("rejected counter = %d, want 2", rej)
 	}
 }
 

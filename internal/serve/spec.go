@@ -174,6 +174,13 @@ func (r *StudyRequest) normalize(defModel string) error {
 	return nil
 }
 
+// maxBodyBytes bounds the request body of /v1/study and /v1/sweep. The
+// largest spec the point limits admit is a sweep of 2²⁴ points over the
+// 156 Table-3 tasks: about 107k flop-vs-bw ratios of at most 18
+// characters each, some 2 MiB of JSON. A longer body is answered 413
+// after reading this much of it, however long it is.
+const maxBodyBytes = 4 << 20
+
 // decodeStrict decodes exactly one JSON value from body into dst,
 // rejecting unknown fields and trailing garbage — a typo'd axis name
 // must be a 400, not a silently defaulted full-grid run.

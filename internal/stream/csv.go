@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bufio"
 	"io"
 	"strconv"
 	"strings"
@@ -13,8 +12,9 @@ const csvHeader = "i,evo,flopbw,h,sl,b,tp,iter_s,comm_frac,mem_bytes\n"
 // CSV serializes a stream as RFC-4180 CSV with a fixed header, one row
 // per grid point, and a final `#trailer` comment line carrying the
 // stream's completion status — so a truncated sweep still yields a
-// parseable file that says it is truncated. Like NDJSON, the emit path
-// reuses one scratch buffer and performs no steady-state allocations.
+// parseable file that says it is truncated. Like NDJSON, each row is
+// encoded straight into the sink's write block, and the emit path
+// performs no steady-state allocations.
 //
 // Canceled-row contract: CSV has no NaN literal either, and emitting the
 // Go formatting "NaN" would round-trip as a string through most readers.
@@ -26,35 +26,26 @@ const csvHeader = "i,evo,flopbw,h,sl,b,tp,iter_s,comm_frac,mem_bytes\n"
 // which no producer emits, is an empty field too; finite values are in
 // appendFloat's shortest form, the bytes of strconv's 'g', -1.
 type CSV struct {
-	w         *bufio.Writer
-	buf       []byte
-	headerOut bool
+	out blockWriter
 }
 
-// NewCSV returns a CSV sink over w. The caller keeps ownership of w;
-// Close flushes but does not close it.
+// NewCSV returns a CSV sink over w, its header already in the write
+// block, so even an empty stream gives downstream tooling the schema.
+// The caller keeps ownership of w; Close flushes but does not close it.
 func NewCSV(w io.Writer) *CSV {
-	return &CSV{w: bufio.NewWriterSize(w, 1<<16)}
-}
-
-func (c *CSV) ensureHeader() error {
-	if c.headerOut {
-		return nil
-	}
-	c.headerOut = true
-	_, err := c.w.WriteString(csvHeader)
-	return err
+	c := &CSV{out: newBlockWriter(w)}
+	c.out.b = append(c.out.b, csvHeader...)
+	return c
 }
 
 // Emit implements Sink.
 //
 //lint:hotpath
 func (c *CSV) Emit(r Row) error {
-	if err := c.ensureHeader(); err != nil {
-		return err
+	if c.out.err != nil {
+		return c.out.err
 	}
-	b := c.buf[:0]
-	b = appendUint(b, r.Index)
+	b := appendUint(c.out.b, r.Index)
 	b = append(b, ',')
 	b = appendCSVField(b, r.Evo)
 	b = append(b, ',')
@@ -73,21 +64,13 @@ func (c *CSV) Emit(r Row) error {
 	b = appendCSVFloat(b, r.CommFrac)
 	b = append(b, ',')
 	b = appendCSVFloat(b, float64(r.MemBytes))
-	b = append(b, '\n')
-	c.buf = b
-	_, err := c.w.Write(b)
-	return err
+	return c.out.end(append(b, '\n'))
 }
 
 // Close implements Sink: it writes the `#trailer` comment line and
-// flushes. An empty stream still gets its header, so downstream tooling
-// always sees the schema.
+// flushes.
 func (c *CSV) Close(t Trailer) error {
-	if err := c.ensureHeader(); err != nil {
-		return err
-	}
-	b := c.buf[:0]
-	b = append(b, "#trailer rows="...)
+	b := append(c.out.b, "#trailer rows="...)
 	b = appendUint(b, t.Rows)
 	b = append(b, " total="...)
 	b = appendUint(b, t.Total)
@@ -103,12 +86,8 @@ func (c *CSV) Close(t Trailer) error {
 		// an error message into spaces.
 		b = append(b, strings.NewReplacer("\n", " ", "\r", " ").Replace(t.Reason)...)
 	}
-	b = append(b, '\n')
-	c.buf = b
-	if _, err := c.w.Write(b); err != nil {
-		return err
-	}
-	return c.w.Flush()
+	c.out.b = append(b, '\n')
+	return c.out.flush()
 }
 
 // appendCSVFloat appends v in shortest-float form (appendFloat), or

@@ -117,6 +117,7 @@ var pow10u64 = [...]uint64{
 // appendDecimal appends f×10^e (0 < f < 10¹⁷) in strconv's 'g' layout
 // for shortest digits: %e when the decimal exponent is below −4 or at
 // least 6, with an exponent of at least two digits, and %f otherwise.
+// The digits are laid out in place, in b's spare capacity.
 func appendDecimal(b []byte, f uint64, e int) []byte {
 	for f%10 == 0 {
 		f /= 10
@@ -127,48 +128,59 @@ func appendDecimal(b []byte, f uint64, e int) []byte {
 		n++
 	}
 	dp := n + e // the decimal point sits after the first dp digits
-	var buf [32]byte
+	b = grow(b, 32)
+	o := len(b)
+	d := (*[32]byte)(b[o : o+32])
 	switch x := dp - 1; {
 	case x < -4 || x >= 6:
 		// d.ddd…e±xx: the digits go in one place to the right, then the
 		// first moves back over the point.
-		putDigits(&buf, 1, f, n)
-		buf[0], buf[1] = buf[1], '.'
+		putDigits(d, 1, f, n)
+		d[0], d[1] = d[1], '.'
 		i := n + 1
 		if n == 1 {
 			i = 1
 		}
-		buf[i] = 'e'
-		buf[i+1] = '+'
+		d[i] = 'e'
+		d[i+1] = '+'
 		if x < 0 {
-			buf[i+1] = '-'
+			d[i+1] = '-'
 			x = -x
 		}
 		i += 2
 		if x >= 100 {
-			buf[i] = byte('0' + x/100)
+			d[i] = byte('0' + x/100)
 			x %= 100
 			i++
 		}
-		buf[i], buf[i+1] = byte('0'+x/10), byte('0'+x%10)
-		return append(b, buf[:i+2]...)
+		d[i], d[i+1] = byte('0'+x/10), byte('0'+x%10)
+		return b[:o+i+2]
 	case dp <= 0:
 		// 0.000ddd…
-		o := 2 - dp
-		buf[0], buf[1], buf[2], buf[3], buf[4] = '0', '.', '0', '0', '0'
-		putDigits(&buf, o, f, n)
-		return append(b, buf[:o+n]...)
+		z := 2 - dp
+		d[0], d[1], d[2], d[3], d[4] = '0', '.', '0', '0', '0'
+		putDigits(d, z, f, n)
+		return b[:o+z+n]
 	case dp >= n:
 		// ddd000: putDigits pads with zeros up to its 17th digit.
-		putDigits(&buf, 0, f, n)
-		return append(b, buf[:dp]...)
+		putDigits(d, 0, f, n)
+		return b[:o+dp]
 	default:
 		// ddd.ddd
-		putDigits(&buf, 1, f, n)
-		copy(buf[:dp], buf[1:dp+1])
-		buf[dp] = '.'
-		return append(b, buf[:n+1]...)
+		putDigits(d, 1, f, n)
+		copy(d[:dp], d[1:dp+1])
+		d[dp] = '.'
+		return b[:o+n+1]
 	}
+}
+
+// grow returns b with room for at least n bytes past its length, where
+// the encoders write their digits in place.
+func grow(b []byte, n int) []byte {
+	if cap(b)-len(b) < n {
+		b = append(b, make([]byte, n)...)[:len(b)]
+	}
+	return b
 }
 
 // putDigits writes the n-digit f left-aligned at buf[o:], padded with
@@ -208,22 +220,27 @@ func digits8(x uint64) uint64 {
 // appendUint appends v in decimal, the bytes of strconv.AppendInt(b, v,
 // 10). It is the one integer encoder of the row writers. Values in
 // [0, 10¹⁶), which covers every row index and shape of a sweep, take
-// one or two digits8 blocks; the rest go to strconv.
+// one or two digits8 blocks, stored in b's spare capacity with their
+// leading zeros shifted out; the rest go to strconv.
 func appendUint(b []byte, v int64) []byte {
 	if v < 0 || v >= 1e16 {
 		return strconv.AppendInt(b, v, 10)
 	}
-	var buf [16]byte
+	b = grow(b, 16)
+	o := len(b)
+	d := b[o : o+16]
 	u := uint64(v)
 	if u < 1e8 {
-		d := digits8(u)
-		put8(buf[8:], d)
-		return append(b, buf[8+min(leadingZeroDigits(d), 7):]...)
+		x := digits8(u)
+		z := min(leadingZeroDigits(x), 7)
+		put8(d, x>>(8*z))
+		return b[:o+8-z]
 	}
-	d := digits8(u / 1e8)
-	put8(buf[:], d)
-	put8(buf[8:], digits8(u%1e8))
-	return append(b, buf[leadingZeroDigits(d):]...)
+	x := digits8(u / 1e8)
+	z := leadingZeroDigits(x)
+	put8(d, x>>(8*z))
+	put8(d[8-z:], digits8(u%1e8))
+	return b[:o+16-z]
 }
 
 // leadingZeroDigits counts the '0' characters that open the 8 digits d

@@ -318,8 +318,7 @@ func TestEmitAllocFree(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// Warm up: a first pass sizes the scratch buffers (and CSV
-			// header).
+			// Warm up: a first pass fills the memos.
 			for _, r := range in.rows {
 				emit(r)
 			}

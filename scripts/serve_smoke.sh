@@ -12,6 +12,8 @@
 #   - POST /v1/sweep streams NDJSON whose every line is valid JSON,
 #     whose trailer is complete with rows == data lines, and whose row
 #     count /progress agrees with after the stream;
+#   - an over-limit request body (5 MB, above the 4 MiB bound) is
+#     answered 413, and the daemon still answers /healthz and a study;
 #   - SIGTERM exits 0 with the shutdown announcement — the leak-free
 #     drain path, not a kill.
 #
@@ -101,6 +103,17 @@ assert p["label"] == "sweep-stream", p
 assert p["done"] and p["complete"], p
 assert p["rows"] == trailer["rows"] and p["total"] == trailer["total"], (p, trailer)
 EOF
+
+# An over-limit body: one h value repeated a million times, 5 MB of
+# JSON. The daemon reads no more than its body limit and answers 413,
+# then keeps serving.
+python3 -c 'import sys; sys.stdout.write("{\"h\":[" + "1024," * 1000000 + "1024]}")' > "$WORK/big.json"
+CODE=$(curl -s -o "$WORK/big.txt" -w '%{http_code}' -X POST --data-binary @"$WORK/big.json" "http://$ADDR/v1/study" || true)
+[ "$CODE" = 413 ] || { echo "over-limit body: status $CODE, want 413"; cat "$WORK/big.txt"; exit 1; }
+curl -sf "http://$ADDR/healthz" | grep -q '^ok$' || { echo "/healthz failed after the over-limit body"; exit 1; }
+curl -sf -o "$WORK/b3.json" -X POST -d '{"h":[4096],"sl":[2048],"tp":[8,16]}' "http://$ADDR/v1/study" ||
+    { echo "study failed after the over-limit body"; exit 1; }
+python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["points"] > 0' "$WORK/b3.json"
 
 # SIGTERM: graceful, announced, exit 0.
 kill -TERM "$PID"
