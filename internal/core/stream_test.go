@@ -322,15 +322,10 @@ func TestStreamGridMillionPoints(t *testing.T) {
 // with no encoding or I/O behind the sink.
 func BenchmarkStreamEvolutionGrid(b *testing.B) {
 	a := newAnalyzer(b)
-	hs, sls, tps := Table3Hs(), Table3SLs(), Table3TPs()
-	evos := make([]hw.Evolution, 1000)
-	for i := range evos {
-		evos[i] = hw.RatioScenario(1 + 3*float64(i)/float64(len(evos)-1))
-	}
 	var sink stream.Discard
 	run := func() {
 		sink.Rows = 0
-		if err := a.StreamEvolutionGridCtx(context.Background(), hs, sls, tps, 1, evos, &sink); err != nil {
+		if err := streamTable3(a, &sink); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,4 +336,61 @@ func BenchmarkStreamEvolutionGrid(b *testing.B) {
 		run()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(sink.Rows*int64(b.N)), "ns/row")
+}
+
+// streamTable3 streams the grid perfbench's search workload reduces:
+// the Table-3 axes (B=1) under 1000 flop-vs-bw scenarios from 1x to 4x,
+// ascending, 156k rows.
+func streamTable3(a *Analyzer, sink stream.Sink) error {
+	evos := make([]hw.Evolution, 1000)
+	for i := range evos {
+		evos[i] = hw.RatioScenario(1 + 3*float64(i)/float64(len(evos)-1))
+	}
+	return a.StreamEvolutionGridCtx(context.Background(), Table3Hs(), Table3SLs(), Table3TPs(), 1, evos, sink)
+}
+
+// BenchmarkSearchReducersTable3 is the reducer rung of perfbench's
+// search workload with no timer around each call: the stream
+// BenchmarkStreamEvolutionGrid produces is captured once, then
+// replayed into each reducer alone and into all three behind Multi, as
+// search attaches them. One op is a pass into fresh reducers, closed at
+// its end; ns/row is what a streamed row costs there.
+func BenchmarkSearchReducersTable3(b *testing.B) {
+	var grid collectSink
+	if err := streamTable3(newAnalyzer(b), &grid); err != nil {
+		b.Fatal(err)
+	}
+	rows := grid.rows
+	topK := func() *stream.TopK {
+		tk, err := stream.NewTopK(10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return tk
+	}
+	for _, bc := range []struct {
+		name string
+		sink func() stream.Sink
+	}{
+		{"Pareto", func() stream.Sink { return stream.NewPareto() }},
+		{"TopK", func() stream.Sink { return topK() }},
+		{"Marginals", func() stream.Sink { return stream.NewMarginals() }},
+		{"Multi", func() stream.Sink { return stream.Multi(topK(), stream.NewPareto(), stream.NewMarginals()) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink := bc.sink()
+				for _, r := range rows {
+					if err := sink.Emit(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := sink.Close(grid.trailer); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
+		})
+	}
 }

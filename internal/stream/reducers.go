@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -40,13 +41,24 @@ import (
 // grouped into memory classes — per-device memory depends only on the
 // shape (H, SL, B, TP), never on the hardware scenario, so the Table-3
 // grid has 156 footprints and 36 of them hold frontier rows. Inside one
-// class the rows form a 2-D staircase (IterTime ascending, CommFrac
-// non-increasing), and each class answers "is r dominated" and "which
+// class the rows form a 2-D staircase (IterTime descending, CommFrac
+// non-decreasing), and each class answers "is r dominated" and "which
 // rows does r dominate" by binary search. A row costs
 // O(C · log F/C) for C classes and F frontier rows, plus a memmove
 // within one class when it joins the frontier; with every MemBytes
 // distinct each class holds one row and the cost is an O(F) scan, as a
 // flat frontier slice would pay on every grid.
+//
+// Two things make the grid's own stream order cheap. The grid streams
+// its scenarios in ascending flop-vs-bw order, so a row that joins its
+// class has the class's least IterTime and greatest CommFrac: the
+// staircase runs that way so that the join lands at its end, an append
+// rather than a shift of the whole class. And most rows are dominated
+// by the very point that dominated the last row of their footprint, so
+// the reducer remembers that point, the witness, by footprint and tests
+// it before any class. A witness stays a valid proof after it leaves
+// the frontier, since whatever removed it dominates it too, so the
+// table is never invalidated.
 //
 // The staircases hold pointer-free points (the two objectives they
 // order and the row's index in a row store), so the searches, inserts
@@ -61,7 +73,8 @@ import (
 // 2·Size()+paretoSlack rows, and Emit allocates only to grow the store
 // (by doubling), a staircase or the class list. Close packs the
 // frontier into one array of exactly Size() rows in class order and
-// drops the points; an Emit after Close rebuilds them from that array.
+// drops the points, keeping only the fixed-size witness table beside
+// it; an Emit after Close rebuilds the points from that array.
 type Pareto struct {
 	// classes holds the staircases by memory class, ascending MemBytes.
 	// No class is empty. Nil after Close: store alone is the frontier.
@@ -72,12 +85,44 @@ type Pareto struct {
 	// size counts the frontier's rows, dead the store's other rows.
 	size, dead int
 	canceled   int64
+	// witness holds the last point that dominated a row of each
+	// footprint, by footprint hash; see paretoWitness.
+	witness [1 << paretoWitnessBits]paretoWitness
 }
 
 // paretoSlack is how many more dead rows than live ones the store may
 // hold before it is compacted. Small, so that compaction runs on small
 // streams too.
 const paretoSlack = 8
+
+// paretoWitnessBits sizes the witness table: 256 slots of 32 bytes.
+// A row reads one slot; a miss or a collision costs only the class walk
+// the witness would have skipped.
+const paretoWitnessBits = 8
+
+// paretoWitness is the objectives of a point that dominated an earlier
+// row: a proof for any later row it also dominates. It holds values,
+// never a ref, so that it outlives the point's place in the frontier.
+type paretoWitness struct {
+	mem  units.Bytes
+	iter units.Seconds
+	comm float64
+	set  bool
+}
+
+// witnessSlot returns the witness table slot of footprint m: the top
+// bits of its bits times a constant (Fibonacci hashing).
+func witnessSlot(m units.Bytes) int {
+	return int(math.Float64bits(float64(m)) * 0x9e3779b97f4a7c15 >> (64 - paretoWitnessBits))
+}
+
+// dominates reports whether the witness dominates the row (m, t, comm):
+// no worse on every objective and strictly better on one. An exact tie
+// does not.
+func (w *paretoWitness) dominates(m units.Bytes, t units.Seconds, comm float64) bool {
+	return w.set && w.mem <= m && w.iter <= t && w.comm <= comm &&
+		(w.mem < m || w.iter < t || w.comm < comm)
+}
 
 // paretoPoint is one frontier row in its class's staircase: the two
 // objectives the staircase orders, and ref, the row's index in the
@@ -90,13 +135,13 @@ type paretoPoint struct {
 
 // paretoClass is the staircase of frontier rows sharing one MemBytes
 // value. Rows of one class never dominate each other: IterTime
-// ascends and CommFrac does not increase, a strictly longer IterTime
-// coming with a strictly smaller CommFrac. Points with equal IterTime
+// descends and CommFrac does not decrease, a strictly shorter IterTime
+// coming with a strictly greater CommFrac. Points with equal IterTime
 // are exact ties, equal on all three objectives.
 type paretoClass struct {
 	mem units.Bytes
-	// The staircase's ends: pts[0] has the least IterTime and the
-	// greatest CommFrac, pts[len-1] the greatest IterTime and the least
+	// The staircase's ends: pts[0] has the greatest IterTime and the
+	// least CommFrac, pts[len-1] the least IterTime and the greatest
 	// CommFrac.
 	minIter, maxIter units.Seconds
 	minComm, maxComm float64
@@ -106,8 +151,8 @@ type paretoClass struct {
 // setEnds refreshes the class's ends after its points changed.
 func (c *paretoClass) setEnds() {
 	first, last := &c.pts[0], &c.pts[len(c.pts)-1]
-	c.minIter, c.maxComm = first.iter, first.comm
-	c.maxIter, c.minComm = last.iter, last.comm
+	c.maxIter, c.minComm = first.iter, first.comm
+	c.minIter, c.maxComm = last.iter, last.comm
 }
 
 // NewPareto returns an empty frontier reducer.
@@ -126,32 +171,38 @@ func (p *Pareto) Emit(r Row) error {
 	if p.classes == nil && len(p.store) > 0 {
 		p.reindex()
 	}
-	t, comm := r.IterTime, r.CommFrac
-	at := p.classAt(r.MemBytes)
+	m, t, comm := r.MemBytes, r.IterTime, r.CommFrac
+	w := &p.witness[witnessSlot(m)]
+	if w.dominates(m, t, comm) {
+		return nil
+	}
+	at := p.classAt(m)
 	// Classes below r's footprint dominate r with any staircase point no
-	// worse on both other objectives; the last point with IterTime <=
+	// worse on both other objectives; the first point with IterTime <=
 	// r's has the smallest CommFrac of those, so it alone decides.
 	for i := 0; i < at; i++ {
 		c := &p.classes[i]
 		if c.minIter > t || c.minComm > comm {
 			continue // every point is worse than r on one of the two
 		}
-		if j := itersAtMost(c.pts, t); j > 0 && c.pts[j-1].comm <= comm {
+		if j := firstIterAtMost(c.pts, t); j < len(c.pts) && c.pts[j].comm <= comm {
+			*w = paretoWitness{mem: c.mem, iter: c.pts[j].iter, comm: c.pts[j].comm, set: true}
 			return nil
 		}
 	}
 	var c *paretoClass
 	var a, b int
 	tie := false
-	if at < len(p.classes) && p.classes[at].mem <= r.MemBytes {
+	if at < len(p.classes) && p.classes[at].mem <= m {
 		c = &p.classes[at]
-		j := itersAtMost(c.pts, t)
-		if j > 0 && c.pts[j-1].comm <= comm {
-			if c.pts[j-1].comm < comm || c.pts[j-1].iter < t {
+		j := firstIterAtMost(c.pts, t)
+		if j < len(c.pts) && c.pts[j].comm <= comm {
+			if pt := c.pts[j]; pt.comm < comm || pt.iter < t {
+				*w = paretoWitness{mem: c.mem, iter: pt.iter, comm: pt.comm, set: true}
 				return nil
 			}
 			// An exact tie: r dominates just what its twin dominates —
-			// nothing on the frontier. Keep both, the twin first.
+			// nothing on the frontier. Keep both, r first.
 			a, b, tie = j, j, true
 		} else {
 			a, b = c.dominatedRange(t, comm)
@@ -159,7 +210,7 @@ func (p *Pareto) Emit(r Row) error {
 	} else {
 		p.classes = append(p.classes, paretoClass{})
 		copy(p.classes[at+1:], p.classes[at:])
-		p.classes[at] = paretoClass{mem: r.MemBytes}
+		p.classes[at] = paretoClass{mem: m}
 		c = &p.classes[at]
 	}
 	p.dead += b - a
@@ -220,12 +271,13 @@ func (p *Pareto) classAt(m units.Bytes) int {
 	return lo
 }
 
-// itersAtMost returns how many staircase points have IterTime <= t.
-func itersAtMost(pts []paretoPoint, t units.Seconds) int {
+// firstIterAtMost returns the index of the first staircase point with
+// IterTime <= t, or len(pts) if there is none.
+func firstIterAtMost(pts []paretoPoint, t units.Seconds) int {
 	lo, hi := 0, len(pts)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].iter <= t {
+		if pts[mid].iter > t {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -235,41 +287,42 @@ func itersAtMost(pts []paretoPoint, t units.Seconds) int {
 }
 
 // dominatedRange returns the staircase range [a, b) of points no better
-// than (t, comm) on IterTime and CommFrac: IterTime >= t from a on,
-// CommFrac >= comm up to b. The caller knows the row is no tie of any
+// than (t, comm) on IterTime and CommFrac: IterTime >= t up to b,
+// CommFrac >= comm from a on. The caller knows the row is no tie of any
 // of them. When the row is not dominated by the class, a is also where
 // it belongs in it.
 func (c *paretoClass) dominatedRange(t units.Seconds, comm float64) (a, b int) {
 	// Two O(1) answers for a range that is empty: every point is faster
-	// than the row, or every point communicates less.
+	// than the row, or every point communicates less. The second is the
+	// grid's usual join, at the staircase's end.
 	n := len(c.pts)
 	if c.maxIter < t {
-		return n, n
+		return 0, 0
 	}
 	if c.maxComm < comm {
-		return 0, 0
+		return n, n
 	}
 	pts := c.pts
 	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].iter < t {
+		if pts[mid].iter >= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	a = lo
-	hi = n
+	b = lo
+	lo = 0
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].comm >= comm {
+		if pts[mid].comm < comm {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return a, lo
+	return lo, b
 }
 
 // insertPoint replaces pts[a:b] with pt, shifting the tail in place.

@@ -227,6 +227,60 @@ func TestParetoOracleLargeFrontier(t *testing.T) {
 	checkFrontier(t, "large frontier", p, rows)
 }
 
+// TestParetoOracleAscendingScenarios: frontierGrid's shapes with the
+// scenarios in ascending speed, the order the grid streams them. Each
+// scenario then shortens every shape's IterTime and raises its
+// CommFrac, so every row that joins its class does so at the fast end
+// of the staircase.
+func TestParetoOracleAscendingScenarios(t *testing.T) {
+	rows := frontierGrid(rand.New(rand.NewSource(5)), 150, 40)
+	sort.SliceStable(rows, func(i, j int) bool { return rows[i].FlopVsBW < rows[j].FlopVsBW })
+	for i := range rows {
+		rows[i].Index = int64(i)
+	}
+	p := NewPareto()
+	emitAll(t, p, rows)
+	checkFrontier(t, "ascending scenarios", p, rows)
+}
+
+// TestParetoWitness: a row is rejected on the word of a witness that has
+// since been cut from the frontier, and a row exactly tied with the
+// witness is kept.
+func TestParetoWitness(t *testing.T) {
+	row := func(i int64, mem float64, iter units.Seconds, comm float64) Row {
+		return Row{Index: i, IterTime: iter, CommFrac: comm, MemBytes: units.Bytes(mem)}
+	}
+	w := row(0, 3e9, 2, 0.5)
+	rows := []Row{
+		w,
+		row(1, 3e9, 3, 0.6), // dominated by w: w becomes its footprint's witness
+		row(2, 3e9, 2, 0.5), // an exact tie with the witness: kept
+		row(3, 1e9, 1, 0.4), // dominates w and its twin: both are cut
+	}
+	p := NewPareto()
+	emitAll(t, p, rows)
+	if got := p.witness[witnessSlot(w.MemBytes)]; !got.set || got.iter != w.IterTime || got.comm != w.CommFrac {
+		t.Fatalf("witness of footprint %g is %+v, want row 0's objectives", float64(w.MemBytes), got)
+	}
+	for _, r := range p.Frontier() {
+		if r.Index == w.Index {
+			t.Fatal("the witness is still on the frontier")
+		}
+	}
+	// Dominated by the cut witness, which alone is tested before the
+	// classes.
+	rows = append(rows, row(4, 3e9, 2.5, 0.55))
+	emitAll(t, p, rows[4:])
+	checkFrontier(t, "cut witness", p, rows)
+
+	q := NewPareto()
+	emitAll(t, q, rows[:3])
+	checkFrontier(t, "tie with the witness", q, rows[:3])
+	if q.Size() != 2 {
+		t.Fatalf("frontier holds %d rows, want the witness and its twin", q.Size())
+	}
+}
+
 // TestParetoOracleCompaction: a large frontier that a second, faster
 // wave of the same shapes sweeps away, so dead rows pile up and the
 // store is compacted mid-stream, repeatedly and while thousands of rows
@@ -339,6 +393,14 @@ func FuzzParetoOracle(f *testing.F) {
 	// 40 exact ties, then a row that dominates them all: the dead rows
 	// outnumber the live one and the store is compacted.
 	f.Add(append(bytes.Repeat([]byte{5, 5, 5}, 40), 0, 0, 0))
+	// Two shapes under five scenarios, scenario-major and ascending in
+	// speed: each scenario shortens both IterTimes and raises both
+	// CommFracs, so every row joins its class at the fast end.
+	var ascending []byte
+	for s := byte(0); s < 5; s++ {
+		ascending = append(ascending, 5-s, s, 2, 4-s, s, 3)
+	}
+	f.Add(ascending)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		negZero := math.Copysign(0, -1)
 		decode := func(b byte, scale float64) float64 {

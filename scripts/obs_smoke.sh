@@ -32,12 +32,15 @@ trap 'kill "$PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
     > "$WORK/stdout.txt" 2> "$WORK/stderr.txt" &
 PID=$!
 
-# The bound address is announced on stderr; poll for it.
+# The bound address is announced on stderr; poll for it once the
+# backgrounded run has created the file.
 ADDR=
 i=0
 while [ $i -lt 100 ]; do
-    ADDR=$(sed -n 's#^twocs: debug server listening on http://##p' "$WORK/stderr.txt" | head -1)
-    [ -n "$ADDR" ] && break
+    if [ -f "$WORK/stderr.txt" ]; then
+        ADDR=$(sed -n 's#^twocs: debug server listening on http://##p' "$WORK/stderr.txt" | head -1)
+        [ -n "$ADDR" ] && break
+    fi
     kill -0 "$PID" 2>/dev/null || { echo "run died before serving"; cat "$WORK/stderr.txt"; exit 1; }
     sleep 0.1
     i=$((i + 1))
