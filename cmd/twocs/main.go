@@ -226,7 +226,7 @@ func runCtx(ctx context.Context, args []string, w io.Writer) (err error) {
 	}()
 
 	// Live observability plane. A process-wide Progress tracker is always
-	// armed alongside the collector (the stream engine's hooks are no-ops
+	// armed alongside the collector (the grid stream's hooks are no-ops
 	// against an idle tracker), and -http serves everything live, with a
 	// sampler recording the /metrics.json series (every -sample, default
 	// 1s); without -http nothing reads the series, so no sampler runs.

@@ -102,7 +102,7 @@ func runCtx(ctx context.Context, args []string, errw io.Writer) error {
 	cfg.SweepTimeout = *sweepTimeout
 
 	// Process-wide telemetry: one collector and one progress tracker for
-	// the daemon's lifetime, so the analyzer's spans, the stream engine's
+	// the daemon's lifetime, so the analyzer's spans, the grid stream's
 	// progress hooks, and the request counters all land on the same
 	// /metrics page.
 	col := telemetry.NewCollector()

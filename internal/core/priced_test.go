@@ -10,6 +10,7 @@ import (
 	"twocs/internal/hw"
 	"twocs/internal/model"
 	"twocs/internal/parallel"
+	"twocs/internal/race"
 	"twocs/internal/stream"
 	"twocs/internal/telemetry"
 	"twocs/internal/units"
@@ -385,13 +386,14 @@ func TestPricedGridsLookUpEachTaskOnce(t *testing.T) {
 
 // TestStreamAllocsFlatInScenarios pins the priced stream's allocation
 // profile: everything it allocates is per-stream setup (tasks, prices,
-// one scenario-error slice, the engine's buffers), nothing per row, so
-// a 100× longer scenario list allocates exactly as often.
+// one scenario-error slice, the pricing pool at more than one worker),
+// nothing per row, so a 100× longer scenario list allocates exactly as
+// often. The count at one worker is pinned exactly; the row loop
+// allocates nothing, so a rise there is setup that grew.
 func TestStreamAllocsFlatInScenarios(t *testing.T) {
 	telemetry.Enable(nil)
 	telemetry.EnableProgress(nil)
 	a := newAnalyzer(t)
-	a.Workers = 1
 	hs, sls, tps := smallGrid()
 	allocs := func(nEvos int) float64 {
 		evos := manyEvos(nEvos)
@@ -403,9 +405,22 @@ func TestStreamAllocsFlatInScenarios(t *testing.T) {
 			}
 		})
 	}
-	few, many := allocs(10), allocs(1000)
-	if few != many {
-		t.Fatalf("stream allocs/run: %v at 10 scenarios, %v at 1000; want equal (setup only)", few, many)
+	for _, tc := range []struct {
+		workers int
+		want    float64 // exact count, 0 for flatness only
+	}{
+		{1, 13},
+		{4, 0},
+	} {
+		a.Workers = tc.workers
+		few, many := allocs(10), allocs(1000)
+		if few != many {
+			t.Fatalf("workers=%d: stream allocs/run: %v at 10 scenarios, %v at 1000; want equal (setup only)",
+				tc.workers, few, many)
+		}
+		if tc.want > 0 && few != tc.want && !race.Enabled() {
+			t.Fatalf("workers=%d: stream allocs/run = %v, want %v", tc.workers, few, tc.want)
+		}
+		t.Logf("workers=%d: stream allocs/run: %v at 10 and 1000 scenarios", tc.workers, few)
 	}
-	t.Logf("stream allocs/run: %v at 10 and 1000 scenarios", few)
 }

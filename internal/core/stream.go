@@ -8,7 +8,6 @@ import (
 
 	"twocs/internal/hw"
 	"twocs/internal/model"
-	"twocs/internal/parallel"
 	"twocs/internal/stream"
 	"twocs/internal/telemetry"
 	"twocs/internal/units"
@@ -16,14 +15,23 @@ import (
 
 // This file is the streaming counterpart of the materializing grids in
 // sweep.go: the same (evolution × H × SL × TP) space, but rows flow
-// into a stream.Sink as chunks complete instead of accumulating in one
-// result slice. Peak memory is O(workers × chunk) objective pairs plus
-// whatever the sink retains — independent of grid size — which is what
-// makes a 10⁶-10⁷ point design-space search practical. The ordering
-// contract is unchanged: rows arrive in grid order at any worker
-// count, failures surface the lowest-index error after the completed
-// prefix was delivered, and cancellation delivers the claimed prefix.
-// Either way the sink's Close carries a trailer saying what happened.
+// into a stream.Sink as they are projected instead of accumulating in
+// one result slice. Peak memory is O(1) rows plus whatever the sink
+// retains — independent of grid size — which is what makes a 10⁶-10⁷
+// point design-space search practical. The expensive, per-task step,
+// pricing each (H, SL, TP) layer, fans out over the analyzer's
+// workers before the first row; every row after that is a few ns of
+// rescaling, cheaper than handing it between goroutines, so one loop
+// on the caller's goroutine projects, builds and emits the rows in
+// grid order. Failures surface the lowest-index error after the
+// prefix before it was delivered, and cancellation ends the stream at
+// a chunk boundary. Either way the sink's Close carries a trailer
+// saying what happened.
+
+// streamChunk is the row stream's cancellation and accounting grain:
+// the loop consults ctx and advances the live counters once per chunk,
+// never per row.
+const streamChunk = 512
 
 // memFootprints returns each task's per-device memory footprint: the
 // evolution-independent third objective of a stream row.
@@ -40,24 +48,21 @@ func memFootprints(tasks []serializedTask) ([]units.Bytes, error) {
 	return out, nil
 }
 
-// setRow makes *r row g of the streamed grid, task t at batch b under
-// evo, with objectives iter, frac and mem — NaN for a point the workers
-// never computed. It sets each field in place: a Row literal would be
-// zeroed and then copied, the struct being too large to build in
-// registers.
-func setRow(r *stream.Row, g int64, t *serializedTask, b int, evo *hw.Evolution, iter units.Seconds, frac float64, mem units.Bytes) {
+// setRow makes *r row g of the streamed grid, task t at batch b with
+// objectives iter, frac and mem — NaN for a point the stream never
+// computed. The scenario's fields, Evo and FlopVsBW, are the caller's
+// to set: they change once per scenario, not per row. It sets each
+// field in place: a Row literal would be zeroed and then copied, the
+// struct being too large to build in registers.
+func setRow(r *stream.Row, g int64, t *serializedTask, b int, iter units.Seconds, frac float64, mem units.Bytes) {
 	r.Index = g
-	r.Evo, r.FlopVsBW = evo.Name, evo.FlopVsBW()
 	r.H, r.SL, r.B, r.TP = t.h, t.sl, b, t.tp
 	r.IterTime, r.CommFrac, r.MemBytes = iter, frac, mem
 }
 
-// objectives are what a stream worker computes for one grid point:
-// the two objectives its scenario sets. The third, the memory
-// footprint, depends on the task alone.
-type objectives struct {
-	iter units.Seconds
-	frac float64
+// setScenario sets *r's scenario fields to evo's.
+func setScenario(r *stream.Row, evo *hw.Evolution) {
+	r.Evo, r.FlopVsBW = evo.Name, evo.FlopVsBW()
 }
 
 // trailerReason renders a stream-ending error for the trailer row.
@@ -98,12 +103,17 @@ func GridRowCount(hs, sls, tps []int, b, nEvos int) (int64, error) {
 // projected iteration time, serialized-communication fraction, and
 // per-device memory footprint.
 //
-// Rows are produced by Analyzer.Workers chunk workers and emitted
-// strictly in index order; output through a deterministic sink is
-// byte-identical at any worker count. On cancellation or point failure
-// the completed prefix is emitted, then the error is returned — after
-// sink.Close ran with a trailer recording the row count and the reason,
-// so a truncated artifact is well-formed and says it is truncated.
+// Analyzer.Workers price the grid's tasks in parallel; the rows are
+// then projected and emitted in strict index order on the caller's
+// goroutine, so output through a deterministic sink is byte-identical
+// at any worker count. A point failure emits every row before it, then
+// returns its error; a sink error aborts the stream. ctx is consulted
+// once per 512-row chunk, before the chunk's first row: a cancel ends
+// the stream at the next chunk boundary at any worker count, and a
+// context that fires only after the last chunk started is a success.
+// Either way the error is returned after sink.Close ran with a trailer
+// recording the row count and the reason, so a truncated artifact is
+// well-formed and says it is truncated.
 func (a *Analyzer) StreamEvolutionGridCtx(ctx context.Context, hs, sls, tps []int, b int, evos []hw.Evolution, sink stream.Sink) error {
 	return a.streamEvolutionGrid(ctx, hs, sls, tps, b, evos, sink, false)
 }
@@ -150,34 +160,7 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 	pr.Begin("sweep-stream", total)
 	priced := a.priceTasks(ctx, tasks)
 	evoErrs := validateEvos(evos)
-	// Workers return only the two objectives a scenario sets, 16 bytes
-	// that travel in registers; the emitter builds each row once, from
-	// its index, straight into the sink.
-	var rows int64
-	streamErr := parallel.StreamCtx(ctx, a.workers(), int(total), 0,
-		func(_ context.Context, i int) (objectives, error) {
-			e, t := int64(i)/nt, int64(i)%nt
-			iter, frac, err := priced[t].project(&evos[e], evoErrs[e])
-			return objectives{iter, frac}, err
-		},
-		func(lo int, vals []objectives) error {
-			var r stream.Row
-			// Divide once per chunk; (e, t) then step with the index.
-			g := int64(lo)
-			e, t := g/nt, g%nt
-			for k := range vals {
-				setRow(&r, g, &tasks[t], b, &evos[e], vals[k].iter, vals[k].frac, mem[t])
-				if err := sink.Emit(r); err != nil {
-					return err
-				}
-				g++
-				if t++; t == nt {
-					e, t = e+1, 0
-				}
-			}
-			rows += int64(len(vals))
-			return nil
-		})
+	rows, streamErr := emitGrid(ctx, priced, mem, b, evos, evoErrs, sink, pr)
 	// Best-effort back-fill: the computed prefix [0, rows) was
 	// already delivered in order; emit the never-computed suffix as
 	// coordinate rows with NaN objectives, so the artifact keeps the
@@ -188,7 +171,8 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 		nan := math.NaN()
 		var r stream.Row
 		for g := rows; g < total; g++ {
-			setRow(&r, g, &tasks[g%nt], b, &evos[g/nt], units.Seconds(nan), nan, units.Bytes(nan))
+			setScenario(&r, &evos[g/nt])
+			setRow(&r, g, &tasks[g%nt], b, units.Seconds(nan), nan, units.Bytes(nan))
 			if err := sink.Emit(r); err != nil {
 				break
 			}
@@ -199,9 +183,10 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 		// rows were emitted, and /progress must agree with the trailer.
 		pr.AddRows(canceled)
 	}
-	telemetry.Active().Count("core.stream.rows", rows)
 	if canceled > 0 {
-		telemetry.Active().Count("core.stream.canceled_rows", canceled)
+		tel := telemetry.Active()
+		tel.Count("core.stream.rows", canceled)
+		tel.Count("core.stream.canceled_rows", canceled)
 	}
 	trailer := stream.Trailer{
 		Rows:     rows,
@@ -216,4 +201,65 @@ func (a *Analyzer) streamEvolutionGrid(ctx context.Context, hs, sls, tps []int, 
 		return streamErr
 	}
 	return closeErr
+}
+
+// emitGrid projects, builds and emits the grid's rows in index order,
+// scenario by scenario, and returns how many the sink accepted and the
+// error that stopped it: the first point failure or sink error, else
+// ctx's error if it fired before the last chunk, else nil. It runs on
+// the caller's goroutine: the rows' projections are a few ns each,
+// less than a handoff to another goroutine would cost.
+//
+// ctx, the live counters and the trace are touched once per
+// streamChunk rows. pr and the core.stream.rows counter advance by
+// each chunk's emitted rows; a chunk that ends without error is a
+// completed chunk. The loop is worker 0 of the progress tracker, and
+// each chunk is one "chunk <c>" span on its trace lane.
+func emitGrid(ctx context.Context, priced []pricedTask, mem []units.Bytes, b int,
+	evos []hw.Evolution, evoErrs []error, sink stream.Sink, pr *telemetry.Progress) (int64, error) {
+	tel := telemetry.Active()
+	lane := tel.Lane("stream-worker 0")
+	pr.SetWorkers(1)
+	nt := int64(len(priced))
+	total := int64(len(evos)) * nt
+	var (
+		r    stream.Row
+		g    int64 // next row
+		e, t int64 // its scenario and task
+	)
+	evo, evoErr := &evos[0], evoErrs[0]
+	setScenario(&r, evo)
+	for c := 0; g < total; c++ {
+		if err := ctx.Err(); err != nil {
+			return g, err
+		}
+		sp := lane.StartIndexed("chunk", c)
+		lo, hi := g, min(g+streamChunk, total)
+		var err error
+		for ; g < hi; g++ {
+			var iter units.Seconds
+			var frac float64
+			p := &priced[t]
+			if iter, frac, err = p.project(evo, evoErr); err != nil {
+				break
+			}
+			setRow(&r, g, p.serializedTask, b, iter, frac, mem[t])
+			if err = sink.Emit(r); err != nil {
+				break
+			}
+			if t++; t == nt && g+1 < total {
+				e, t = e+1, 0
+				evo, evoErr = &evos[e], evoErrs[e]
+				setScenario(&r, evo)
+			}
+		}
+		pr.WorkerBusy(0, sp.End())
+		pr.AddRows(g - lo)
+		tel.Count("core.stream.rows", g-lo)
+		if err != nil {
+			return g, err
+		}
+		pr.ChunkDone()
+	}
+	return g, nil
 }

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 )
 
 // manyEvos builds enough evolution scenarios over the small task grid
-// that a mid-stream cancel always leaves unclaimed points to back-fill.
+// that a mid-stream cancel always leaves uncomputed points to back-fill.
 func manyEvos(n int) []hw.Evolution {
 	evos := make([]hw.Evolution, n)
 	for i := range evos {
@@ -94,6 +95,48 @@ func TestStreamGridPartialCancelBackfills(t *testing.T) {
 	}
 }
 
+// failOnceSink rejects the row at failAt once, then accepts every row.
+type failOnceSink struct {
+	collectSink
+	failAt int64
+	failed bool
+}
+
+func (f *failOnceSink) Emit(r stream.Row) error {
+	if r.Index == f.failAt && !f.failed {
+		f.failed = true
+		return fmt.Errorf("sink busy")
+	}
+	return f.collectSink.Emit(r)
+}
+
+// TestStreamGridPartialSinkErrorBackfillsOnce: a sink error mid-chunk
+// stops the computed rows at the rejected one, and the back-fill resumes
+// there: every index reaches the sink once, in order, and the trailer
+// counts exactly the rows the sink accepted.
+func TestStreamGridPartialSinkErrorBackfillsOnce(t *testing.T) {
+	a := newAnalyzer(t)
+	hs, sls, tps := smallGrid()
+	sink := &failOnceSink{failAt: 7}
+	err := a.StreamEvolutionGridPartialCtx(context.Background(), hs, sls, tps, 1, manyEvos(300), sink)
+	if err == nil || err.Error() != "sink busy" {
+		t.Fatalf("err = %v, want the sink error", err)
+	}
+	tr := sink.trailer
+	if int64(len(sink.rows)) != tr.Total || tr.Rows != tr.Total || tr.Canceled != tr.Total-7 || tr.Reason != "sink busy" {
+		t.Fatalf("%d rows emitted, trailer %+v; want all %d, %d of them canceled",
+			len(sink.rows), tr, tr.Total, tr.Total-7)
+	}
+	for i, r := range sink.rows {
+		if r.Index != int64(i) {
+			t.Fatalf("row %d carries index %d", i, r.Index)
+		}
+		if r.Finite() != (i < 7) {
+			t.Fatalf("row %d finite=%v, want computed rows [0, 7) only", i, r.Finite())
+		}
+	}
+}
+
 // cancelForwardSink forwards to an inner sink and cancels after n rows
 // — the PR-4 cancel harness shaped around a real serializer.
 type cancelForwardSink struct {
@@ -125,11 +168,11 @@ func TestStreamGridPartialNDJSONAllValid(t *testing.T) {
 	a := newAnalyzer(t)
 	a.Workers = 4
 	hs, sls, tps := smallGrid()
-	// 3,000 rows are 6 chunks for 4 workers. When the sink cancels, each
-	// worker holds at most one claimed chunk, so some chunk is never
-	// claimed and the stream must end canceled. With no more chunks than
-	// workers, all of them can be claimed before the cancel, and the
-	// stream then completes, as StreamCtx's contract says it should.
+	// 3,000 rows are 6 chunks. The sink cancels at row 4, in the first
+	// chunk, so the stream stops at that chunk's end, 512 rows in, and
+	// the back-fill has 2,488 rows to mark canceled. A cancel in the
+	// last chunk would let the stream complete, as
+	// StreamEvolutionGridCtx's contract says it should.
 	evos := manyEvos(300)
 
 	ctx, cancel := context.WithCancel(context.Background())

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"twocs/internal/hw"
@@ -124,10 +125,9 @@ func (c *cancelAfterSink) Emit(r stream.Row) error {
 }
 
 // TestStreamGridCancel: a canceled stream delivers a contiguous prefix
-// and a trailer that says it is incomplete and why. The grid must span
-// more chunks than the workers can have claimed when the cancel fires
-// (cancellation never abandons an already-claimed chunk), so it uses
-// many evolution scenarios over the small task grid.
+// and a trailer that says it is incomplete and why. The stream finishes
+// the chunk in which the cancel fires, so the grid must span more than
+// one chunk: it uses many evolution scenarios over the small task grid.
 func TestStreamGridCancel(t *testing.T) {
 	a := newAnalyzer(t)
 	a.Workers = 4
@@ -159,6 +159,108 @@ func TestStreamGridCancel(t *testing.T) {
 	if tr.Complete || tr.Reason != "canceled" || tr.Rows != int64(len(sink.rows)) ||
 		tr.Rows >= tr.Total {
 		t.Fatalf("bad cancel trailer: %+v", tr)
+	}
+}
+
+// TestStreamGridCancelAtChunkBoundary pins where a cancel ends the
+// stream: a sink that cancels ctx at row k gets every row of k's chunk
+// and no row after it, min(total, (k/512+1)·512) computed rows, for the
+// strict and the partial stream alike and at any worker count — the
+// loop consults ctx once per chunk, before the chunk's first row. The
+// canceled run's NDJSON bytes are the same at 1 and 4 workers.
+func TestStreamGridCancelAtChunkBoundary(t *testing.T) {
+	hs, sls, tps := smallGrid()
+	evos := manyEvos(300) // 3,000 rows: 5 full chunks and one of 440
+	for _, k := range []int64{0, 4, 511, 512, 1000, 2999} {
+		for _, partial := range []bool{false, true} {
+			var golden []byte
+			for _, workers := range []int{1, 4} {
+				a := newAnalyzer(t)
+				a.Workers = workers
+				ctx, cancel := context.WithCancel(context.Background())
+				var rows collectSink
+				var buf bytes.Buffer
+				sink := &cancelForwardSink{
+					inner:  stream.Multi(stream.NewNDJSON(&buf), &rows),
+					n:      int(k + 1),
+					cancel: cancel,
+				}
+				streamGrid := a.StreamEvolutionGridCtx
+				if partial {
+					streamGrid = a.StreamEvolutionGridPartialCtx
+				}
+				err := streamGrid(ctx, hs, sls, tps, 1, evos, sink)
+				cancel()
+				total := rows.trailer.Total
+				want := min(total, (k/streamChunk+1)*streamChunk)
+				name := fmt.Sprintf("k=%d partial=%v workers=%d", k, partial, workers)
+				if want == total {
+					if err != nil || !rows.trailer.Complete {
+						t.Fatalf("%s: cancel in the last chunk: err %v, trailer %+v; want a complete stream",
+							name, err, rows.trailer)
+					}
+				} else if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: err = %v, want context.Canceled", name, err)
+				}
+				var computed int64
+				for i, r := range rows.rows {
+					if r.Index != int64(i) {
+						t.Fatalf("%s: row %d carries index %d", name, i, r.Index)
+					}
+					if r.Finite() {
+						computed++
+					}
+				}
+				if computed != want {
+					t.Fatalf("%s: %d computed rows, want %d", name, computed, want)
+				}
+				emitted := want
+				if partial {
+					emitted = total
+				}
+				if tr := rows.trailer; int64(len(rows.rows)) != emitted || tr.Rows != emitted || tr.Canceled != emitted-want {
+					t.Fatalf("%s: %d rows emitted, trailer %+v; want %d rows, %d canceled",
+						name, len(rows.rows), tr, emitted, emitted-want)
+				}
+				if golden == nil {
+					golden = buf.Bytes()
+				} else if !bytes.Equal(golden, buf.Bytes()) {
+					t.Fatalf("%s: NDJSON differs from workers=1", name)
+				}
+			}
+		}
+	}
+}
+
+// errCountCtx counts the Err calls made on it.
+type errCountCtx struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCountCtx) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
+// TestStreamGridPollsCtxPerChunk: the row loop consults ctx at most
+// once per chunk, never per row, at any worker count.
+func TestStreamGridPollsCtxPerChunk(t *testing.T) {
+	hs, sls, tps := smallGrid()
+	evos := manyEvos(300)
+	for _, workers := range []int{1, 4} {
+		a := newAnalyzer(t)
+		a.Workers = workers
+		ctx := &errCountCtx{Context: context.Background()}
+		var sink stream.Discard
+		if err := a.StreamEvolutionGridCtx(ctx, hs, sls, tps, 1, evos, &sink); err != nil {
+			t.Fatal(err)
+		}
+		chunks := (sink.Rows + streamChunk - 1) / streamChunk
+		if n := ctx.errs.Load(); n > chunks {
+			t.Fatalf("workers=%d: %d ctx.Err calls over %d rows, want at most one per chunk (%d)",
+				workers, n, sink.Rows, chunks)
+		}
 	}
 }
 

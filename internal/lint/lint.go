@@ -320,9 +320,9 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 //     parallel.sequencer, parallel.claimState (the claim state behind
 //     Collect and StreamCtx), this package's stdlib importer and
 //     perfbench's tracer and timingMiddleware.
-//   - sweeppure: the task closures passed to parallel.Collect or
-//     StreamCtx in internal/core/{casestudy,degradation,exhaustive,
-//     scaling,stream,sweep,zoostudy}.go and perfbench/sweep.go.
+//   - sweeppure: the task closures passed to parallel.Collect in
+//     internal/core/{casestudy,degradation,exhaustive,scaling,sweep,
+//     zoostudy}.go and to StreamCtx in perfbench/sweep.go.
 //   - hotalloc: the //lint:hotpath Emit methods of stream.NDJSON, CSV,
 //     Pareto, TopK and Marginals, opmodel.LayerProjection.Scale,
 //     sim.Program.RunReuse and Summarize and dist.CompiledIteration.Report,

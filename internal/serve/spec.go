@@ -12,7 +12,7 @@
 // decode strictly (unknown fields are errors), normalize to a canonical
 // form, and hash into a bounded LRU result memo; admission is a token
 // bucket plus an in-flight cap; every request runs under a deadline
-// threaded through the same Collect/StreamCtx machinery the CLI uses;
+// threaded through the same grid machinery the CLI uses;
 // and per-request spans/counters land in the process collector the
 // /metrics endpoints already serve.
 package serve

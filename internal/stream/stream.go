@@ -9,8 +9,9 @@
 // Index order, never concurrently, and finishes with exactly one Close
 // carrying the stream's trailer — also when the sweep was canceled or
 // failed, so a partial artifact is still well-formed and says so.
-// Producers built on parallel.StreamCtx satisfy this at any worker
-// count with byte-identical output.
+// core.StreamEvolutionGridCtx satisfies it at any worker count with
+// byte-identical output: its workers price the grid's tasks, and one
+// loop emits the rows.
 package stream
 
 import (

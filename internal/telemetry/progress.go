@@ -10,15 +10,16 @@ import (
 
 // Progress is the live completion state of one streaming sweep: total
 // and completed rows, completed chunks, and per-worker busy time. The
-// stream engine (parallel.StreamCtx) feeds it as chunks are emitted and
-// the grid producer (core.StreamEvolutionGridCtx) brackets it with
-// Begin/Finish, so a snapshot at any instant answers "how far along is
-// this run, how fast, and when will it finish" — served live over the
-// debug server's /progress endpoint and emitted as NDJSON heartbeats by
-// the CLI's -progress flag.
+// grid producer (core.StreamEvolutionGridCtx) brackets it with
+// Begin/Finish, and its row loop, listed as worker 0, feeds it once
+// per emitted chunk, so a snapshot at any instant answers "how far
+// along is this run, how fast, and when will it finish" — served live
+// over the debug server's /progress endpoint and emitted as NDJSON
+// heartbeats by the CLI's -progress flag. parallel.StreamCtx feeds it
+// the same way, one busy tally per pool worker.
 //
 // Like the Collector, a nil *Progress is a valid no-op: every method
-// returns immediately and allocates nothing, so the stream engine stays
+// returns immediately and allocates nothing, so the row loop stays
 // instrumented permanently without taxing untracked runs.
 //
 // Rows and chunks only ever increase between Begin calls, which is what
@@ -43,7 +44,7 @@ type Progress struct {
 func NewProgress() *Progress { return &Progress{} }
 
 // activeProgress is the process-wide progress tracker consulted by the
-// stream engine, mirroring the active Collector.
+// grid stream, mirroring the active Collector.
 var activeProgress atomic.Pointer[Progress]
 
 // EnableProgress installs p as the process-wide progress tracker;
@@ -70,8 +71,8 @@ func (p *Progress) Begin(label string, total int64) {
 	p.mu.Unlock()
 }
 
-// SetWorkers sizes the per-worker busy table. The stream engine calls
-// it with the resolved worker count once per stream.
+// SetWorkers sizes the per-worker busy table. A stream producer calls
+// it with its worker count once per stream.
 func (p *Progress) SetWorkers(n int) {
 	if p == nil || n <= 0 {
 		return
