@@ -47,9 +47,11 @@ import (
 func main() {
 	// SIGINT/SIGTERM cancel the run's context: sweeps stop claiming grid
 	// points, partial results render, and the deferred telemetry/profile
-	// flushes in runCtx still execute. A second signal after stop()
-	// restores default handling, so a stuck run can always be killed.
+	// flushes in runCtx still execute. Default handling returns as soon
+	// as the context is canceled, so a second signal kills a run that is
+	// stuck, say in a write to a sink nobody drains.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
 	err := runCtx(ctx, os.Args[1:], os.Stdout)
 	stop()
 	if err != nil {

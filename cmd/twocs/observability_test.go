@@ -39,6 +39,9 @@ func (b *syncBuffer) String() string {
 // that dies on -timeout must still exit with the partial-results code,
 // flush its -trace artifact, stop the debug server (address cleared,
 // scrape refused), and leave no sampler/server/heartbeat goroutines.
+// The run writes its artifact into a pipe the test drains only after
+// the timeout has fired, so it cannot finish first however fast the
+// sweep streams.
 func TestObservabilityShutdownHygiene(t *testing.T) {
 	hb := &syncBuffer{}
 	oldHB := heartbeatSink
@@ -46,18 +49,51 @@ func TestObservabilityShutdownHygiene(t *testing.T) {
 	defer func() { heartbeatSink = oldHB }()
 
 	before := runtime.NumGoroutine()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As in TestDebugServerServesLiveRun, only a drain releases the
+	// run; the drain ends when the run closes its file.
+	var once sync.Once
+	drained := make(chan struct{})
+	release := func() {
+		once.Do(func() {
+			go func() {
+				io.Copy(io.Discard, pr)
+				pr.Close()
+				close(drained)
+			}()
+			pw.Close()
+		})
+	}
+	defer release()
+	const timeout = 300 * time.Millisecond
 	trace := filepath.Join(t.TempDir(), "trace.json")
-	var out strings.Builder
-	err := run([]string{
-		"-timeout", "300ms",
-		"-http", "127.0.0.1:0",
-		"-sample", "20ms",
-		"-progress", "20ms",
-		"-trace", trace,
-		// 40000 scenarios (6.24M rows) outlast the 300ms timeout many
-		// times over; 4000 (624k rows) could finish inside it on 2 vCPU.
-		"sweep-stream", "-scenarios", "40000", "-out", os.DevNull,
-	}, &out)
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		var out strings.Builder
+		done <- run([]string{
+			"-timeout", timeout.String(),
+			"-http", "127.0.0.1:0",
+			"-sample", "20ms",
+			"-progress", "20ms",
+			"-trace", trace,
+			// 312k rows: far more than the pipe holds.
+			"sweep-stream", "-scenarios", "2000", "-out", fmt.Sprintf("/dev/fd/%d", pw.Fd()),
+		}, &out)
+	}()
+	// The run's timeout starts inside run, just after start: twice the
+	// timeout leaves it ample time to fire before the drain.
+	select {
+	case err := <-done:
+		t.Fatalf("run ended before its timeout, held on a full pipe: %v", err)
+	case <-time.After(time.Until(start.Add(2 * timeout))):
+	}
+	release()
+	err = <-done
+	<-drained
 	if exitCode(err) != 3 {
 		t.Fatalf("want partial-results exit 3, got %v", err)
 	}

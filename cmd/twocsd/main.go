@@ -23,7 +23,8 @@
 // SIGINT/SIGTERM drain gracefully: the run context is every request
 // context's parent, so in-flight sweeps collapse into well-formed
 // partial artifacts (canceled rows as nulls, trailer with the reason)
-// while the listener refuses new work.
+// while the listener refuses new work. A second signal kills the
+// daemon.
 package main
 
 import (
@@ -48,7 +49,10 @@ import (
 )
 
 func main() {
+	// The first signal drains gracefully; default handling returns with
+	// it, so a second signal kills a drain that is stuck.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
 	err := runCtx(ctx, os.Args[1:], os.Stderr)
 	stop()
 	if err != nil {

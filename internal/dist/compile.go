@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"twocs/internal/memo"
@@ -40,8 +41,8 @@ type iterScratch struct {
 	st   *sim.RunState
 }
 
-// Program returns the compiled schedule. Callers must treat it (and
-// the Ops slice it exposes) as read-only.
+// Program returns the compiled schedule. Callers must treat it as
+// read-only.
 func (c *CompiledIteration) Program() *sim.Program { return c.prog }
 
 // Refill prices every op of the compiled schedule under timer, writing
@@ -131,7 +132,9 @@ func iterShape(c model.Config) model.Config {
 // programMemoEntries bounds the compiled-program memo. A twocs command
 // compiles at most 7 shapes and perfbench's simulate workload 41 (zoo
 // models × TP degrees plus the case-study plans); the bound sits six
-// times above that.
+// times above that. An entry keeps ~58 bytes per op
+// (TestCompiledIterationHeapPerOp), ~210 KB for the largest Table-2
+// shape (3,658 ops), so a full memo of those holds ~54 MB.
 const programMemoEntries = 256
 
 var programMemo = memo.New[iterKey, *CompiledIteration]("dist.programcache", nil, programMemoEntries, 0, nil)
@@ -175,9 +178,15 @@ func compileIteration(p Plan, timer *Timer, opts ScheduleOptions) (*CompiledIter
 	if err != nil {
 		return nil, err
 	}
+	// c lives as long as the memo keeps it, so it keeps nothing of the
+	// build: opClass is copied without the slack its appends left, and
+	// the pool's New captures the op count, not ops, which would keep
+	// the whole []sim.Op alive.
+	pricing.opClass = slices.Clone(pricing.opClass)
+	n := len(ops)
 	c := &CompiledIteration{prog: prog, pricing: pricing, tp: p.TP}
 	c.scratch.New = func() any {
-		return &iterScratch{durs: make([]units.Seconds, len(ops)), st: prog.NewState()}
+		return &iterScratch{durs: make([]units.Seconds, n), st: prog.NewState()}
 	}
 	return c, nil
 }

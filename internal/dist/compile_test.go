@@ -2,6 +2,7 @@ package dist
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,6 +10,7 @@ import (
 
 	"twocs/internal/hw"
 	"twocs/internal/kernels"
+	"twocs/internal/model"
 	"twocs/internal/sim"
 	"twocs/internal/telemetry"
 	"twocs/internal/units"
@@ -225,5 +227,121 @@ func TestRefillValidation(t *testing.T) {
 	}
 	if &out[0] != &buf[:1][0] {
 		t.Error("Refill reallocated despite sufficient capacity")
+	}
+}
+
+// TestCompiledRunMatchesBuildZoo pins the ops a compiled iteration
+// rebuilds to the ones it was compiled from: for every Table-2 model at
+// TP 1 and 8 (where 8 divides it) and DP 1 and 4, each span of
+// CompiledIteration.Run's trace must carry the whole Op that
+// BuildIteration built (ID, Label, Deps, Device, Stream and Duration).
+// The run's times and critical path are sim's TestProgramMatchesReferenceZoo.
+func TestCompiledRunMatchesBuildZoo(t *testing.T) {
+	runs := 0
+	for _, e := range model.Zoo() {
+		for _, tp := range []int{1, 8} {
+			if !e.Config.TPDivides(tp) {
+				continue
+			}
+			for _, dp := range []int{1, 4} {
+				p := zooPlan(e.Config, tp, dp)
+				timer := newTimer(t, p)
+				ops, err := BuildIteration(p, timer, ScheduleOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := CompileIteration(p, timer, ScheduleOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, tr, err := c.Run(timer, sim.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Spans are in start order; IDs are unique (Compile
+				// rejects duplicates), so equal counts and a match per
+				// span cover every built op once.
+				built := make(map[string]sim.Op, len(ops))
+				for _, op := range ops {
+					built[op.ID] = op
+				}
+				if len(tr.Spans) != len(ops) {
+					t.Fatalf("%s tp=%d dp=%d: %d spans for %d built ops", e.Config.Name, tp, dp, len(tr.Spans), len(ops))
+				}
+				for i, s := range tr.Spans {
+					if op := built[s.Op.ID]; !reflect.DeepEqual(s.Op, op) {
+						t.Fatalf("%s tp=%d dp=%d: span %d op diverged:\nbuilt    %+v\ncompiled %+v",
+							e.Config.Name, tp, dp, i, op, s.Op)
+					}
+				}
+				runs++
+			}
+		}
+	}
+	if runs == 0 {
+		t.Fatal("no zoo plan ran")
+	}
+}
+
+// compiledBytesPerOpBound is the live heap a compiled iteration may
+// keep per op: 57.4 B/op measured over the scaling and case studies'
+// Table-2 shapes, rounded up. It read 147 B/op while the Program kept
+// the []sim.Op it was compiled from (and the scratch pool's New
+// captured it). CI's "Alloc contracts" step runs
+// TestCompiledIterationHeapPerOp by name; raising the bound is an
+// explicit reviewable change here.
+const compiledBytesPerOpBound = 58
+
+// TestCompiledIterationHeapPerOp pins what a compiled iteration keeps.
+// It compiles, outside the memo, every (model, TP) shape the scaling
+// and case studies run over the Table-2 zoo (TP 1 to 128 where it
+// divides the model, DP > 1), keeps the results alive and bounds the
+// live-heap growth per op after two GCs.
+func TestCompiledIterationHeapPerOp(t *testing.T) {
+	type shape struct {
+		plan  Plan
+		timer *Timer
+	}
+	var shapes []shape
+	for _, e := range model.Zoo() {
+		for tp := 1; tp <= 128; tp *= 2 {
+			if e.Config.TPDivides(tp) {
+				p := zooPlan(e.Config, tp, 4)
+				shapes = append(shapes, shape{p, newTimer(t, p)})
+			}
+		}
+	}
+	compileAll := func() ([]*CompiledIteration, int) {
+		kept := make([]*CompiledIteration, len(shapes))
+		ops := 0
+		for i, s := range shapes {
+			c, err := compileIteration(s.plan, s.timer, ScheduleOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept[i] = c
+			ops += c.Program().NumOps()
+		}
+		return kept, ops
+	}
+	// A first pass fills the process caches that pricing touches, so
+	// the measured pass grows the heap by the programs alone.
+	compileAll()
+	live := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	kept, ops := compileAll()
+	after := live()
+	runtime.KeepAlive(kept)
+	perOp := (float64(after) - float64(before)) / float64(ops)
+	t.Logf("%d shapes, %d ops: live heap +%.2f MB, %.1f B/op",
+		len(shapes), ops, (float64(after)-float64(before))/(1<<20), perOp)
+	if perOp > compiledBytesPerOpBound {
+		t.Fatalf("compiled iterations keep %.1f B/op, bound is %d", perOp, compiledBytesPerOpBound)
 	}
 }

@@ -53,9 +53,9 @@ func (st *RunState) Summary() *Summary {
 	}
 	p := st.owner
 	if st.busy == nil {
-		st.busy = make([]interval, len(p.ops))
+		st.busy = make([]interval, p.NumOps())
 		st.busyOff = make([]int32, len(p.queues)+1)
-		st.cover = make([]interval, 0, len(p.ops))
+		st.cover = make([]interval, 0, p.NumOps())
 		st.summary.Lanes = make([]LaneSummary, len(p.queues))
 	}
 	s := &st.summary

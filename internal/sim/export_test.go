@@ -6,8 +6,16 @@ var (
 	ReferenceRun        = referenceRun
 	RequireSameTrace    = requireSameTrace
 	DifferentialConfigs = differentialConfigs
-	RunProgram          = runProgram
 )
 
-// Ops returns p's compiled ops, shared with p: treat them as read-only.
-func Ops(p *Program) []Op { return p.ops }
+// Ops rebuilds the ops p was compiled from, in compile order and with
+// zero durations, through the helper RunReuse rebuilds its spans' ops
+// with; dist's TestCompiledRunMatchesBuildZoo pins those to the built
+// ops.
+func Ops(p *Program) []Op {
+	ops := make([]Op, p.NumOps())
+	for i := range ops {
+		ops[i] = p.op(i, 0)
+	}
+	return ops
+}

@@ -67,7 +67,7 @@ func TestRunRejectsInvalidFaults(t *testing.T) {
 		}{
 			{"Program.RunReuse", func() error { _, err := runOps(ops, tc.cfg); return err }},
 			{"referenceRun", func() error { _, err := referenceRun(ops, tc.cfg); return err }},
-			{"Program.Summarize", func() error { _, err := p.Summarize(p.NewState(), durations(p), tc.cfg); return err }},
+			{"Program.Summarize", func() error { _, err := p.Summarize(p.NewState(), durations(ops), tc.cfg); return err }},
 		}
 		for _, e := range engines {
 			done := make(chan error, 1)

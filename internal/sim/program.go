@@ -36,14 +36,29 @@ import (
 // Program is a schedule compiled for repeated execution. The compiled
 // form is immutable; one Program may be re-timed concurrently from many
 // goroutines, each over its own RunState.
+//
+// A Program keeps no []Op: per op it holds an ID offset, a label index
+// and a lane, plus the dependency edges: about 51 bytes an op, ID text
+// included, on the Table-2 iterations. RunReuse rebuilds each span's Op
+// from them.
 type Program struct {
-	ops []Op
+	// ids holds every op's ID back to back: op i's ID is
+	// ids[idOff[i]:idOff[i+1]].
+	ids   string
+	idOff []int32
+	// labels are the distinct op labels; op i's is labels[label[i]].
+	labels []string
+	label  []int32
+	// lane[i] is the queue op i runs on, which gives its device and
+	// stream. len(lane) is the op count.
+	lane []int32
 
-	// deps/depOff form CSR-style adjacency: op i depends on the op
-	// indices deps[depOff[i]:depOff[i+1]]. users/userOff are the same
-	// edges reversed: the ops waiting on op i are
+	// depIDs/depOff form CSR-style adjacency: op i depends on the ops
+	// named depIDs[depOff[i]:depOff[i+1]], substrings of ids that the
+	// spans RunReuse writes share as their Deps. users/userOff are the
+	// edges reversed, by index: the ops waiting on op i are
 	// users[userOff[i]:userOff[i+1]].
-	deps    []int32
+	depIDs  []string
 	depOff  []int32
 	users   []int32
 	userOff []int32
@@ -70,17 +85,22 @@ type progQueue struct {
 
 // Compile validates the schedule once and lowers it to the dense form
 // the Program re-times: it rejects empty or duplicate IDs, negative
-// devices, invalid durations and unknown dependencies. The Program keeps
-// ops, so the caller must not modify them afterwards.
+// devices, invalid durations and unknown dependencies. The Program
+// copies what it keeps, so ops may be reused or dropped afterwards.
 func Compile(ops []Op) (*Program, error) {
 	telemetry.Active().Count("sim.program.compile", 1)
 	n := len(ops)
+	// The per-op int32 arrays share one allocation.
+	k := make([]int32, 4*n+2)
 	p := &Program{
-		ops:    ops,
-		depOff: make([]int32, n+1),
+		idOff:  k[: n+1 : n+1],
+		depOff: k[n+1 : 2*n+2 : 2*n+2],
+		label:  k[2*n+2 : 3*n+2 : 3*n+2],
+		lane:   k[3*n+2:],
 	}
 	byID := make(map[string]int32, n)
-	nDeps := 0
+	labelOf := make(map[string]int32, 8)
+	nDeps, idLen := 0, 0
 	for i, op := range ops {
 		if op.ID == "" {
 			return nil, fmt.Errorf("sim: op %d has empty ID", i)
@@ -96,32 +116,49 @@ func Compile(ops []Op) (*Program, error) {
 		}
 		byID[op.ID] = int32(i)
 		nDeps += len(op.Deps)
+		idLen += len(op.ID)
+		l, ok := labelOf[op.Label]
+		if !ok {
+			l = int32(len(p.labels))
+			labelOf[op.Label] = l
+			p.labels = append(p.labels, op.Label)
+		}
+		p.label[i] = l
 	}
-	p.deps = make([]int32, 0, nDeps)
+	var ids strings.Builder
+	ids.Grow(idLen)
+	deps := make([]int32, 0, nDeps)
 	for i, op := range ops {
 		for _, d := range op.Deps {
 			j, ok := byID[d]
 			if !ok {
 				return nil, fmt.Errorf("sim: op %q depends on unknown op %q", op.ID, d)
 			}
-			p.deps = append(p.deps, j)
+			deps = append(deps, j)
 		}
-		p.depOff[i+1] = int32(len(p.deps))
+		p.depOff[i+1] = int32(len(deps))
+		ids.WriteString(op.ID)
+		p.idOff[i+1] = int32(ids.Len())
+	}
+	p.ids = ids.String()
+	p.depIDs = make([]string, len(deps))
+	for k, d := range deps {
+		p.depIDs[k] = p.id(d)
 	}
 	// Reverse the edges into users/userOff (one allocation): count
 	// each op's users, prefix-sum the counts into block starts, fill
 	// the blocks using the starts as cursors (leaving each at the next
 	// block's start), then shift the starts back into place.
-	rev := make([]int32, n+1+len(p.deps))
+	rev := make([]int32, n+1+len(deps))
 	p.userOff, p.users = rev[:n+1], rev[n+1:]
-	for _, d := range p.deps {
+	for _, d := range deps {
 		p.userOff[d+1]++
 	}
 	for i := 0; i < n; i++ {
 		p.userOff[i+1] += p.userOff[i]
 	}
 	for i := 0; i < n; i++ {
-		for _, d := range p.deps[p.depOff[i]:p.depOff[i+1]] {
+		for _, d := range deps[p.depOff[i]:p.depOff[i+1]] {
 			p.users[p.userOff[d]] = int32(i)
 			p.userOff[d]++
 		}
@@ -156,6 +193,11 @@ func Compile(ops []Op) (*Program, error) {
 	})
 	for qi := range p.queues {
 		q := &p.queues[qi]
+		// The Program is long-lived: keep no slack from the appends.
+		q.ops = slices.Clone(q.ops)
+		for _, i := range q.ops {
+			p.lane[i] = int32(qi)
+		}
 		q.compute, q.comm = -1, -1
 		for pi := range p.queues {
 			if p.queues[pi].dev != q.dev {
@@ -182,7 +224,10 @@ func Compile(ops []Op) (*Program, error) {
 }
 
 // NumOps returns the number of ops in the compiled schedule.
-func (p *Program) NumOps() int { return len(p.ops) }
+func (p *Program) NumOps() int { return len(p.lane) }
+
+// id returns op i's ID, a substring of the packed IDs.
+func (p *Program) id(i int32) string { return p.ids[p.idOff[i]:p.idOff[i+1]] }
 
 // RunState is the reusable scratch memory of one Program execution. A
 // RunState is NOT safe for concurrent use: each goroutine re-timing a
@@ -193,7 +238,6 @@ type RunState struct {
 	startAt   []float64
 	endAt     []float64
 	pending   []int32   // per op: counts down to depOff[i] as its dependencies complete
-	lane      []int32   // per op: the index of its lane
 	qpos      []int32   // per lane: the next op to start
 	running   []int32   // per lane: running op index, -1 when idle
 	rate      []float64 // per lane: healthy progress rate (1/fault factor)
@@ -216,12 +260,12 @@ type RunState struct {
 
 // NewState allocates scratch state for RunReuse and Summarize.
 func (p *Program) NewState() *RunState {
-	n, nq := len(p.ops), len(p.queues)
+	n, nq := p.NumOps(), len(p.queues)
 	// The slices share one allocation per element type; each is capped,
 	// so wake, which can outgrow nq, reallocates on its own.
 	f := make([]float64, 3*n+2*nq)
-	k := make([]int32, 2*n+4*nq)
-	st := &RunState{
+	k := make([]int32, n+4*nq)
+	return &RunState{
 		owner:     p,
 		remaining: f[:n:n],
 		startAt:   f[n : 2*n : 2*n],
@@ -229,18 +273,11 @@ func (p *Program) NewState() *RunState {
 		rate:      f[3*n : 3*n+nq : 3*n+nq],
 		runRate:   f[3*n+nq:],
 		pending:   k[:n:n],
-		lane:      k[n : 2*n : 2*n],
-		qpos:      k[2*n : 2*n+nq : 2*n+nq],
-		running:   k[2*n+nq : 2*n+2*nq : 2*n+2*nq],
-		run:       k[2*n+2*nq : 2*n+2*nq : 2*n+3*nq],
-		wake:      k[2*n+3*nq : 2*n+3*nq],
+		qpos:      k[n : n+nq : n+nq],
+		running:   k[n+nq : n+2*nq : n+2*nq],
+		run:       k[n+2*nq : n+2*nq : n+3*nq],
+		wake:      k[n+3*nq : n+3*nq],
 	}
-	for q := range p.queues {
-		for _, i := range p.queues[q].ops {
-			st.lane[i] = int32(q)
-		}
-	}
-	return st
 }
 
 // RunReuse executes the compiled schedule under the given per-op
@@ -253,6 +290,10 @@ func (p *Program) NewState() *RunState {
 // state is zero allocs per run. tr must not be read concurrently with
 // the call; its previous contents are overwritten.
 //
+// Each span's Op is rebuilt from the Program: its ID is a substring of
+// the packed IDs, and its Deps (nil when it has none) a slice the
+// Program keeps for every run: treat them as read-only.
+//
 //lint:hotpath
 func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, tr *Trace) error {
 	if tr == nil {
@@ -261,11 +302,10 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 	if err := p.execute(st, durations, cfg); err != nil {
 		return err
 	}
-	tr.resize(len(p.ops))
-	for i, op := range p.ops {
-		op.Duration = durations[i]
+	tr.resize(p.NumOps())
+	for i := range tr.Spans {
 		tr.Spans[i] = Span{
-			Op:    op,
+			Op:    p.op(i, durations[i]),
 			Start: units.Seconds(st.startAt[i]),
 			End:   units.Seconds(st.endAt[i]),
 		}
@@ -275,6 +315,23 @@ func (p *Program) RunReuse(st *RunState, durations []units.Seconds, cfg Config, 
 	}
 	sortSpans(tr.Spans)
 	return nil
+}
+
+// op rebuilds op i with duration d. Its Deps, nil when it has none,
+// are shared with p: treat them as read-only.
+func (p *Program) op(i int, d units.Seconds) Op {
+	q := &p.queues[p.lane[i]]
+	op := Op{
+		ID:       p.id(int32(i)),
+		Device:   q.dev,
+		Stream:   q.stream,
+		Duration: d,
+		Label:    p.labels[p.label[i]],
+	}
+	if lo, hi := p.depOff[i], p.depOff[i+1]; lo < hi {
+		op.Deps = p.depIDs[lo:hi:hi]
+	}
+	return op
 }
 
 // Summarize re-times the schedule like RunReuse but writes no trace:
@@ -303,8 +360,8 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 		return fmt.Errorf("sim: run state does not belong to this program")
 	}
 	st.ok = false
-	if len(durations) != len(p.ops) {
-		return fmt.Errorf("sim: %d durations for %d ops", len(durations), len(p.ops))
+	if len(durations) != p.NumOps() {
+		return fmt.Errorf("sim: %d durations for %d ops", len(durations), p.NumOps())
 	}
 	if err := cfg.validate(); err != nil {
 		return err
@@ -315,7 +372,7 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 	}
 	for i, d := range durations {
 		if d < 0 || math.IsNaN(float64(d)) || math.IsInf(float64(d), 0) {
-			return fmt.Errorf("sim: op %q has invalid duration %v", p.ops[i].ID, d)
+			return fmt.Errorf("sim: op %q has invalid duration %v", p.id(int32(i)), d)
 		}
 		st.remaining[i] = float64(d)
 	}
@@ -332,7 +389,7 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 
 	run := st.run[:0] // the running lanes, in no particular order
 	now := 0.0
-	left := len(p.ops)
+	left := p.NumOps()
 	for left > 0 {
 		// Start the ready head of every woken idle lane. A lane not
 		// woken since it last failed to start still cannot.
@@ -361,7 +418,7 @@ func (p *Program) execute(st *RunState, durations []units.Seconds, cfg Config) e
 			var stuck []string
 			for q := range p.queues {
 				for _, i := range p.queues[q].ops[st.qpos[q]:] {
-					stuck = append(stuck, p.ops[i].ID)
+					stuck = append(stuck, p.id(i))
 				}
 			}
 			sort.Strings(stuck)
@@ -463,7 +520,7 @@ func (st *RunState) release(i int32, wake []int32) []int32 {
 	p := st.owner
 	for _, u := range p.users[p.userOff[i]:p.userOff[i+1]] {
 		st.pending[u]--
-		if l := st.lane[u]; st.pending[u] == p.depOff[u] && st.running[l] < 0 {
+		if l := p.lane[u]; st.pending[u] == p.depOff[u] && st.running[l] < 0 {
 			wake = append(wake, l)
 		}
 	}

@@ -107,7 +107,7 @@ func runOps(ops []Op, cfg Config) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runProgram(p, durations(p), cfg)
+	return runProgram(p, durations(ops), cfg)
 }
 
 // runProgram re-times p once under durs over a fresh RunState and Trace.
@@ -119,11 +119,11 @@ func runProgram(p *Program, durs []units.Seconds, cfg Config) (*Trace, error) {
 	return tr, nil
 }
 
-// durations returns a mutable copy of p's compile-time op durations,
-// the starting buffer of a re-time.
-func durations(p *Program) []units.Seconds {
-	out := make([]units.Seconds, len(p.ops))
-	for i, op := range p.ops {
+// durations returns a mutable copy of ops' durations, the starting
+// buffer of a re-time of the Program compiled from them.
+func durations(ops []Op) []units.Seconds {
+	out := make([]units.Seconds, len(ops))
+	for i, op := range ops {
 		out[i] = op.Duration
 	}
 	return out
@@ -166,7 +166,7 @@ func TestProgramMatchesReferenceIteration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %d: reference: %v", ci, err)
 		}
-		got, err := runProgram(p, durations(p), cfg)
+		got, err := runProgram(p, durations(ops), cfg)
 		if err != nil {
 			t.Fatalf("cfg %d: program: %v", ci, err)
 		}
@@ -174,7 +174,7 @@ func TestProgramMatchesReferenceIteration(t *testing.T) {
 		// Re-timing with scaled durations must match a reference run of
 		// the re-priced schedule: the compiled shape is duration-free.
 		scaled := make([]Op, len(ops))
-		durs := durations(p)
+		durs := durations(ops)
 		for i := range durs {
 			durs[i] *= 0.375
 			scaled[i] = ops[i]
@@ -240,7 +240,7 @@ func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
 	}
 	st := p.NewState()
 	got := &Trace{}
-	gotErr := p.RunReuse(st, durations(p), cfg, got)
+	gotErr := p.RunReuse(st, durations(ops), cfg, got)
 	if (wantErr == nil) != (gotErr == nil) {
 		t.Fatalf("error presence diverged: reference %v, program %v", wantErr, gotErr)
 	}
@@ -252,7 +252,7 @@ func requireMatchesReference(t *testing.T, ops []Op, cfg Config) {
 	}
 	requireSameTrace(t, want, got)
 	again := &Trace{}
-	if err := p.RunReuse(st, durations(p), cfg, again); err != nil {
+	if err := p.RunReuse(st, durations(ops), cfg, again); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
 	requireSameTrace(t, got, again)
@@ -305,7 +305,7 @@ func TestProgramConcurrentRun(t *testing.T) {
 		points[i] = 0.5 + 0.125*float64(i)
 	}
 	scaled := func(i int) []units.Seconds {
-		durs := durations(p)
+		durs := durations(ops)
 		for j := range durs {
 			durs[j] *= units.Seconds(points[i])
 		}
@@ -346,7 +346,7 @@ func TestProgramReTimeAllocBound(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := durations(p)
+	durs := durations(ops)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
 	if err := p.RunReuse(st, durs, cfg, &tr); err != nil {
@@ -370,12 +370,13 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 	cfg := Config{InterferenceSlowdown: 1.3}
 	var reused Trace
 	for _, n := range []int{6, 24, 2, 15} {
-		p, err := Compile(iterationOps(n))
+		ops := iterationOps(n)
+		p, err := Compile(ops)
 		if err != nil {
 			t.Fatalf("Compile(%d): %v", n, err)
 		}
 		st := p.NewState()
-		durs := durations(p)
+		durs := durations(ops)
 		for i := range durs {
 			durs[i] *= units.Seconds(1 + float64(i%3)*0.25)
 		}
@@ -399,19 +400,25 @@ func TestRunReuseMatchesRunWith(t *testing.T) {
 // TestProgramRunValidation covers the checks on what a run is given:
 // duration length and sign, and fault settings.
 func TestProgramRunValidation(t *testing.T) {
-	p, err := Compile(iterationOps(2))
+	ops := iterationOps(2)
+	p, err := Compile(ops)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
 	if _, err := runProgram(p, make([]units.Seconds, p.NumOps()+1), Config{}); err == nil {
 		t.Fatal("expected length-mismatch error")
 	}
-	bad := durations(p)
+	bad := durations(ops)
 	bad[3] = -1
-	if _, err := runProgram(p, bad, Config{}); err == nil {
-		t.Fatal("expected invalid-duration error")
+	// The run-time check names the op by ID, word for word as the
+	// reference engine's compile-time check does.
+	badOps := append([]Op(nil), ops...)
+	badOps[3].Duration = -1
+	_, wantErr := referenceRun(badOps, Config{})
+	if _, err := runProgram(p, bad, Config{}); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("invalid-duration error %v, reference %v", err, wantErr)
 	}
-	if _, err := runProgram(p, durations(p), Config{Faults: Faults{StragglerSlowdown: 0.5}}); err == nil {
+	if _, err := runProgram(p, durations(ops), Config{Faults: Faults{StragglerSlowdown: 0.5}}); err == nil {
 		t.Fatal("expected fault-validation error")
 	}
 }
@@ -419,7 +426,8 @@ func TestProgramRunValidation(t *testing.T) {
 // TestRunReuseValidation covers the checks on RunReuse's own arguments:
 // the trace, and a scratch state that is present and owned by p.
 func TestRunReuseValidation(t *testing.T) {
-	p, err := Compile(iterationOps(2))
+	ops := iterationOps(2)
+	p, err := Compile(ops)
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
@@ -428,13 +436,13 @@ func TestRunReuseValidation(t *testing.T) {
 		t.Fatalf("Compile: %v", err)
 	}
 	var tr Trace
-	if err := p.RunReuse(other.NewState(), durations(p), Config{}, &tr); err == nil {
+	if err := p.RunReuse(other.NewState(), durations(ops), Config{}, &tr); err == nil {
 		t.Fatal("expected foreign-state ownership error")
 	}
-	if err := p.RunReuse(p.NewState(), durations(p), Config{}, nil); err == nil {
+	if err := p.RunReuse(p.NewState(), durations(ops), Config{}, nil); err == nil {
 		t.Fatal("expected nil-trace error")
 	}
-	if err := p.RunReuse(nil, durations(p), Config{}, &tr); err == nil {
+	if err := p.RunReuse(nil, durations(ops), Config{}, &tr); err == nil {
 		t.Fatal("expected nil-state error")
 	}
 	if err := p.RunReuse(p.NewState(), make([]units.Seconds, 1), Config{}, &tr); err == nil {
@@ -484,7 +492,7 @@ func BenchmarkProgramReTime(b *testing.B) {
 		b.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := durations(p)
+	durs := durations(ops)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	var tr Trace
 	b.ReportAllocs()

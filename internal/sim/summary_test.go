@@ -86,17 +86,17 @@ func checkSummary(t *testing.T, ops []Op, cfg Config) bool {
 	}
 	st := p.NewState()
 	var tr Trace
-	if err := p.RunReuse(st, durations(p), cfg, &tr); err != nil {
+	if err := p.RunReuse(st, durations(ops), cfg, &tr); err != nil {
 		if st.Summary() != nil {
 			t.Fatalf("failed run %v left a summary", err)
 		}
-		if _, err2 := p.Summarize(st, durations(p), cfg); err2 == nil || err2.Error() != err.Error() {
+		if _, err2 := p.Summarize(st, durations(ops), cfg); err2 == nil || err2.Error() != err.Error() {
 			t.Fatalf("Summarize error %v, RunReuse error %v", err2, err)
 		}
 		return false
 	}
 	requireSummaryMatchesTrace(t, p, st.Summary(), &tr)
-	sum, err := p.Summarize(p.NewState(), durations(p), cfg)
+	sum, err := p.Summarize(p.NewState(), durations(ops), cfg)
 	if err != nil {
 		t.Fatalf("Summarize: %v", err)
 	}
@@ -137,7 +137,8 @@ func TestSummaryMatchesTraceAnalytics(t *testing.T) {
 // TestSummaryAfterFailedRun checks a state whose last run failed
 // reports no summary.
 func TestSummaryAfterFailedRun(t *testing.T) {
-	p, err := Compile(iterationOps(2))
+	ops := iterationOps(2)
+	p, err := Compile(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,10 +146,10 @@ func TestSummaryAfterFailedRun(t *testing.T) {
 	if st.Summary() != nil {
 		t.Fatal("a state that never ran has a summary")
 	}
-	if _, err := p.Summarize(st, durations(p), Config{}); err != nil {
+	if _, err := p.Summarize(st, durations(ops), Config{}); err != nil {
 		t.Fatal(err)
 	}
-	bad := durations(p)
+	bad := durations(ops)
 	bad[0] = -1
 	if _, err := p.Summarize(st, bad, Config{}); err == nil {
 		t.Fatal("expected invalid-duration error")
@@ -156,7 +157,7 @@ func TestSummaryAfterFailedRun(t *testing.T) {
 	if st.Summary() != nil {
 		t.Fatal("a failed run left a summary")
 	}
-	if _, err := p.Summarize(nil, durations(p), Config{}); err == nil {
+	if _, err := p.Summarize(nil, durations(ops), Config{}); err == nil {
 		t.Fatal("expected nil-state error")
 	}
 }
@@ -184,12 +185,13 @@ func TestSummarizeAllocBound(t *testing.T) {
 	if race.Enabled() {
 		t.Skip("allocation counts are exact only without the race detector")
 	}
-	p, err := Compile(iterationOps(8))
+	ops := iterationOps(8)
+	p, err := Compile(ops)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := p.NewState()
-	durs := durations(p)
+	durs := durations(ops)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	if _, err := p.Summarize(st, durs, cfg); err != nil {
 		t.Fatalf("warmup: %v", err)
@@ -207,12 +209,13 @@ func TestSummarizeAllocBound(t *testing.T) {
 // BenchmarkProgramSummarize is BenchmarkProgramReTime without the
 // trace: one Summarize per iteration over caller-owned state.
 func BenchmarkProgramSummarize(b *testing.B) {
-	p, err := Compile(iterationOps(24))
+	ops := iterationOps(24)
+	p, err := Compile(ops)
 	if err != nil {
 		b.Fatalf("Compile: %v", err)
 	}
 	st := p.NewState()
-	durs := durations(p)
+	durs := durations(ops)
 	cfg := Config{InterferenceSlowdown: 1.4}
 	b.ReportAllocs()
 	b.ResetTimer()

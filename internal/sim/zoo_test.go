@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"twocs/internal/collective"
@@ -13,10 +14,14 @@ import (
 )
 
 // TestProgramMatchesReferenceZoo is the reference differential at the
-// scale the studies run: the compiled iteration of every Table-2 model
-// at TP 1 and 8 (where 8 divides it), DP 1 and 4, re-timed under every
-// differential config, must reproduce the reference engine's trace of
-// the same ops bit for bit.
+// scale the studies run: for every Table-2 model at TP 1 and 8 (where 8
+// divides it), DP 1 and 4, the compiled iteration re-timed under every
+// differential config (CompiledIteration.Run) must reproduce the
+// reference engine's trace of the same ops bit for bit, whole spans
+// compared, and its critical path under the first config. The ops are
+// rebuilt from the Program in compile order (Ops); dist's
+// TestCompiledRunMatchesBuildZoo pins them to the ops BuildIteration
+// builds.
 func TestProgramMatchesReferenceZoo(t *testing.T) {
 	calc, err := kernels.NewCalculator(hw.MI210)
 	if err != nil {
@@ -46,8 +51,7 @@ func TestProgramMatchesReferenceZoo(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				prog := c.Program()
-				ops := append([]sim.Op(nil), sim.Ops(prog)...)
+				ops := sim.Ops(c.Program())
 				for i := range ops {
 					ops[i].Duration = durs[i]
 				}
@@ -57,11 +61,19 @@ func TestProgramMatchesReferenceZoo(t *testing.T) {
 						if err != nil {
 							t.Fatalf("reference: %v", err)
 						}
-						got, err := sim.RunProgram(prog, durs, cfg)
+						_, got, err := c.Run(timer, cfg)
 						if err != nil {
-							t.Fatalf("program: %v", err)
+							t.Fatalf("compiled: %v", err)
 						}
 						sim.RequireSameTrace(t, want, got)
+						if ci > 0 {
+							return // CriticalPath is quadratic in the spans: one config will do
+						}
+						wantPath, wantShares := want.CriticalPath()
+						gotPath, gotShares := got.CriticalPath()
+						if !reflect.DeepEqual(wantPath, gotPath) || !reflect.DeepEqual(wantShares, gotShares) {
+							t.Fatal("critical path diverged")
+						}
 					})
 					runs++
 				}
